@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -110,10 +109,16 @@ def _number(cfg: dict, field: str, default=None, ctx: str = "config") -> float:
     return float(v)
 
 
-def _int(cfg: dict, field: str, default=None, ctx: str = "config") -> int:
+def _integral(v) -> bool:
+    return math.isfinite(v) and v == int(v)
+
+
+def _int(cfg: dict, field: str, default=None, ctx: str = "config", lo: int | None = None) -> int:
     v = _number(cfg, field, default, ctx)
-    if v != int(v):
+    if not _integral(v):
         raise ConfigError(f"field '{field}' must be an integer, got {v}")
+    if lo is not None and v < lo:
+        raise ConfigError(f"field '{field}' must be >= {lo}, got {int(v)}")
     return int(v)
 
 
@@ -209,8 +214,14 @@ def parse_schedule(cfg: dict) -> tuple[tuple[int, int], ...]:
         raise ConfigError("field 'schedule' must be a nonempty list of [N, D] pairs")
     out = []
     for entry in raw:
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise ConfigError(f"field 'schedule' entry {entry!r} is not an [N, D] pair")
+        pair = isinstance(entry, list) and len(entry) == 2 and all(
+            isinstance(v, (int, float)) and _integral(v) for v in entry
+        )
+        if not pair or not 1 <= entry[0] <= entry[1]:
+            raise ConfigError(
+                f"field 'schedule' entry {entry!r} is not an [N, D] pair of integers "
+                "with 1 <= N <= D"
+            )
         out.append((int(entry[0]), int(entry[1])))
     return tuple(out)
 
@@ -247,7 +258,7 @@ def cmd_spectrum(cfg: dict, out: Path, seed: int) -> None:
     space = parse_space(cfg)
     model = parse_measure(cfg, space)
     q_grid = parse_grid(cfg, "q_grid", DEFAULT_Q_GRID)
-    k = _int(cfg, "k", 0)
+    k = _int(cfg, "k", 0, lo=0)
     schedule = parse_schedule(cfg)
     curve = h_curve(model, q_grid, k=k, schedule=schedule)
     N_max = max(N for N, _ in schedule)
@@ -310,7 +321,7 @@ def cmd_premeasure(cfg: dict, out: Path, seed: int) -> None:
     elif mode == "packing":
         log_value = ev.packing_log(q, t, N)
     else:
-        cover_depth = _int(cfg, "cover_depth", min(6, N))
+        cover_depth = _int(cfg, "cover_depth", min(6, N), lo=0)
         if cover_depth > D:
             raise ConfigError(f"field 'cover_depth' exceeds D={D}")
         log_value = ev.outer_log(q, t, N, cover_depth)
@@ -327,9 +338,12 @@ def cmd_entropy(cfg: dict, out: Path, seed: int) -> None:
     model = parse_measure(cfg, space)
     K = parse_cylinder_set(cfg, space)
     q = _number(cfg, "q", 0.0)
-    k = _int(cfg, "k", 0)
+    k = _int(cfg, "k", 0, lo=0)
     schedule = parse_schedule(cfg)
-    cover_depth = _int(cfg, "cover_depth", min(6, min(N for N, _ in schedule)))
+    cover_depth = _int(cfg, "cover_depth", min(6, min(N for N, _ in schedule)), lo=0)
+    D_min = min(D for _, D in schedule)
+    if cover_depth > D_min:
+        raise ConfigError(f"field 'cover_depth' exceeds the smallest schedule D={D_min}")
     rows = []
     for method, fn in (
         ("bowen", lambda: bowen_entropy(model, K, q, k, schedule)),
@@ -359,8 +373,8 @@ def cmd_verify_gibbs(cfg: dict, out: Path, seed: int) -> None:
 def cmd_doubling(cfg: dict, out: Path, seed: int) -> None:
     space = parse_space(cfg)
     model = parse_measure(cfg, space)
-    k = _int(cfg, "k", 1)
-    n_max = _int(cfg, "n_max", 8)
+    k = _int(cfg, "k", 1, lo=1)
+    n_max = _int(cfg, "n_max", 8, lo=1)
     rep = doubling_check(model, k, n_max)
     bound = rep.analytic_bound if rep.analytic_bound is not None else math.nan
     write_csv(
@@ -373,16 +387,18 @@ def cmd_doubling(cfg: dict, out: Path, seed: int) -> None:
 def cmd_local(cfg: dict, out: Path, seed: int) -> None:
     space = parse_space(cfg)
     model = parse_measure(cfg, space)
-    k = _int(cfg, "k", 0)
+    k = _int(cfg, "k", 0, lo=0)
     tail_fraction = _number(cfg, "tail_fraction", 0.25)
+    if not 0 < tail_fraction <= 1:
+        raise ConfigError(f"field 'tail_fraction' must be in (0, 1], got {tail_fraction}")
     if "words" in cfg:
         raw = cfg["words"]
         if not isinstance(raw, list):
             raise ConfigError("field 'words' must be a list of words")
         words = [parse_word(w, "words") for w in raw]
     else:
-        n = _int(cfg, "n", ctx="config (needed when 'words' is absent)")
-        count = _int(cfg, "count", 100)
+        n = _int(cfg, "n", ctx="config (needed when 'words' is absent)", lo=1)
+        count = _int(cfg, "count", 100, lo=0)
         rng = np.random.default_rng(seed)
         words = [model.sample_word(n + k, rng) for _ in range(count)]
     rows = []
@@ -395,10 +411,13 @@ def cmd_local(cfg: dict, out: Path, seed: int) -> None:
 def cmd_level_spectrum(cfg: dict, out: Path, seed: int) -> None:
     space = parse_space(cfg)
     model = parse_measure(cfg, space)
-    n = _int(cfg, "n", 14)
-    k = _int(cfg, "k", 0)
+    n = _int(cfg, "n", 14, lo=1)
+    k = _int(cfg, "k", 0, lo=0)
     bin_width = _number(cfg, "bin_width", 0.05)
     half_width = _number(cfg, "half_width", 0.08)
+    for field, width in (("bin_width", bin_width), ("half_width", half_width)):
+        if not width > 0:
+            raise ConfigError(f"field '{field}' must be positive, got {width}")
     bins = level_set_spectrum_oracle(model, n, bin_width, k)
     rows = [
         (b.beta, int(round(math.exp(b.log_count))), b.entropy_estimate, b.word_length, k)
@@ -433,23 +452,6 @@ _DISPATCH = {
 }
 
 
-def _resolve_threads(arg: int | None) -> int:
-    if arg is not None:
-        if arg < 1:
-            raise ConfigError(f"--threads must be positive, got {arg}")
-        return arg
-    env = os.environ.get("MFENT_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ConfigError(f"MFENT_THREADS is not an integer: {env!r}") from None
-        if n < 1:
-            raise ConfigError(f"MFENT_THREADS must be positive, got {n}")
-        return n
-    return 1
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="mfent",
@@ -458,12 +460,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to a JSON config, or inline JSON")
     parser.add_argument("--out", default=".", help="output directory for CSV files")
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     try:
-        _resolve_threads(args.threads)  # validated; evaluation is single-pass deterministic
         cfg = load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -49,15 +49,12 @@ def local_entropy(
         )
     if not 0 < tail_fraction <= 1:
         raise ValueError("tail_fraction must be in (0, 1]")
-    est = np.empty(n_max)
-    hit_zero = False
-    for n in range(1, n_max + 1):
-        lm = model.log_mass(x[: n + k])
-        if lm == -math.inf:
-            est[n - 1 :] = math.inf
-            hit_zero = True
-            break
-        est[n - 1] = -lm / n
+    lm = model.log_mass_prefixes(x[: n_max + k])[k + 1 :]
+    est = -lm / np.arange(1, n_max + 1)
+    zero = np.flatnonzero(np.isneginf(lm))
+    hit_zero = bool(zero.size)
+    if hit_zero:
+        est[zero[0] :] = math.inf
     tail_start = min(n_max - 1, int(math.floor(n_max * (1 - tail_fraction))))
     tail = est[tail_start:]
     return LocalEntropySample(
@@ -79,12 +76,10 @@ def filtration_member(
         raise ValueError("N must be >= 1")
     if len(x) < N + M:
         raise ValueError(f"word of length {len(x)} shorter than N + M = {N + M}")
-    for n in range(N, len(x) - M + 1):
-        lm = model.log_mass(x[: n + M])
-        val = math.inf if lm == -math.inf else -lm / n
-        if not (beta - delta < val < beta + delta):
-            return False
-    return True
+    ns = np.arange(N, len(x) - M + 1)
+    lm = model.log_mass_prefixes(x)[ns + M]
+    val = np.where(np.isneginf(lm), math.inf, -lm / ns)
+    return bool(((beta - delta < val) & (val < beta + delta)).all())
 
 
 def mean_local_entropy(samples: list[LocalEntropySample]) -> float:

@@ -2,8 +2,21 @@
 
 Every model assigns a mass to each admissible cylinder, additively over
 children, with the empty word carrying mass 1.  All arithmetic has a
-log-domain companion; masses underflow quickly, so log_mass is primary
+log-domain companion; masses underflow quickly, so log masses are primary
 and mass() is a convenience wrapper.
+
+Bernoulli, Markov and Gibbs share one chain core, the transfer-operator
+form: the states are blocks (the admissible words of one length d), with
+an initial law on blocks and a block-to-block transition matrix.
+Bernoulli and Markov are chains on single symbols (d = 1; every row of a
+Bernoulli matrix is p), and Gibbs is the (r-1)-block chain built from the
+Perron data of its potential.  A word shorter than d has the summed
+initial mass of the blocks it starts; every symbol past d adds one log
+transition.  Mass consumers go through one of two steps: ``extend`` takes
+a whole level of the word tree to the next (children in lexicographic
+order, each child's log mass from its parent's), and
+``log_mass_prefixes`` walks one word.  ``Mixture`` extends both of its
+components and joins their masses.
 """
 
 from __future__ import annotations
@@ -34,13 +47,36 @@ def logsumexp(a: np.ndarray) -> float:
 
 
 class MeasureModel:
-    """Base class: immutable, pure mass queries, shareable across workers."""
+    """Base class: immutable, pure mass queries, shareable across workers.
+
+    A level of the word tree is a pair (states, log_masses) with one entry
+    per word; states are opaque to callers, who only pass them back to
+    ``extend`` and ``select``.
+    """
 
     kind: str
     space: ShiftSpace
 
-    def log_mass(self, w: Word) -> float:
+    def root(self) -> tuple[object, np.ndarray]:
+        """The level holding only the empty word."""
         raise NotImplementedError
+
+    def extend(self, states, log_masses: np.ndarray) -> tuple[np.ndarray, object, np.ndarray]:
+        """All admissible one-symbol extensions of a level, in lexicographic
+        order: (index of each child's parent, child states, child log masses).
+        Zero-mass children are included, with log mass -inf."""
+        raise NotImplementedError
+
+    def select(self, states, idx):
+        """The states at positions ``idx`` of a level."""
+        raise NotImplementedError
+
+    def log_mass_prefixes(self, w: Word) -> np.ndarray:
+        """Log masses of w[:j] for j = 0..len(w), in one pass over w."""
+        raise NotImplementedError
+
+    def log_mass(self, w: Word) -> float:
+        return float(self.log_mass_prefixes(w)[-1])
 
     def mass(self, w: Word) -> float:
         return math.exp(self.log_mass(w))
@@ -53,7 +89,127 @@ class MeasureModel:
         return None
 
 
-class Bernoulli(MeasureModel):
+class Chain(MeasureModel):
+    """Block chain: ``states`` are the admissible words of one length d,
+    ``init`` their initial law and ``T`` the block-to-block transition
+    matrix; ``log_init`` and ``log_T`` are derived from them.
+
+    Internally every admissible word shorter than d, and every block, is a
+    node (node 0 is the empty word).  ``_next[node, a]`` is the node reached
+    by appending symbol a (-1 if inadmissible) and ``_step[node, a]`` the
+    log weight of that step: below length d it is the child's own log mass,
+    a marginal of init; from a block it is the log transition, added to the
+    parent's log mass.
+    """
+
+    def __init__(self, space: ShiftSpace, states: list[Word], init: np.ndarray, T: np.ndarray):
+        self.space = space
+        self.states = states
+        self.init = init
+        self.T = T
+        with np.errstate(divide="ignore"):
+            self.log_init = np.log(init)
+            self.log_T = np.log(T)
+        d = len(states[0])
+        index = {u: i for i, u in enumerate(states)}
+        prefixes = sorted({u[:j] for u in states for j in range(d)})
+        node = {u: i for i, u in enumerate(prefixes)}
+        node.update((u, len(prefixes) + i) for i, u in enumerate(states))
+        nxt = np.full((len(node), space.alphabet_size), -1, dtype=np.int32)
+        step = np.full(nxt.shape, -math.inf)
+        # 0/1 block-to-block transitions the space allows: T's support when no
+        # admissible transition has probability zero
+        self.adjacency = np.zeros((len(states), len(states)), dtype=bool)
+        for u, s in node.items():
+            for c in space.children(u):
+                a = c[-1]
+                if len(c) < d:
+                    total = float(np.sum([init[i] for v, i in index.items() if v[: len(c)] == c]))
+                    nxt[s, a] = node[c]
+                    step[s, a] = math.log(total) if total > 0 else -math.inf
+                elif len(c) == d:
+                    nxt[s, a] = node[c]
+                    step[s, a] = self.log_init[index[c]]
+                else:
+                    nxt[s, a] = node[c[1:]]
+                    step[s, a] = self.log_T[index[u], index[c[1:]]]
+                    self.adjacency[index[u], index[c[1:]]] = True
+        self._index = index
+        self._n_prefix = len(prefixes)
+        self._next = nxt
+        self._step = step
+        # plain lists: per-symbol lookups in Python are faster than numpy scalars
+        self._next_rows = nxt.tolist()
+        self._step_rows = step.tolist()
+
+    def root(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.zeros(1, dtype=np.int32), np.zeros(1)
+
+    def select(self, states: np.ndarray, idx) -> np.ndarray:
+        return states[idx]
+
+    def extend(self, states: np.ndarray, log_masses: np.ndarray):
+        nxt = self._next[states]
+        lm = self._step[states]
+        if states.size and states[0] >= self._n_prefix:  # one level is one word length
+            lm += log_masses[:, None]
+        ok = nxt >= 0
+        if ok.all():  # full shift: views, not masked copies, of the big child arrays
+            return np.repeat(np.arange(len(states)), ok.shape[1]), nxt.ravel(), lm.ravel()
+        parent = np.repeat(np.arange(len(states)), ok.sum(axis=1))
+        return parent, nxt[ok], lm[ok]
+
+    def log_mass_prefixes(self, w: Word) -> np.ndarray:
+        self.space.require_admissible(w)
+        nxt, step = self._next_rows, self._step_rows
+        out = [0.0]
+        s = 0
+        for a in w:
+            out.append(step[s][a] if s < self._n_prefix else out[-1] + step[s][a])
+            s = nxt[s][a]
+        return np.asarray(out)
+
+    def sample_word(self, n: int, rng: np.random.Generator) -> Word:
+        if n == 0:
+            return ()
+        i = int(rng.choice(len(self.states), p=self.init))
+        word = list(self.states[i])
+        while len(word) < n:
+            i = int(rng.choice(len(self.states), p=self.T[i]))
+            word.append(self.states[i][-1])
+        return tuple(word[:n])
+
+    def one_step_log_bound(self) -> float:
+        worst = 0.0
+        # conditionals below the block length are marginal ratios of init
+        states, lm = self.root()
+        for _ in range(1, len(self.states[0])):
+            parent, states, kids = self.extend(states, lm)
+            for lp, lc in zip(lm[parent].tolist(), kids.tolist()):
+                p, c = math.exp(lp), math.exp(lc)
+                if p <= 0:
+                    continue
+                if c <= 0:
+                    return math.inf
+                worst = max(worst, math.log(p / c))
+            lm = kids
+        # at and beyond the block length the conditionals are entries of T
+        mask = self.T > 0
+        if (self.adjacency & ~mask).any():
+            return math.inf
+        return max(worst, float(-np.log(self.T[mask].min())))
+
+    def log_potential(self) -> Potential:
+        """The locally constant potential log T on words of length d + 1."""
+        d = len(self.states[0])
+        table = {
+            w: float(self.log_T[self._index[w[:-1]], self._index[w[1:]]])
+            for w in self.space.words_of_length(d + 1)
+        }
+        return Potential(self.space, d + 1, table)
+
+
+class Bernoulli(Chain):
     kind = "bernoulli"
 
     def __init__(self, space: ShiftSpace, p):
@@ -69,27 +225,16 @@ class Bernoulli(MeasureModel):
             )
         if (p < 0).any() or abs(p.sum() - 1.0) > _TOL:
             raise ValueError("probabilities must be nonnegative and sum to 1")
-        self.space = space
         self.p = p
-        with np.errstate(divide="ignore"):
-            self._logp = np.log(p)
-
-    def log_mass(self, w: Word) -> float:
-        self.space.require_admissible(w)
-        if not w:
-            return 0.0
-        return float(self._logp[list(w)].sum())
+        m = space.alphabet_size
+        super().__init__(space, [(a,) for a in range(m)], p, np.tile(p, (m, 1)))
 
     def sample_word(self, n: int, rng: np.random.Generator) -> Word:
+        # symbols are independent, so one draw gives the whole word
         return tuple(int(s) for s in rng.choice(self.space.alphabet_size, size=n, p=self.p))
 
-    def one_step_log_bound(self) -> float:
-        if (self.p == 0).any():
-            return math.inf
-        return float(-np.log(self.p.min()))
 
-
-class Markov(MeasureModel):
+class Markov(Chain):
     kind = "markov"
 
     def __init__(self, space: ShiftSpace, P, pi=None):
@@ -118,117 +263,43 @@ class Markov(MeasureModel):
                 raise ValueError("pi must be a probability vector over the alphabet")
             if np.max(np.abs(pi @ P - pi)) > 1e-10:
                 raise ValueError("pi is not stationary for P")
-        self.space = space
         self.P = P
         self.pi = pi
-        with np.errstate(divide="ignore"):
-            self._logP = np.log(P)
-            self._logpi = np.log(pi)
-
-    def log_mass(self, w: Word) -> float:
-        self.space.require_admissible(w)
-        if not w:
-            return 0.0
-        out = float(self._logpi[w[0]])
-        for a, b in zip(w, w[1:]):
-            out += float(self._logP[a, b])
-        return out
-
-    def sample_word(self, n: int, rng: np.random.Generator) -> Word:
-        if n == 0:
-            return ()
-        m = self.space.alphabet_size
-        out = [int(rng.choice(m, p=self.pi))]
-        for _ in range(n - 1):
-            out.append(int(rng.choice(m, p=self.P[out[-1]])))
-        return tuple(out)
-
-    def one_step_log_bound(self) -> float:
-        admissible = self.space.transitions.astype(bool)
-        vals = self.P[admissible]
-        if (vals == 0).any():
-            return math.inf
-        return float(-np.log(vals.min()))
+        super().__init__(space, [(a,) for a in range(m)], pi, P)
 
 
-class Gibbs(MeasureModel):
+class Gibbs(Chain):
     """Equilibrium measure of a locally constant potential.
 
-    Realized as an (r-1)-step Markov chain built from the Perron data of
-    the weighted transfer matrix, which makes every cylinder mass exactly
+    Realized as an (r-1)-block chain built from the Perron data of the
+    weighted transfer matrix, which makes every cylinder mass exactly
     computable and gives the uniform mass-comparison property.
     """
 
     kind = "gibbs"
 
     def __init__(self, potential: Potential):
-        self.space = potential.space
         self.potential = potential
         M, states = potential.transfer_matrix(1.0)
         lam, h, l = perron_triple(M)
         self.pressure_value = math.log(lam)
-        self.states = states
-        self._index = {u: i for i, u in enumerate(states)}
         Q = M * h[None, :] / (lam * h[:, None])
         mu = l * h
         mu = mu / mu.sum()
         self.Q = Q
         self.mu = mu
-        with np.errstate(divide="ignore"):
-            self._logQ = np.log(Q)
-            self._logmu = np.log(mu)
+        super().__init__(potential.space, states, mu, Q)
 
-    def log_mass(self, w: Word) -> float:
-        self.space.require_admissible(w)
-        if not w:
-            return 0.0
-        d = self.potential.r - 1
-        if len(w) < d:
-            sel = [self.mu[i] for u, i in self._index.items() if u[: len(w)] == w]
-            total = float(np.sum(sel))
-            return math.log(total) if total > 0 else -math.inf
-        out = float(self._logmu[self._index[w[:d]]])
-        for j in range(d, len(w)):
-            out += float(self._logQ[self._index[w[j - d : j]], self._index[w[j - d + 1 : j + 1]]])
-        return out
-
-    def sample_word(self, n: int, rng: np.random.Generator) -> Word:
-        d = self.potential.r - 1
-        i = int(rng.choice(len(self.states), p=self.mu))
-        word = list(self.states[i])
-        while len(word) < n:
-            row = self.Q[i]
-            i = int(rng.choice(len(self.states), p=row))
-            word.append(self.states[i][-1])
-        return tuple(word[:n])
-
-    def one_step_log_bound(self) -> float:
-        d = self.potential.r - 1
-        worst = 0.0
-        # conditionals below the chain depth are marginal ratios of mu
-        for depth in range(1, d):
-            for w in self.space.words_of_length(depth):
-                parent = math.exp(self.log_mass(w[:-1]))
-                child = math.exp(self.log_mass(w))
-                if parent <= 0:
-                    continue
-                if child <= 0:
-                    return math.inf
-                worst = max(worst, math.log(parent / child))
-        # at and beyond depth d the conditionals are chain entries
-        mask = self.Q > 0
-        structural = np.zeros_like(mask)
-        for u, i in self._index.items():
-            for w in self.space.children(u):
-                structural[i, self._index[w[1:]]] = True
-        if (structural & ~mask).any():
-            return math.inf
-        worst = max(worst, float(-np.log(self.Q[mask].min())))
-        return worst
+    def log_potential(self) -> Potential:
+        # the defining potential, not log Q, so the pressure identity is a real check
+        return self.potential
 
 
 class Mixture(MeasureModel):
-    """Lazy convex combination of two models over the same space."""
+    """Lazy convex combination of two models over the same space.
+
+    A level's states carry both components' states and log masses.
+    """
 
     kind = "mixture"
 
@@ -242,14 +313,31 @@ class Mixture(MeasureModel):
         self.b = model_b
         self.lam = float(lam)
 
-    def log_mass(self, w: Word) -> float:
+    def _join(self, la: np.ndarray, lb: np.ndarray) -> np.ndarray:
         if self.lam == 1.0:
-            return self.a.log_mass(w)
+            return la
         if self.lam == 0.0:
-            return self.b.log_mass(w)
-        la = self.a.log_mass(w) + math.log(self.lam)
-        lb = self.b.log_mass(w) + math.log1p(-self.lam)
-        return float(np.logaddexp(la, lb))
+            return lb
+        return np.logaddexp(la + math.log(self.lam), lb + math.log1p(-self.lam))
+
+    def root(self):
+        sa, la = self.a.root()
+        sb, lb = self.b.root()
+        return (sa, la, sb, lb), self._join(la, lb)
+
+    def select(self, states, idx):
+        sa, la, sb, lb = states
+        return self.a.select(sa, idx), la[idx], self.b.select(sb, idx), lb[idx]
+
+    def extend(self, states, log_masses: np.ndarray):
+        # the children's masses are joined from the components' own
+        sa, la, sb, lb = states
+        parent, sa, la = self.a.extend(sa, la)
+        _, sb, lb = self.b.extend(sb, lb)
+        return parent, (sa, la, sb, lb), self._join(la, lb)
+
+    def log_mass_prefixes(self, w: Word) -> np.ndarray:
+        return self._join(self.a.log_mass_prefixes(w), self.b.log_mass_prefixes(w))
 
     def sample_word(self, n: int, rng: np.random.Generator) -> Word:
         pick_a = rng.random() < self.lam
@@ -261,66 +349,19 @@ def mixture(model_a: MeasureModel, model_b: MeasureModel, lam: float) -> Mixture
     return Mixture(model_a, model_b, lam)
 
 
-def _generic_log_mass_array(model: MeasureModel, length: int) -> np.ndarray:
-    return np.asarray(
-        [model.log_mass(w) for w in model.space.words_of_length(length)]
-    )
-
-
 @lru_cache(maxsize=64)
 def log_mass_array(model: MeasureModel, length: int) -> np.ndarray:
-    """Log masses of all admissible length-``length`` cylinders (order unspecified).
+    """Log masses of all admissible length-``length`` cylinders, in
+    lexicographic order (that of ``ShiftSpace.words_of_length``).
 
     Cached per (model, length); models are immutable so the cache is pure.
     """
     space = model.space
     if space.alphabet_size**length > (1 << 24):
         raise TooLargeError(f"refusing to enumerate ~{space.alphabet_size}^{length} words")
-    if isinstance(model, Bernoulli):
-        arr = np.zeros(1)
-        for _ in range(length):
-            arr = (arr[:, None] + model._logp[None, :]).ravel()
-    elif isinstance(model, Markov):
-        if length == 0:
-            arr = np.zeros(1)
-        else:
-            arr = model._logpi.copy()
-            last = np.arange(space.alphabet_size)
-            A = space.transitions
-            for _ in range(length - 1):
-                parts, lparts = [], []
-                for j in range(space.alphabet_size):
-                    mask = A[last, j] == 1
-                    parts.append(arr[mask] + model._logP[last[mask], j])
-                    lparts.append(np.full(int(mask.sum()), j))
-                arr = np.concatenate(parts)
-                last = np.concatenate(lparts)
-    elif isinstance(model, Gibbs) and length >= model.potential.r - 1:
-        d = model.potential.r - 1
-        arr = model._logmu.copy()
-        state = np.arange(len(model.states))
-        links = [
-            [
-                (model._index[w[1:]], float(model._logQ[i, model._index[w[1:]]]))
-                for w in space.children(u)
-            ]
-            for u, i in ((u, model._index[u]) for u in model.states)
-        ]
-        for _ in range(length - d):
-            parts, sparts = [], []
-            maxdeg = max(len(l) for l in links)
-            for slot in range(maxdeg):
-                ok = np.asarray([slot < len(links[s]) for s in state])
-                if not ok.any():
-                    continue
-                tgt = np.asarray([links[s][slot][0] for s in state[ok]])
-                stp = np.asarray([links[s][slot][1] for s in state[ok]])
-                parts.append(arr[ok] + stp)
-                sparts.append(tgt)
-            arr = np.concatenate(parts)
-            state = np.concatenate(sparts)
-    else:
-        arr = _generic_log_mass_array(model, length)
+    states, arr = model.root()
+    for _ in range(length):
+        _, states, arr = model.extend(states, arr)
     arr.setflags(write=False)
     return arr
 
@@ -353,23 +394,20 @@ def doubling_check(model: MeasureModel, k: int, n_max: int) -> DoublingReport:
         raise ValueError("doubling needs k >= 1 so that the doubled radius exists")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    space = model.space
-    max_len = n_max + k
     worst_log = -math.inf
 
-    stack: list[tuple[Word, float]] = [((), 0.0)]
-    while stack:
-        w, lm = stack.pop()
-        for c in space.children(w):
-            lc = model.log_mass(c)
-            if lc == -math.inf:
-                if lm > -math.inf and len(c) >= k + 1:
-                    worst_log = math.inf
-                continue  # zero-mass subtree contributes no ratios below
-            if len(c) >= k + 1:
-                worst_log = max(worst_log, lm - lc)
-            if len(c) < max_len:
-                stack.append((c, lc))
+    # every parent on a level has positive mass: zero-mass children are dropped
+    states, lm = model.root()
+    for length in range(1, n_max + k + 1):
+        parent, states, kids = model.extend(states, lm)
+        live = ~np.isneginf(kids)
+        if length >= k + 1:
+            if not live.all():
+                worst_log = math.inf
+                break
+            worst_log = max(worst_log, float((lm[parent] - kids).max()))
+        keep = np.flatnonzero(live)  # zero-mass subtrees contribute no ratios below
+        states, lm = model.select(states, keep), kids[keep]
 
     empirical = math.exp(worst_log) if worst_log != math.inf else math.inf
     bound_log = model.one_step_log_bound()

@@ -97,31 +97,30 @@ class TreeEvaluator:
         depth = D + k
         space = model.space
 
+        states, lm = model.root()
         level_words: list[list[Word]] = [[()]]
         parents: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]
+        log_masses: list[np.ndarray] = [lm]
         total = 1
         for _ in range(depth):
-            prev = level_words[-1]
-            words: list[Word] = []
-            par: list[int] = []
-            for i, w in enumerate(prev):
-                for c in space.children(w):
-                    if K.intersects(c):
-                        words.append(c)
-                        par.append(i)
-            total += len(words)
+            words = [c for w in level_words[-1] for c in space.children(w)]
+            keep = [i for i, c in enumerate(words) if K.intersects(c)]
+            total += len(keep)
             if total > _MAX_TREE_NODES:
                 raise TooLargeError(
                     f"cylinder tree exceeds {_MAX_TREE_NODES} nodes at depth {len(level_words)}"
                 )
+            par, states, lm = model.extend(states, lm)
+            if len(keep) < len(words):
+                words = [words[i] for i in keep]
+                par, states, lm = par[keep], model.select(states, keep), lm[keep]
             level_words.append(words)
-            parents.append(np.asarray(par, dtype=np.int64))
+            parents.append(par)
+            log_masses.append(lm)
 
         self.level_words = level_words
         self.parents = parents
-        self.log_masses = [
-            np.asarray([model.log_mass(w) for w in words]) for words in level_words
-        ]
+        self.log_masses = log_masses
 
     # -- weights ---------------------------------------------------------
 

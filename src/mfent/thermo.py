@@ -13,17 +13,11 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError
-from .measures import (
-    Bernoulli,
-    Gibbs,
-    Markov,
-    MeasureModel,
-    log_mass_array,
-    logsumexp,
-)
+from .measures import Chain, MeasureModel
 from .perron import perron_root
 from .potential import Potential
 from .space import ShiftSpace
+from .spectrum import log_partition
 
 
 def pressure(space: ShiftSpace, psi: Potential, scale: float = 1.0) -> float:
@@ -45,61 +39,39 @@ def _entrywise_power_growth(P: np.ndarray, q: float) -> float:
     return math.log(perron_root(M))
 
 
+def _chain(model: MeasureModel) -> Chain:
+    if not isinstance(model, Chain):
+        raise ValueError(
+            f"needs a Bernoulli/Markov/Gibbs chain model, got measure kind {model.kind!r}"
+        )
+    return model
+
+
 def closed_form_h(model: MeasureModel, q: float) -> float:
-    """Exact partition growth rate (1/n) log sum_w mass(w)^q for Bernoulli
-    and Markov models.  Zero-mass admissible cylinders blow up for q < 0
-    and count as 1 for q = 0."""
-    if isinstance(model, Bernoulli):
-        p = model.p
-        if q < 0:
-            if (p == 0).any():
-                return math.inf
-            return float(np.log(np.sum(p**q)))
-        if q == 0:
-            return math.log(model.space.alphabet_size)
-        return float(np.log(np.sum(p[p > 0] ** q)))
-    if isinstance(model, Markov):
-        A = model.space.transitions
-        if q < 0 and ((model.P == 0) & (A == 1)).any():
-            return math.inf
-        if q == 0:
-            return math.log(perron_root(A.astype(float)))
-        return _entrywise_power_growth(model.P, q)
-    raise ValueError(f"no closed form for measure kind {model.kind!r}")
+    """Exact partition growth rate (1/n) log sum_w mass(w)^q of a chain
+    model: the log Perron root of the entrywise q-power of its transition
+    matrix.  Zero-mass admissible cylinders blow up for q < 0 and count as
+    1 for q = 0."""
+    chain = _chain(model)
+    if q < 0 and ((chain.T == 0) & chain.adjacency).any():
+        return math.inf
+    if q == 0:
+        return math.log(perron_root(chain.adjacency.astype(float)))
+    return _entrywise_power_growth(chain.T, q)
 
 
 def log_potential_of(model: MeasureModel) -> Potential:
-    """Defining log-potential of a Bernoulli/Markov/Gibbs model."""
-    if isinstance(model, Bernoulli):
-        with np.errstate(divide="ignore"):
-            logp = np.log(model.p)
-        table = {
-            w: float(logp[w[1]]) for w in model.space.words_of_length(2)
-        }
-        return Potential(model.space, 2, table)
-    if isinstance(model, Markov):
-        with np.errstate(divide="ignore"):
-            logP = np.log(model.P)
-        table = {
-            w: float(logP[w[0], w[1]]) for w in model.space.words_of_length(2)
-        }
-        return Potential(model.space, 2, table)
-    if isinstance(model, Gibbs):
-        return model.potential
-    raise ValueError(f"measure kind {model.kind!r} carries no defining potential")
+    """Defining log-potential of a chain model: a Gibbs model's own
+    potential, log T for Bernoulli and Markov."""
+    return _chain(model).log_potential()
 
 
 def gibbs_identity_residual(model: MeasureModel, q: float) -> float:
     """|g(q) - (P(q psi) - q P(psi))| for the model's defining potential,
-    where g is the partition growth rate from the stochastic representation."""
-    if isinstance(model, (Bernoulli, Markov)):
-        g = closed_form_h(model, q)
-    elif isinstance(model, Gibbs):
-        g = _entrywise_power_growth(model.Q, q)
-    else:
-        raise ValueError(
-            f"Gibbs identity needs a Bernoulli/Markov/Gibbs model, got {model.kind!r}"
-        )
+    where g is the partition growth rate from the stochastic representation
+    over positive-mass words: the potential drops its structural zeros at
+    every q, so zero-mass cylinders drop out of g too."""
+    g = _entrywise_power_growth(_chain(model).T, q)
     psi = log_potential_of(model)
     rhs = pressure(model.space, psi, q) - q * pressure(model.space, psi, 1.0)
     if math.isinf(g) or math.isinf(rhs):
@@ -111,13 +83,8 @@ def partition_growth_by_squaring(model: MeasureModel, q: float, log2_n: int = 12
     """Brute partition growth (1/n) log Z_n at n = 2^log2_n, via repeated
     squaring of the entrywise q-power with rescaling; an independent check
     on the Perron-root route."""
-    if isinstance(model, Bernoulli):
-        P = np.tile(model.p, (model.space.alphabet_size, 1))
-        pi = model.p
-    elif isinstance(model, Markov):
-        P, pi = model.P, model.pi
-    else:
-        raise ValueError("repeated-squaring oracle needs Bernoulli or Markov")
+    chain = _chain(model)
+    P, pi = chain.T, chain.init
     M = np.zeros_like(P)
     pos = P > 0
     M[pos] = P[pos] ** q
@@ -152,14 +119,4 @@ def correlation_entropy(model: MeasureModel, q: float, n: int, k: int = 0) -> fl
     (1 / ((1-q) n)) log sum over admissible length-(n+k) words of mass^q."""
     if q == 1:
         raise ValueError("correlation entropy is undefined at q = 1")
-    arr = log_mass_array(model, n + k)
-    if q == 0:
-        logZ = math.log(arr.size)
-    elif q < 0:
-        if np.isneginf(arr).any():
-            return math.inf  # zero-mass admissible cylinder blows up the gauge
-        logZ = logsumexp(q * arr)
-    else:
-        finite = arr[~np.isneginf(arr)]
-        logZ = logsumexp(q * finite)
-    return logZ / ((1 - q) * n)
+    return log_partition(model, q, n + k) / ((1 - q) * n)

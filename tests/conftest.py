@@ -52,6 +52,19 @@ def gibbs2(full2):
     return mf.Gibbs(pot)
 
 
+@pytest.fixture(scope="session")
+def gibbs3(full2):
+    # r = 3: a 2-block chain, so words of length 1 are marginals of mu
+    weights = (-0.9, 0.3, -0.2, 0.7, 0.1, -1.1, 0.4, -0.5)
+    table = dict(zip(full2.words_of_length(3), weights))
+    return mf.Gibbs(mf.Potential(full2, 3, table))
+
+
+@pytest.fixture(scope="session")
+def bernoulli_gibbs(biased, gibbs3):
+    return mf.mixture(biased, gibbs3, 0.35)
+
+
 def random_irreducible_markov(rng: np.random.Generator, m: int = 3):
     """Strictly positive stochastic matrix on the full m-shift."""
     P = rng.uniform(0.1, 1.0, size=(m, m))

@@ -1,11 +1,14 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import mfent
 from mfent.cli import main
 
 FULL2 = {"alphabet": 2, "transitions": [[1, 1], [1, 1]]}
@@ -225,23 +228,42 @@ class TestConfigErrors:
         assert run("spectrum", cfg, tmp_path) == 2
         assert "kind" in capsys.readouterr().err
 
-    def test_bad_threads_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MFENT_THREADS", "zero")
-        assert run("doubling", {"space": FULL2, "measure": FAIR}, tmp_path) == 2
-
-    def test_threads_env_accepted(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MFENT_THREADS", "2")
-        assert run("doubling", {"space": FULL2, "measure": FAIR}, tmp_path) == 0
+    @pytest.mark.parametrize(
+        "command, extra, field",
+        [
+            ("entropy", {"K": [[]], "schedule": [[5, 3]]}, "schedule"),
+            ("entropy", {"K": [[]], "schedule": [["a", 3]]}, "schedule"),
+            ("entropy", {"K": [[]], "schedule": [[0, 3]]}, "schedule"),
+            ("entropy", {"K": [[]], "cover_depth": -1}, "cover_depth"),
+            ("local", {"n": 10, "tail_fraction": 2}, "tail_fraction"),
+            ("local", {"n": 0}, "'n'"),
+            ("level-spectrum", {"bin_width": 0}, "bin_width"),
+            ("doubling", {"k": 0}, "'k'"),
+            ("spectrum", {"k": -1}, "'k'"),
+        ],
+    )
+    def test_bad_field_named(self, tmp_path, capsys, command, extra, field):
+        cfg = {"space": FULL2, "measure": FAIR, **extra}
+        assert run(command, cfg, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert field in err
+        assert "Traceback" not in err
 
 
 class TestEntryPoint:
     def test_console_script(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"space": FULL2, "measure": BIASED}))
+        # the child imports the same mfent as this process, installed or not
+        src = str(Path(mfent.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
         proc = subprocess.run(
             [sys.executable, "-m", "mfent.cli", "doubling",
              "--config", str(cfg), "--out", str(tmp_path)],
             capture_output=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert (tmp_path / "doubling.csv").exists()

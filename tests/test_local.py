@@ -33,6 +33,14 @@ class TestLocalEntropy:
         assert len(s.estimates) == 3
         assert s.estimates[0] == pytest.approx(-biased.log_mass(x[:3]) / 1)
 
+    @pytest.mark.parametrize("fixture", ["parry", "gibbs3"])
+    def test_long_word_matches_per_prefix_log_mass(self, fixture, request):
+        model = request.getfixturevalue(fixture)
+        x = model.sample_word(200, np.random.default_rng(5))
+        s = mf.local_entropy(model, x)
+        expect = [-model.log_mass(x[:n]) / n for n in range(1, 201)]
+        np.testing.assert_array_equal(s.estimates, expect)
+
     def test_zero_mass_flag(self, full2):
         degenerate = mf.Bernoulli(full2, [1.0, 0.0])
         s = mf.local_entropy(degenerate, (0, 0, 1, 0))

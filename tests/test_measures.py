@@ -110,6 +110,23 @@ class TestGibbs:
         assert total_mass(g, 5) == pytest.approx(1.0, abs=1e-12)
         assert additivity_gap(g, 4) < 1e-13
 
+    def test_masses_are_block_chain_log_sums(self, gibbs3):
+        # reference: mu on the first block, then one log Q per further symbol,
+        # summed left to right; shorter words sum mu over the blocks they start
+        index = {u: i for i, u in enumerate(gibbs3.states)}
+        with np.errstate(divide="ignore"):  # Q is zero between non-overlapping blocks
+            logmu, logQ = np.log(gibbs3.mu), np.log(gibbs3.Q)
+        for n in range(1, 7):
+            for w in gibbs3.space.words_of_length(n):
+                if n < 2:
+                    starts = [gibbs3.mu[i] for u, i in index.items() if u[:n] == w]
+                    expect = math.log(float(np.sum(starts)))
+                else:
+                    expect = float(logmu[index[w[:2]]])
+                    for j in range(2, n):
+                        expect += float(logQ[index[w[j - 2 : j]], index[w[j - 1 : j + 1]]])
+                assert gibbs3.log_mass(w) == expect
+
     def test_missing_word_in_table(self, full2):
         with pytest.raises(ValueError, match="0"):
             mf.Potential(full2, 2, {(0, 0): 0.0})
@@ -132,18 +149,37 @@ class TestMixture:
 
 
 class TestLogMassArray:
-    @pytest.mark.parametrize("fixture", ["fair", "biased", "parry", "gibbs2"])
+    """The level-by-level extension must reproduce per-word log_mass
+    bit for bit, in words_of_length order."""
+
+    @pytest.mark.parametrize(
+        "fixture", ["fair", "biased", "parry", "gibbs2", "gibbs3", "bernoulli_gibbs"]
+    )
     def test_matches_per_word_evaluation(self, fixture, request):
         model = request.getfixturevalue(fixture)
         arr = mf.log_mass_array(model, 5)
         expected = [model.log_mass(w) for w in model.space.words_of_length(5)]
-        np.testing.assert_allclose(arr, expected, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(arr, expected)
+
+    @pytest.mark.parametrize("length", [0, 1])
+    def test_words_shorter_than_the_block(self, gibbs3, bernoulli_gibbs, length):
+        # r = 3: these masses are marginals of mu, not chain steps
+        for model in (gibbs3, bernoulli_gibbs):
+            arr = mf.log_mass_array(model, length)
+            expected = [model.log_mass(w) for w in model.space.words_of_length(length)]
+            np.testing.assert_array_equal(arr, expected)
 
     def test_mixture_path(self, fair, biased):
         mx = mf.mixture(fair, biased, 0.4)
         arr = mf.log_mass_array(mx, 4)
         expected = [mx.log_mass(w) for w in mx.space.words_of_length(4)]
-        np.testing.assert_allclose(arr, expected, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(arr, expected)
+
+    def test_prefix_walk_matches_per_word(self, gibbs3, bernoulli_gibbs):
+        w = (1, 0, 0, 1, 1, 1, 0)
+        for model in (gibbs3, bernoulli_gibbs):
+            expected = [model.log_mass(w[:j]) for j in range(len(w) + 1)]
+            np.testing.assert_array_equal(model.log_mass_prefixes(w), expected)
 
 
 class TestDoubling:

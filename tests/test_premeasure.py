@@ -233,3 +233,19 @@ class TestEvaluatorGuards:
         Y = mf.CylinderSet(full2, [()])
         with pytest.raises(mf.TooLargeError):
             mf.antichain_oracle(fair, Y, P(0, 0, 1, D=30), "min")
+
+
+class TestTreeMasses:
+    @pytest.mark.parametrize(
+        "fixture", ["biased", "parry", "gibbs2", "gibbs3", "bernoulli_gibbs"]
+    )
+    def test_levels_match_per_word_log_mass(self, fixture, request):
+        # K is a proper subset, so the build drops children that miss it
+        model = request.getfixturevalue(fixture)
+        K = mf.CylinderSet(model.space, [(0, 1), (1, 0, 0)])
+        ev = mf.TreeEvaluator(model, K, 1, 6)
+        assert sum(len(ws) for ws in ev.level_words) < sum(
+            model.space.count_words(n) for n in range(8)
+        )
+        for words, lm in zip(ev.level_words, ev.log_masses):
+            np.testing.assert_array_equal(lm, [model.log_mass(w) for w in words])

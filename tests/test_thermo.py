@@ -47,6 +47,13 @@ class TestClosedForm:
             growth = mf.partition_growth_by_squaring(parry, q)
             assert mf.closed_form_h(parry, q) == pytest.approx(growth, abs=1e-9)
 
+    @pytest.mark.parametrize("fixture", ["gibbs2", "gibbs3"])
+    def test_gibbs_matches_partition_growth(self, fixture, request):
+        model = request.getfixturevalue(fixture)
+        for q in (-1.0, 0.5, 2.0):
+            growth = mf.partition_growth_by_squaring(model, q)
+            assert mf.closed_form_h(model, q) == pytest.approx(growth, abs=1e-9)
+
     def test_mixture_has_no_closed_form(self, fair, biased):
         with pytest.raises(ValueError):
             mf.closed_form_h(mf.mixture(fair, biased, 0.5), 1.0)
