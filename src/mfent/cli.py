@@ -101,11 +101,13 @@ def _number(cfg: dict, field: str, default=None, ctx: str = "config") -> float:
     v = cfg[field]
     if isinstance(v, str):
         try:
-            return float(v)
+            v = float(v)
         except ValueError:
             raise ConfigError(f"field '{field}' is not a number: {v!r}") from None
     if not isinstance(v, (int, float)):
         raise ConfigError(f"field '{field}' is not a number: {v!r}")
+    if not math.isfinite(v):
+        raise ConfigError(f"field '{field}' must be finite, got {v}")
     return float(v)
 
 
@@ -228,8 +230,8 @@ def parse_schedule(cfg: dict) -> tuple[tuple[int, int], ...]:
 
 def parse_cylinder_set(cfg: dict, space: ShiftSpace) -> CylinderSet:
     raw = _require(cfg, "K")
-    if not isinstance(raw, list):
-        raise ConfigError("field 'K' must be a list of words")
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError("field 'K' must be a nonempty list of words")
     words = [parse_word(w, "K") for w in raw]
     try:
         return CylinderSet(space, words)
@@ -396,6 +398,11 @@ def cmd_local(cfg: dict, out: Path, seed: int) -> None:
         if not isinstance(raw, list):
             raise ConfigError("field 'words' must be a list of words")
         words = [parse_word(w, "words") for w in raw]
+        for w in words:
+            if len(w) < k + 1 or not space.is_admissible(w):
+                raise ConfigError(
+                    f"field 'words' entry {w} must be an admissible word of length >= {k + 1}"
+                )
     else:
         n = _int(cfg, "n", ctx="config (needed when 'words' is absent)", lo=1)
         count = _int(cfg, "count", 100, lo=0)

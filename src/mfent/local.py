@@ -43,6 +43,8 @@ def local_entropy(
     """
     if n_max is None:
         n_max = len(x) - k
+    if n_max < 1:
+        raise ValueError(f"n_max={n_max} must be >= 1")
     if len(x) < n_max + k:
         raise ValueError(
             f"word of length {len(x)} too short for n_max={n_max} at offset k={k}"

@@ -61,9 +61,9 @@ class MeasureModel:
         """The level holding only the empty word."""
         raise NotImplementedError
 
-    def extend(self, states, log_masses: np.ndarray) -> tuple[np.ndarray, object, np.ndarray]:
+    def extend(self, states, log_masses: np.ndarray) -> tuple:
         """All admissible one-symbol extensions of a level, in lexicographic
-        order: (index of each child's parent, child states, child log masses).
+        order: (each child's parent index, last symbol, states, log masses).
         Zero-mass children are included, with log mass -inf."""
         raise NotImplementedError
 
@@ -155,9 +155,11 @@ class Chain(MeasureModel):
             lm += log_masses[:, None]
         ok = nxt >= 0
         if ok.all():  # full shift: views, not masked copies, of the big child arrays
-            return np.repeat(np.arange(len(states)), ok.shape[1]), nxt.ravel(), lm.ravel()
-        parent = np.repeat(np.arange(len(states)), ok.sum(axis=1))
-        return parent, nxt[ok], lm[ok]
+            n, m = ok.shape  # symbols in the smallest dtype: this level can be huge
+            symbol = np.tile(np.arange(m, dtype=np.min_scalar_type(m - 1)), n)
+            return np.repeat(np.arange(n), m), symbol, nxt.ravel(), lm.ravel()
+        parent, symbol = np.nonzero(ok)
+        return parent, symbol, nxt[ok], lm[ok]
 
     def log_mass_prefixes(self, w: Word) -> np.ndarray:
         self.space.require_admissible(w)
@@ -184,7 +186,7 @@ class Chain(MeasureModel):
         # conditionals below the block length are marginal ratios of init
         states, lm = self.root()
         for _ in range(1, len(self.states[0])):
-            parent, states, kids = self.extend(states, lm)
+            parent, _, states, kids = self.extend(states, lm)
             for lp, lc in zip(lm[parent].tolist(), kids.tolist()):
                 p, c = math.exp(lp), math.exp(lc)
                 if p <= 0:
@@ -332,9 +334,9 @@ class Mixture(MeasureModel):
     def extend(self, states, log_masses: np.ndarray):
         # the children's masses are joined from the components' own
         sa, la, sb, lb = states
-        parent, sa, la = self.a.extend(sa, la)
-        _, sb, lb = self.b.extend(sb, lb)
-        return parent, (sa, la, sb, lb), self._join(la, lb)
+        parent, symbol, sa, la = self.a.extend(sa, la)
+        _, _, sb, lb = self.b.extend(sb, lb)
+        return parent, symbol, (sa, la, sb, lb), self._join(la, lb)
 
     def log_mass_prefixes(self, w: Word) -> np.ndarray:
         return self._join(self.a.log_mass_prefixes(w), self.b.log_mass_prefixes(w))
@@ -349,6 +351,12 @@ def mixture(model_a: MeasureModel, model_b: MeasureModel, lam: float) -> Mixture
     return Mixture(model_a, model_b, lam)
 
 
+def _refuse_long_words(space: ShiftSpace, length: int) -> None:
+    """Refuse a level of more than 2^24 words, counted as alphabet_size^length."""
+    if space.alphabet_size**length > (1 << 24):
+        raise TooLargeError(f"refusing to enumerate ~{space.alphabet_size}^{length} words")
+
+
 @lru_cache(maxsize=64)
 def log_mass_array(model: MeasureModel, length: int) -> np.ndarray:
     """Log masses of all admissible length-``length`` cylinders, in
@@ -356,12 +364,10 @@ def log_mass_array(model: MeasureModel, length: int) -> np.ndarray:
 
     Cached per (model, length); models are immutable so the cache is pure.
     """
-    space = model.space
-    if space.alphabet_size**length > (1 << 24):
-        raise TooLargeError(f"refusing to enumerate ~{space.alphabet_size}^{length} words")
+    _refuse_long_words(model.space, length)
     states, arr = model.root()
     for _ in range(length):
-        _, states, arr = model.extend(states, arr)
+        _, _, states, arr = model.extend(states, arr)
     arr.setflags(write=False)
     return arr
 
@@ -394,12 +400,13 @@ def doubling_check(model: MeasureModel, k: int, n_max: int) -> DoublingReport:
         raise ValueError("doubling needs k >= 1 so that the doubled radius exists")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    _refuse_long_words(model.space, n_max + k)
     worst_log = -math.inf
 
     # every parent on a level has positive mass: zero-mass children are dropped
     states, lm = model.root()
     for length in range(1, n_max + k + 1):
-        parent, states, kids = model.extend(states, lm)
+        parent, _, states, kids = model.extend(states, lm)
         live = ~np.isneginf(kids)
         if length >= k + 1:
             if not live.all():

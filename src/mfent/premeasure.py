@@ -2,9 +2,9 @@
 
 All three constructions (covering infimum, packing supremum, refined
 packing via partition covers) are exact optimizations over antichains of
-cylinders meeting a compact cylinder set, solved by dynamic programming
-level by level.  Restricting to cylinders loses nothing for coverings and
-packings here: centered dyadic dynamical balls *are* cylinders, and a
+cylinders meeting a compact cylinder set, solved by one bottom-up fold
+over an array tree.  Restricting to cylinders loses nothing for coverings
+and packings here: centered dyadic dynamical balls *are* cylinders, and a
 disjoint family of cylinders is exactly an antichain.  The refined
 construction's arbitrary covers are restricted to cylinder partitions,
 which over-estimates the infimum; the returned value records that.
@@ -80,9 +80,10 @@ class PremeasureValue:
 class TreeEvaluator:
     """Cylinder tree of a compact set, with per-(q, t) DP sweeps.
 
-    Building the tree (node log-masses and parent links) is the expensive
-    part; it is done once so that root-finding in t can re-run the cheap
-    vectorized sweeps.
+    Each level steps the measure's ``extend`` and K's prefix trie together,
+    keeping the children that meet K (``level_words[l]``: a row per word, in
+    lexicographic order).  Every node keeps a child, so sweeps use ``reduceat``.
+    Built once, so root-finding in t re-runs only the vectorized sweeps.
     """
 
     def __init__(self, model: MeasureModel, K: CylinderSet, k: int, D: int):
@@ -90,37 +91,33 @@ class TreeEvaluator:
             raise ValueError("pre-measures need a non-empty cylinder set")
         if K.space != model.space:
             raise ValueError("cylinder set and measure live on different spaces")
-        self.model = model
-        self.K = K
         self.k = k
         self.D = D
-        depth = D + k
-        space = model.space
 
+        table, root = K.trie()
+        k_state = np.array([root])
         states, lm = model.root()
-        level_words: list[list[Word]] = [[()]]
-        parents: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]
-        log_masses: list[np.ndarray] = [lm]
+        words = np.zeros((1, 0), dtype=np.min_scalar_type(model.space.alphabet_size - 1))
+        self.level_words, self.parents, self.log_masses = [words], [np.zeros(1, np.int64)], [lm]
+        self._starts = []  # per level: where each node's children start on the next
         total = 1
-        for _ in range(depth):
-            words = [c for w in level_words[-1] for c in space.children(w)]
-            keep = [i for i, c in enumerate(words) if K.intersects(c)]
+        for level in range(1, D + k + 1):
+            par, sym, states, lm = model.extend(states, lm)
+            k_state = table[k_state[par], sym]
+            keep = np.flatnonzero(k_state >= 0)
             total += len(keep)
             if total > _MAX_TREE_NODES:
                 raise TooLargeError(
-                    f"cylinder tree exceeds {_MAX_TREE_NODES} nodes at depth {len(level_words)}"
+                    f"cylinder tree exceeds {_MAX_TREE_NODES} nodes at depth {level}"
                 )
-            par, states, lm = model.extend(states, lm)
-            if len(keep) < len(words):
-                words = [words[i] for i in keep]
-                par, states, lm = par[keep], model.select(states, keep), lm[keep]
-            level_words.append(words)
-            parents.append(par)
-            log_masses.append(lm)
-
-        self.level_words = level_words
-        self.parents = parents
-        self.log_masses = log_masses
+            if len(keep) < len(par):
+                par, sym, k_state = par[keep], sym[keep], k_state[keep]
+                states, lm = model.select(states, keep), lm[keep]
+            words = np.column_stack((words[par], sym.astype(words.dtype, copy=False)))
+            self.level_words.append(words)
+            self.parents.append(par)
+            self.log_masses.append(lm)
+            self._starts.append(np.flatnonzero(np.diff(par, prepend=-1)))
 
     # -- weights ---------------------------------------------------------
 
@@ -135,50 +132,34 @@ class TreeEvaluator:
                 pw[np.isneginf(lm)] = math.inf
         return pw - t * n
 
-    @staticmethod
-    def _children_logsum(parent_idx: np.ndarray, child_vals: np.ndarray, n_parents: int) -> np.ndarray:
-        acc = np.full(n_parents, -math.inf)
-        np.logaddexp.at(acc, parent_idx, child_vals)
+    def _children_logsum(self, level: int, child_vals: np.ndarray) -> np.ndarray:
+        acc = np.logaddexp.reduceat(child_vals, self._starts[level])
+        acc += 0.0  # a lone child's -0.0 becomes 0.0, as logaddexp(-inf, -0.0) does
         return acc
 
     # -- the three sweeps ------------------------------------------------
 
-    def covering_log(self, q: float, t: float, N: int) -> float:
-        cost = self._weights(q, t, self.D + self.k)
-        for level in range(self.D + self.k - 1, -1, -1):
-            acc = self._children_logsum(
-                self.parents[level + 1], cost, len(self.level_words[level])
-            )
-            n = level - self.k
-            if n >= N:
-                cost = np.minimum(self._weights(q, t, level), acc)
-            else:
-                cost = acc
-        return float(cost[0])
+    def _fold(self, q: float, t: float, N: int, best) -> list[np.ndarray]:
+        """Bottom-up optimum per node over antichains of its subtree: ``best``
+        (np.minimum for coverings, np.maximum for packings) of the node's own
+        weight, where its order is at least N, and its children's sum."""
+        top = self.D + self.k
+        vals = [self._weights(q, t, top)]
+        for level in range(top - 1, -1, -1):
+            acc = self._children_logsum(level, vals[-1])
+            vals.append(best(self._weights(q, t, level), acc) if level - self.k >= N else acc)
+        return vals[::-1]
 
-    def _packing_levels(self, q: float, t: float, N: int) -> list[np.ndarray]:
-        packs = [np.empty(0)] * (self.D + self.k + 1)
-        pack = self._weights(q, t, self.D + self.k)
-        packs[self.D + self.k] = pack
-        for level in range(self.D + self.k - 1, -1, -1):
-            acc = self._children_logsum(
-                self.parents[level + 1], pack, len(self.level_words[level])
-            )
-            n = level - self.k
-            if n >= N:
-                pack = np.maximum(self._weights(q, t, level), acc)
-            else:
-                pack = acc
-            packs[level] = pack
-        return packs
+    def covering_log(self, q: float, t: float, N: int) -> float:
+        return float(self._fold(q, t, N, np.minimum)[0][0])
 
     def packing_log(self, q: float, t: float, N: int) -> float:
-        return float(self._packing_levels(q, t, N)[0][0])
+        return float(self._fold(q, t, N, np.maximum)[0][0])
 
     def outer_log(self, q: float, t: float, N: int, cover_depth: int) -> float:
         if cover_depth < 0 or cover_depth > self.D:
             raise ValueError(f"cover depth {cover_depth} outside [0, {self.D}]")
-        packs = self._packing_levels(q, t, N)
+        packs = self._fold(q, t, N, np.maximum)
         # best usable ancestor-ball weight along each path, top-down
         anc = np.full(1, -math.inf)
         ancs = [anc]
@@ -194,9 +175,7 @@ class TreeEvaluator:
         # restricted packing value of K inside each depth-cover_depth piece
         outer = np.maximum(packs[cover_depth], ancs[cover_depth])
         for level in range(cover_depth - 1, -1, -1):
-            acc = self._children_logsum(
-                self.parents[level + 1], outer, len(self.level_words[level])
-            )
+            acc = self._children_logsum(level, outer)
             outer = np.minimum(np.maximum(packs[level], ancs[level]), acc)
         return float(outer[0])
 

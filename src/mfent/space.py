@@ -208,6 +208,20 @@ class CylinderSet:
         """True iff the cylinder of ``w`` contains a point of this set."""
         return any(is_prefix(w, a) or is_prefix(a, w) for a in self._members)
 
+    def trie(self) -> tuple[np.ndarray, int]:
+        """Membership as a prefix trie: (table, root state).  States are the
+        prefixes of members, and a member's row maps every symbol to itself;
+        ``table[s, a]`` is the state of s + (a,), or -1 if it misses the set."""
+        nodes = sorted({a[:j] for a in self._members for j in range(len(a) + 1)})
+        row = {u: i for i, u in enumerate(nodes)}
+        table = np.full((len(nodes), self.space.alphabet_size), -1, dtype=np.int32)
+        for u, i in row.items():
+            if u in self._members:
+                table[i] = i
+            if u:
+                table[row[u[:-1]], u[-1]] = i
+        return table, row.get((), -1)
+
     def restrict(self, w: Word) -> "CylinderSet":
         """Intersection with the cylinder of ``w``."""
         out = []

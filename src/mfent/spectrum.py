@@ -26,6 +26,8 @@ def log_partition(model: MeasureModel, q: float, length: int) -> float:
     arr = log_mass_array(model, length)
     if q == 0:
         return math.log(arr.size)
+    if q == 1:
+        return 0.0  # the masses of a level sum to one
     if q < 0:
         if np.isneginf(arr).any():
             return math.inf

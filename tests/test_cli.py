@@ -15,6 +15,7 @@ FULL2 = {"alphabet": 2, "transitions": [[1, 1], [1, 1]]}
 GOLDEN = {"alphabet": 2, "transitions": [[1, 1], [1, 0]]}
 FAIR = {"kind": "bernoulli", "p": [0.5, 0.5]}
 BIASED = {"kind": "bernoulli", "p": [0.25, 0.75]}
+PARRY = {"kind": "markov", "P": [[0.618, 0.382], [1.0, 0.0]]}
 LOG2 = math.log(2)
 
 
@@ -59,6 +60,13 @@ class TestSpectrumCommand:
             math.log(4), abs=1e-4
         )
         assert (tmp_path / "legendre.csv").exists()
+
+    def test_q_one_is_exactly_zero(self, tmp_path):
+        # the masses of a level sum to one, so h(1) carries no rounding noise
+        cfg = {"space": FULL2, "measure": BIASED, "q_grid": [-1, 0, 1, 2]}
+        assert run("spectrum", cfg, tmp_path) == 0
+        rows = read_csv(tmp_path / "spectrum.csv")
+        assert [r["h"] for r in rows if r["q"] == "1"] == ["0"]
 
     def test_deterministic_bytes(self, tmp_path):
         cfg = {"space": FULL2, "measure": BIASED, "schedule": [[4, 4], [8, 8]]}
@@ -162,6 +170,11 @@ class TestDoublingCommand:
         assert row["unbounded"] == "true"
         assert row["empirical_sup"] == "inf"
 
+    def test_oversized_level_is_config_error(self, tmp_path, capsys):
+        cfg = {"space": FULL2, "measure": FAIR, "n_max": 30}
+        assert run("doubling", cfg, tmp_path) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestLocalCommand:
     def test_sampled_words(self, tmp_path):
@@ -240,6 +253,12 @@ class TestConfigErrors:
             ("level-spectrum", {"bin_width": 0}, "bin_width"),
             ("doubling", {"k": 0}, "'k'"),
             ("spectrum", {"k": -1}, "'k'"),
+            ("entropy", {"K": []}, "'K'"),
+            ("premeasure", {"K": [], "q": 0, "t": 0, "N": 1, "D": 2}, "'K'"),
+            ("entropy", {"K": [[]], "q": "nan"}, "'q'"),
+            ("premeasure", {"K": [[]], "q": 0, "t": "inf", "N": 1, "D": 2}, "'t'"),
+            ("local", {"words": ["01"], "k": 5}, "'words'"),
+            ("local", {"space": GOLDEN, "measure": PARRY, "words": ["11"]}, "'words'"),
         ],
     )
     def test_bad_field_named(self, tmp_path, capsys, command, extra, field):

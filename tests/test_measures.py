@@ -214,6 +214,11 @@ class TestDoubling:
         with pytest.raises(ValueError):
             mf.doubling_check(fair, 0, 5)
 
+    def test_oversized_level_refused(self, fair):
+        # level n_max + k = 31 would hold 2^31 words
+        with pytest.raises(mf.TooLargeError):
+            mf.doubling_check(fair, 1, 30)
+
 
 class TestSampling:
     def test_words_admissible_and_deterministic(self, parry):

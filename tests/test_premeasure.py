@@ -235,17 +235,33 @@ class TestEvaluatorGuards:
             mf.antichain_oracle(fair, Y, P(0, 0, 1, D=30), "min")
 
 
+# K for the tree build: "" is two members at depths 2 and 3; on the golden
+# mean each "forced" member ends in 1, so only 0 may follow it
+TREE_KS = {
+    "": [(0, 1), (1, 0, 0)],
+    "whole": [()],
+    "deep": [(0, 1, 0, 0, 1, 0)],
+    "mixed": [(1,), (0, 0, 1, 0), (0, 1, 0, 1, 0, 0)],
+    "forced": [(0, 1), (1, 0, 1)],
+}
+
+
 class TestTreeMasses:
     @pytest.mark.parametrize(
-        "fixture", ["biased", "parry", "gibbs2", "gibbs3", "bernoulli_gibbs"]
+        "fixture, K_words",
+        [
+            pytest.param(f, ws, id="-".join(filter(None, (f, name))))
+            for f in ("biased", "parry", "gibbs2", "gibbs3", "bernoulli_gibbs")
+            for name, ws in TREE_KS.items()
+        ],
     )
-    def test_levels_match_per_word_log_mass(self, fixture, request):
-        # K is a proper subset, so the build drops children that miss it
+    def test_levels_match_per_word_log_mass(self, fixture, K_words, request):
+        # the trie keeps exactly the words whose cylinder meets K, in order
         model = request.getfixturevalue(fixture)
-        K = mf.CylinderSet(model.space, [(0, 1), (1, 0, 0)])
+        K = mf.CylinderSet(model.space, K_words)
         ev = mf.TreeEvaluator(model, K, 1, 6)
-        assert sum(len(ws) for ws in ev.level_words) < sum(
-            model.space.count_words(n) for n in range(8)
-        )
-        for words, lm in zip(ev.level_words, ev.log_masses):
+        assert len(ev.level_words) == 8
+        for n, (words, lm) in enumerate(zip(ev.level_words, ev.log_masses)):
+            expected = [w for w in model.space.words_of_length(n) if K.intersects(w)]
+            assert [tuple(w) for w in words.tolist()] == expected
             np.testing.assert_array_equal(lm, [model.log_mass(w) for w in words])
