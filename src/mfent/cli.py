@@ -93,6 +93,11 @@ def _require(cfg: dict, field: str, ctx: str = "config"):
     return cfg[field]
 
 
+def _is_number(v) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _number(cfg: dict, field: str, default=None, ctx: str = "config") -> float:
     if field not in cfg:
         if default is None:
@@ -104,7 +109,7 @@ def _number(cfg: dict, field: str, default=None, ctx: str = "config") -> float:
             v = float(v)
         except ValueError:
             raise ConfigError(f"field '{field}' is not a number: {v!r}") from None
-    if not isinstance(v, (int, float)):
+    if not _is_number(v):
         raise ConfigError(f"field '{field}' is not a number: {v!r}")
     if not math.isfinite(v):
         raise ConfigError(f"field '{field}' must be finite, got {v}")
@@ -203,6 +208,8 @@ def parse_grid(cfg: dict, field: str, default: list[float] | None) -> np.ndarray
         grid = np.asarray([float(v) for v in raw])
     except (TypeError, ValueError):
         raise ConfigError(f"field '{field}' contains a non-number") from None
+    if any(isinstance(v, bool) for v in raw):
+        raise ConfigError(f"field '{field}' contains a non-number")
     if not np.isfinite(grid).all():
         raise ConfigError(f"field '{field}' must be finite")
     return np.unique(grid)
@@ -217,7 +224,7 @@ def parse_schedule(cfg: dict) -> tuple[tuple[int, int], ...]:
     out = []
     for entry in raw:
         pair = isinstance(entry, list) and len(entry) == 2 and all(
-            isinstance(v, (int, float)) and _integral(v) for v in entry
+            _is_number(v) and _integral(v) for v in entry
         )
         if not pair or not 1 <= entry[0] <= entry[1]:
             raise ConfigError(

@@ -2,8 +2,12 @@
 
 Each pre-measure value, viewed as a function of the discount rate t, is
 continuous and nonincreasing at finite depth, so the transition point of
-the limiting 0/infinity dichotomy is estimated as the root of value = 1
-by bisection, then tracked over an (N, D) schedule.
+the limiting 0/infinity dichotomy is estimated as the root of value = 1,
+then tracked over an (N, D) schedule.  The root finder is Brent's method
+(inverse-quadratic and secant steps guarded by bisection): the log value
+is a log-sum-exp of terms a_i - t * n_i over the orders n_i in [N, D] of
+an optimal antichain, so it is nearly linear in t and a root takes about
+5-10 sweeps where bisection took about 35.
 """
 
 from __future__ import annotations
@@ -37,8 +41,10 @@ def _critical_exponent_impl(
     tol: float,
 ) -> tuple[float, bool]:
     lo, hi = bracket
-    if not lo < hi:
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid bracket {bracket}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
     f_lo = log_value_at(lo)
     f_hi = log_value_at(hi)
     if f_lo == 0.0 and f_hi == 0.0:
@@ -67,16 +73,52 @@ def _critical_exponent_impl(
         if f_hi >= 0.0:
             return math.inf, False
 
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = log_value_at(mid)
-        if f_mid > 0.0:
-            lo = mid
-        elif f_mid < 0.0:
-            hi = mid
+    # Brent's zeroin (Brent 1973, ch. 4).  [b, c] brackets the sign change,
+    # b is the end with the smaller |value| and a is the previous b.  A step
+    # interpolates (inverse quadratic, or secant when a == c) only through
+    # finite values, else it bisects; it moves b by at least tol1, so the
+    # bracket shrinks to at most 2 * tol1 and its midpoint is returned.
+    a, f_a = lo, f_lo
+    b, f_b = hi, f_hi
+    c, f_c = a, f_a
+    d = e = b - a
+    while True:
+        if (f_b > 0.0) == (f_c > 0.0):
+            c, f_c = a, f_a
+            d = e = b - a
+        if abs(f_c) < abs(f_b):
+            a, b, c = b, c, b
+            f_a, f_b, f_c = f_b, f_c, f_b
+        m = 0.5 * (c - b)
+        tol1 = max(0.5 * tol, math.ulp(b))
+        if abs(m) <= tol1:
+            return b + m, False
+        finite = math.isfinite(f_a) and math.isfinite(f_b) and math.isfinite(f_c)
+        if finite and abs(e) >= tol1 and abs(f_a) > abs(f_b):
+            s = f_b / f_a
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                u, r = f_a / f_c, f_b / f_c
+                p = s * (2.0 * m * u * (u - r) - (b - a) * (r - 1.0))
+                q = (u - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            # take the interpolated step only if it lands well inside the
+            # bracket and is under half the step before last
+            if 2.0 * p < min(3.0 * m * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            return mid, False
-    return 0.5 * (lo + hi), False
+            d = e = m
+        a, f_a = b, f_b
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        f_b = log_value_at(b)
+        if not (f_b > 0.0 or f_b < 0.0):
+            return b, False
 
 
 def critical_exponent(
@@ -86,9 +128,17 @@ def critical_exponent(
 ) -> float:
     """Root t* of value(t) = 1 for a nonincreasing log-domain value function.
 
+    The bracket is widened by doubling until it holds a sign change, then
+    narrowed by Brent's method, which bisects whenever a bracket value is
+    infinite.  The result lies within tol/2 of a point where
+    log_value_at changes sign (within one unit in the last place when tol
+    is below the float spacing there); a t where it is exactly 0 is
+    returned as is.
+
     Returns -inf/+inf when the value stays below/above 1 after 60 bracket
     doublings (identically-zero or blown-up tails).  A function flat at 1
-    across the bracket returns the bracket midpoint.
+    across the bracket returns the bracket midpoint.  Raises ValueError for
+    tol <= 0 and for a bracket that is not finite and increasing.
     """
     return _critical_exponent_impl(log_value_at, bracket, tol)[0]
 

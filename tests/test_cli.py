@@ -259,6 +259,11 @@ class TestConfigErrors:
             ("premeasure", {"K": [[]], "q": 0, "t": "inf", "N": 1, "D": 2}, "'t'"),
             ("local", {"words": ["01"], "k": 5}, "'words'"),
             ("local", {"space": GOLDEN, "measure": PARRY, "words": ["11"]}, "'words'"),
+            ("premeasure", {"K": [[]], "q": True, "t": 0, "N": 1, "D": 2}, "'q'"),
+            ("premeasure", {"K": [[]], "q": 0, "t": False, "N": 1, "D": 2}, "'t'"),
+            ("premeasure", {"K": [[]], "q": 0, "t": 0, "N": True, "D": 2}, "'N'"),
+            ("entropy", {"K": [[]], "schedule": [[True, True]]}, "schedule"),
+            ("spectrum", {"q_grid": [0.0, True]}, "q_grid"),
         ],
     )
     def test_bad_field_named(self, tmp_path, capsys, command, extra, field):

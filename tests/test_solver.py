@@ -1,12 +1,58 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mfent as mf
+from conftest import random_irreducible_markov
 
 LOG2 = math.log(2)
 PHI = (1 + math.sqrt(5)) / 2
 FAST = ((4, 4), (8, 8), (10, 10))
+
+
+def reference_root(f, lo: float, hi: float) -> float:
+    """Plain bisection down to adjacent floats: the sign change of a
+    nonincreasing f with f(lo) > 0 > f(hi)."""
+    assert f(lo) > 0.0 > f(hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        f_mid = f(mid)
+        if f_mid > 0.0:
+            lo = mid
+        elif f_mid < 0.0:
+            hi = mid
+        else:
+            return mid
+
+
+def sweep_shaped(a, n, plus_inf_below, minus_inf_above):
+    """log sum_i exp(a_i - t n_i), the shape of a pre-measure sweep whose
+    antichain words have lengths n_i, with optional infinite tails."""
+    a, n = np.asarray(a), np.asarray(n, dtype=float)
+
+    def f(t: float) -> float:
+        if plus_inf_below is not None and t < plus_inf_below:
+            return math.inf
+        if minus_inf_above is not None and t > minus_inf_above:
+            return -math.inf
+        return float(np.logaddexp.reduce(a - t * n))
+
+    return f
+
+
+def counted(f):
+    """f and a list whose length counts the calls made to it."""
+    calls = []
+
+    def wrapped(t):
+        calls.append(t)
+        return f(t)
+
+    return wrapped, calls
 
 
 class TestCriticalExponent:
@@ -28,6 +74,101 @@ class TestCriticalExponent:
     def test_steep_transition(self):
         root = mf.critical_exponent(lambda t: -1e6 * (t - 0.3), (0.0, 1.0), tol=1e-10)
         assert root == pytest.approx(0.3, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "f, bracket, tol",
+        [
+            (lambda t: 0.2 - t * t, (0.0, 1.0), 0.0),
+            (lambda t: 0.2 - t * t, (0.0, 1.0), -1e-9),
+            (lambda t: 0.2 - t * t, (0.0, 1.0), math.nan),
+            (lambda t: 0.3 - t, (-math.inf, 1.0), 1e-9),
+            (lambda t: 0.3 - t, (0.0, math.inf), 1e-9),
+            (lambda t: 0.3 - t, (math.nan, 1.0), 1e-9),
+            (lambda t: 0.3 - t, (1.0, 0.0), 1e-9),
+        ],
+    )
+    def test_bad_arguments_raise_before_evaluating(self, f, bracket, tol):
+        wrapped, calls = counted(f)
+        with pytest.raises(ValueError):
+            mf.critical_exponent(wrapped, bracket, tol=tol)
+        assert calls == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        terms=st.lists(
+            st.tuples(st.floats(-20.0, 20.0), st.floats(0.0, 1.0)), min_size=1, max_size=12
+        ),
+        N=st.integers(1, 12),
+        extra=st.integers(0, 12),
+        plus_inf_below=st.none() | st.floats(-10.0, 10.0),
+        minus_inf_above=st.none() | st.floats(-10.0, 10.0),
+        tol=st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3]),
+        lo=st.floats(-5.0, 5.0),
+        width=st.floats(1e-3, 5.0),
+    )
+    def test_root_within_half_tol_of_sign_change(
+        self, terms, N, extra, plus_inf_below, minus_inf_above, tol, lo, width
+    ):
+        # word lengths n_i span [N, D], with both ends present as in a sweep
+        D = N + extra
+        a = [x for x, _ in terms] + [terms[0][0], terms[-1][0]]
+        n = [N + u * (D - N) for _, u in terms] + [N, D]
+        if plus_inf_below is not None and minus_inf_above is not None:
+            minus_inf_above = max(minus_inf_above, plus_inf_below)
+        f = sweep_shaped(a, n, plus_inf_below, minus_inf_above)
+        root = mf.critical_exponent(f, (lo, lo + width), tol=tol)
+        want = reference_root(f, -100.0, 100.0)
+        assert abs(root - want) <= 0.5 * tol + 4 * math.ulp(want)
+
+
+class TestSweepRoots:
+    """critical_exponent on real tree sweeps, against plain bisection."""
+
+    QS = (-3.0, -1.0, 0.0, 1.5, 3.0)
+
+    @pytest.fixture(
+        scope="class",
+        params=["parry", "markov3", "bernoulli_gibbs"],
+    )
+    def tree(self, request, golden):
+        if request.param == "parry":
+            model = request.getfixturevalue("parry")
+        elif request.param == "markov3":
+            model = random_irreducible_markov(np.random.default_rng(7))
+        else:
+            model = request.getfixturevalue("bernoulli_gibbs")
+        K = mf.CylinderSet(model.space, [()])
+        return mf.TreeEvaluator(model, K, 1, 8)
+
+    @pytest.mark.parametrize("q", QS)
+    @pytest.mark.parametrize("sweep", ["covering", "packing", "outer"])
+    def test_matches_reference_bisection(self, tree, q, sweep):
+        N = 6
+        f = {
+            "covering": lambda t: tree.covering_log(q, t, N),
+            "packing": lambda t: tree.packing_log(q, t, N),
+            "outer": lambda t: tree.outer_log(q, t, N, 3),
+        }[sweep]
+        root = mf.critical_exponent(f, (-1.0, 1.0))
+        assert abs(root - reference_root(f, -100.0, 100.0)) <= 1e-8
+
+    def test_sweeps_per_root_on_parry_tree(self, parry, golden):
+        # the tree and exponents of the exponent-scan benchmark; bisection
+        # to tol=1e-9 took about 35 sweeps per root
+        N, D = 12, 18
+        ev = mf.TreeEvaluator(parry, mf.CylinderSet(golden, [()]), 0, D)
+        sweeps = {
+            "covering": lambda q, t: ev.covering_log(q, t, N),
+            "packing": lambda q, t: ev.packing_log(q, t, N),
+            "outer": lambda q, t: ev.outer_log(q, t, N, 6),
+        }
+        for q in np.linspace(-3.2, 3.2, 17):
+            span = LOG2 * (2.0 + abs(q)) + 1.0
+            for sweep in sweeps.values():
+                f, calls = counted(lambda t: sweep(q, t))
+                root = mf.critical_exponent(f, (-span, span))
+                assert abs(root - (1 - q) * math.log(PHI)) < 0.04 + 0.05 * abs(q)
+                assert len(calls) <= 12, (q, len(calls))
 
 
 class TestFullShiftEntropy:
