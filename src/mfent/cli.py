@@ -1,9 +1,12 @@
 """Command-line front end: JSON config in, CSV out.
 
-One subcommand per experiment; every run is deterministic given the
-config and seed, so CSV outputs are byte-identical across repeats.
+One subcommand per experiment, one path from config to result: ``main``
+parses the space and measure, the command validates every other field it
+uses (size caps included) before any computation and returns its tables,
+and only then does ``main`` create the output directory and write them, so
+a failed run leaves no CSV.  Runs are deterministic given config and seed.
 Exit codes: 0 success, 1 numeric failure (bracket or convergence), 2
-config error.
+config error (naming the field).
 """
 
 from __future__ import annotations
@@ -16,56 +19,27 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BracketError,
-    ConfigError,
-    ConvergenceError,
-    MfentError,
-    TooLargeError,
-)
+from .errors import BracketError, ConfigError, ConvergenceError, MfentError, TooLargeError
 from .local import local_entropy
 from .measures import (
-    Bernoulli,
-    Gibbs,
-    Markov,
-    MeasureModel,
-    doubling_check,
-    mixture,
+    Bernoulli, Chain, Gibbs, Markov, MeasureModel, _refuse_long_words, doubling_check, mixture,
 )
 from .potential import Potential
-from .premeasure import (
-    PremeasureParams,
-    TreeEvaluator,
-)
-from .solver import (
-    DEFAULT_SCHEDULE,
-    bowen_entropy,
-    packing_entropy,
-    packing_entropy_delta,
-)
+from .premeasure import PremeasureParams, TreeEvaluator, _refuse_deep_tree
+from .solver import DEFAULT_SCHEDULE, bowen_entropy, packing_entropy, packing_entropy_delta
 from .space import CylinderSet, ShiftSpace, make_shift
 from .spectrum import (
-    domain_endpoints,
-    h_curve,
-    legendre,
-    level_set_spectrum_oracle,
-    level_tangency_residual,
-    one_sided_derivatives,
-    tangency_beta,
+    _MAX_LEVEL_SET_WORDS, domain_endpoints, h_curve, legendre, level_set_spectrum_oracle,
+    level_tangency_residual, one_sided_derivatives, tangency_beta,
 )
 from .thermo import gibbs_identity_residual
 
-COMMANDS = (
-    "spectrum",
-    "premeasure",
-    "entropy",
-    "verify-gibbs",
-    "doubling",
-    "local",
-    "level-spectrum",
-)
-
 DEFAULT_Q_GRID = [round(-3.0 + 0.25 * i, 6) for i in range(25)]
+
+# `local` samples count words of n + k symbols each
+_MAX_LOCAL_SYMBOLS = 1 << 24
+
+Table = tuple[str, list[str], list[tuple]]
 
 
 def _fmt(x) -> str:
@@ -81,10 +55,7 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows]))
 
 
 def _require(cfg: dict, field: str, ctx: str = "config"):
@@ -98,12 +69,9 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _number(cfg: dict, field: str, default=None, ctx: str = "config") -> float:
-    if field not in cfg:
-        if default is None:
-            raise ConfigError(f"{ctx} is missing required field '{field}'")
-        return default
-    v = cfg[field]
+def _to_number(v, field: str, log_weight: bool = False) -> float:
+    """The one number rule of a config: a JSON number or a numeric string,
+    never a boolean, and finite (a log-weight may also be -inf, weight 0)."""
     if isinstance(v, str):
         try:
             v = float(v)
@@ -111,9 +79,28 @@ def _number(cfg: dict, field: str, default=None, ctx: str = "config") -> float:
             raise ConfigError(f"field '{field}' is not a number: {v!r}") from None
     if not _is_number(v):
         raise ConfigError(f"field '{field}' is not a number: {v!r}")
-    if not math.isfinite(v):
+    try:
+        x = float(v)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not (math.isfinite(x) or (log_weight and x == -math.inf)):
         raise ConfigError(f"field '{field}' must be finite, got {v}")
-    return float(v)
+    return x
+
+
+def _numbers(raw, field: str):
+    """A number, or nested lists of numbers, each under the one number rule."""
+    if isinstance(raw, list):
+        return [_numbers(v, field) for v in raw]
+    return _to_number(raw, field)
+
+
+def _number(cfg: dict, field: str, default=None, ctx: str = "config") -> float:
+    if field not in cfg:
+        if default is None:
+            raise ConfigError(f"{ctx} is missing required field '{field}'")
+        return default
+    return _to_number(cfg[field], field)
 
 
 def _integral(v) -> bool:
@@ -129,21 +116,25 @@ def _int(cfg: dict, field: str, default=None, ctx: str = "config", lo: int | Non
     return int(v)
 
 
+def _within(fields: str, refuse, *args) -> None:
+    """Run a size cap before any work; a refusal names the config fields."""
+    try:
+        refuse(*args)
+    except TooLargeError as e:
+        raise ConfigError(f"{fields} too large: {e}") from None
+
+
 def parse_word(raw, field: str) -> tuple[int, ...]:
     """Words appear in configs as lists of ints or as digit strings,
     optionally comma-separated ("010", "0,1,0", [0,1,0] all parse alike)."""
-    if isinstance(raw, (list, tuple)):
-        try:
-            return tuple(int(s) for s in raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"field '{field}' contains a non-integer symbol: {raw!r}") from None
     if isinstance(raw, str):
-        parts = raw.split(",") if "," in raw else list(raw)
-        try:
-            return tuple(int(s) for s in parts)
-        except ValueError:
-            raise ConfigError(f"field '{field}' has unparseable word {raw!r}") from None
-    raise ConfigError(f"field '{field}' must be a word (list of ints or digit string)")
+        raw = raw.split(",") if "," in raw else list(raw)
+    elif not isinstance(raw, (list, tuple)):
+        raise ConfigError(f"field '{field}' must be a word (list of ints or digit string)")
+    symbols = [_to_number(s, field) for s in raw]
+    if not all(_integral(s) for s in symbols):
+        raise ConfigError(f"field '{field}' contains a non-integer symbol: {raw!r}")
+    return tuple(int(s) for s in symbols)
 
 
 def parse_space(cfg: dict) -> ShiftSpace:
@@ -158,61 +149,57 @@ def parse_space(cfg: dict) -> ShiftSpace:
         raise ConfigError(f"field 'space.transitions' invalid: {e}") from None
 
 
-def parse_measure(cfg: dict, space: ShiftSpace) -> MeasureModel:
-    ms = _require(cfg, "measure")
+def parse_measure(
+    cfg: dict, space: ShiftSpace, ctx: str = "config", key: str = "measure"
+) -> MeasureModel:
+    """The measure at ``cfg[key]``; a mixture's components ``a`` and ``b``
+    are parsed alike, as fields 'measure.a' and 'measure.b'."""
+    ms = _require(cfg, key, ctx)
+    field = key if ctx == "config" else f"{ctx}.{key}"
     if not isinstance(ms, dict):
-        raise ConfigError("field 'measure' must be an object")
-    return _measure_from(ms, space, "measure")
-
-
-def _measure_from(ms: dict, space: ShiftSpace, ctx: str) -> MeasureModel:
-    kind = _require(ms, "kind", ctx)
+        raise ConfigError(f"field '{field}' must be an object")
+    kind = _require(ms, "kind", field)
     try:
         if kind == "bernoulli":
-            return Bernoulli(space, _require(ms, "p", ctx))
+            return Bernoulli(space, _numbers(_require(ms, "p", field), f"{field}.p"))
         if kind == "markov":
-            return Markov(space, _require(ms, "P", ctx), ms.get("pi"))
+            pi = ms.get("pi")
+            return Markov(
+                space,
+                _numbers(_require(ms, "P", field), f"{field}.P"),
+                None if pi is None else _numbers(pi, f"{field}.pi"),
+            )
         if kind == "gibbs":
-            r = _int(ms, "r", ctx=ctx)
-            raw = _require(ms, "psi", ctx)
+            r = _int(ms, "r", ctx=field)
+            raw = _require(ms, "psi", field)
             if not isinstance(raw, dict):
-                raise ConfigError(f"field '{ctx}.psi' must map words to values")
-            table = {}
-            for key, val in raw.items():
-                w = parse_word(key, f"{ctx}.psi")
-                table[w] = float(val)
+                raise ConfigError(f"field '{field}.psi' must map words to values")
+            table = {
+                parse_word(w, f"{field}.psi"): _to_number(v, f"{field}.psi", log_weight=True)
+                for w, v in raw.items()
+            }
             return Gibbs(Potential(space, r, table))
         if kind == "mixture":
-            lam = _number(ms, "lam", ctx=ctx)
-            a = _measure_from(_require(ms, "a", ctx), space, f"{ctx}.a")
-            b = _measure_from(_require(ms, "b", ctx), space, f"{ctx}.b")
+            lam = _number(ms, "lam", ctx=field)
+            a = parse_measure(ms, space, field, "a")
+            b = parse_measure(ms, space, field, "b")
             return mixture(a, b, lam)
     except ConfigError:
         raise
     except (ValueError, TypeError) as e:
-        raise ConfigError(f"field '{ctx}' invalid: {e}") from None
+        raise ConfigError(f"field '{field}' invalid: {e}") from None
     raise ConfigError(
-        f"field '{ctx}.kind' must be bernoulli, markov, gibbs, or mixture; got {kind!r}"
+        f"field '{field}.kind' must be bernoulli, markov, gibbs, or mixture; got {kind!r}"
     )
 
 
-def parse_grid(cfg: dict, field: str, default: list[float] | None) -> np.ndarray:
+def parse_grid(cfg: dict, field: str, default: list[float]) -> np.ndarray:
     if field not in cfg:
-        if default is None:
-            raise ConfigError(f"config is missing required field '{field}'")
         return np.asarray(default, dtype=float)
     raw = cfg[field]
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"field '{field}' must be a nonempty list of numbers")
-    try:
-        grid = np.asarray([float(v) for v in raw])
-    except (TypeError, ValueError):
-        raise ConfigError(f"field '{field}' contains a non-number") from None
-    if any(isinstance(v, bool) for v in raw):
-        raise ConfigError(f"field '{field}' contains a non-number")
-    if not np.isfinite(grid).all():
-        raise ConfigError(f"field '{field}' must be finite")
-    return np.unique(grid)
+    return np.unique([_to_number(v, field) for v in raw])
 
 
 def parse_schedule(cfg: dict) -> tuple[tuple[int, int], ...]:
@@ -263,16 +250,24 @@ def load_config(raw: str) -> dict:
     return cfg
 
 
-def cmd_spectrum(cfg: dict, out: Path, seed: int) -> None:
-    space = parse_space(cfg)
-    model = parse_measure(cfg, space)
+def _require_irreducible(space: ShiftSpace, command: str) -> None:
+    if not space.irreducible:
+        raise ConfigError(f"field 'space.transitions' must be irreducible for {command}")
+
+
+def cmd_spectrum(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
     q_grid = parse_grid(cfg, "q_grid", DEFAULT_Q_GRID)
+    if len(q_grid) < 3:
+        raise ConfigError("field 'q_grid' needs at least 3 distinct points for a conjugate")
     k = _int(cfg, "k", 0, lo=0)
     schedule = parse_schedule(cfg)
-    curve = h_curve(model, q_grid, k=k, schedule=schedule)
     N_max = max(N for N, _ in schedule)
     D_max = max(D for _, D in schedule)
+    _require_irreducible(model.space, "spectrum")
+    _within("fields 'schedule' and 'k'", _refuse_long_words, model.space, N_max + k)
+    beta_grid = parse_grid(cfg, "beta_grid", []) if "beta_grid" in cfg else None
 
+    curve = h_curve(model, q_grid, k=k, schedule=schedule)
     rows = []
     for i, q in enumerate(curve.q_grid):
         if 0 < i < len(curve.q_grid) - 1 and np.isfinite(curve.h_values).all():
@@ -280,38 +275,36 @@ def cmd_spectrum(cfg: dict, out: Path, seed: int) -> None:
         else:
             h_minus = h_plus = math.nan
         rows.append((float(q), float(curve.h_values[i]), h_minus, h_plus, N_max, D_max, k))
-    write_csv(out / "spectrum.csv", ["q", "h", "h_minus", "h_plus", "N", "D", "k"], rows)
+    tables = [("spectrum.csv", ["q", "h", "h_minus", "h_plus", "N", "D", "k"], rows)]
 
     try:
         ep = domain_endpoints(curve)
-        ep_rows = [(ep.lower, ep.upper, ep.lower_extrapolated, ep.upper_extrapolated,
-                    ep.error_bar, N_max, D_max, k)]
-        write_csv(
-            out / "endpoints.csv",
+        tables.append((
+            "endpoints.csv",
             ["beta_lower", "beta_upper", "beta_lower_extrapolated",
              "beta_upper_extrapolated", "error_bar", "N", "D", "k"],
-            ep_rows,
-        )
+            [(ep.lower, ep.upper, ep.lower_extrapolated, ep.upper_extrapolated,
+              ep.error_bar, N_max, D_max, k)],
+        ))
         beta_lo, beta_hi = ep.lower, ep.upper
     except ValueError:
         # grid tails too short for endpoints; fall back for the beta range
         finite = np.isfinite(curve.h_values)
         slopes = np.diff(curve.h_values[finite]) / np.diff(curve.q_grid[finite])
         beta_lo, beta_hi = -float(slopes.max()), -float(slopes.min())
-    default_betas = np.unique(np.linspace(beta_lo, beta_hi, 41)).tolist()
-    beta_grid = parse_grid(cfg, "beta_grid", default_betas)
+    if beta_grid is None:
+        beta_grid = np.unique(np.linspace(beta_lo, beta_hi, 41))
     h_star, in_domain = legendre(curve, beta_grid)
     lg_rows = [
         (float(b), float(hs), bool(d), N_max, D_max, k)
         for b, hs, d in zip(beta_grid, h_star, in_domain)
     ]
-    write_csv(out / "legendre.csv", ["beta", "h_star", "in_domain", "N", "D", "k"], lg_rows)
+    tables.append(("legendre.csv", ["beta", "h_star", "in_domain", "N", "D", "k"], lg_rows))
+    return tables
 
 
-def cmd_premeasure(cfg: dict, out: Path, seed: int) -> None:
-    space = parse_space(cfg)
-    model = parse_measure(cfg, space)
-    K = parse_cylinder_set(cfg, space)
+def cmd_premeasure(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
+    K = parse_cylinder_set(cfg, model.space)
     q = _number(cfg, "q")
     t = _number(cfg, "t")
     N = _int(cfg, "N")
@@ -321,31 +314,30 @@ def cmd_premeasure(cfg: dict, out: Path, seed: int) -> None:
     if mode not in ("covering", "packing", "outer"):
         raise ConfigError(f"field 'mode' must be covering, packing, or outer; got {mode!r}")
     try:
-        params = PremeasureParams(q=q, t=t, N=N, k=k, D=D)
+        PremeasureParams(q=q, t=t, N=N, k=k, D=D)
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    ev = TreeEvaluator(model, K, k, D)
-    if mode == "covering":
-        log_value = ev.covering_log(q, t, N)
-    elif mode == "packing":
-        log_value = ev.packing_log(q, t, N)
-    else:
+    if mode == "outer":
         cover_depth = _int(cfg, "cover_depth", min(6, N), lo=0)
         if cover_depth > D:
             raise ConfigError(f"field 'cover_depth' exceeds D={D}")
+    _within("fields 'D' and 'k'", _refuse_deep_tree, D, k)
+
+    ev = TreeEvaluator(model, K, k, D)
+    if mode == "outer":
         log_value = ev.outer_log(q, t, N, cover_depth)
+    else:
+        log_value = (ev.covering_log if mode == "covering" else ev.packing_log)(q, t, N)
     value = math.exp(log_value) if log_value < 700 else math.inf
-    write_csv(
-        out / "premeasure.csv",
+    return [(
+        "premeasure.csv",
         ["mode", "q", "t", "N", "D", "k", "log_value", "value"],
         [(mode, q, t, N, D, k, log_value, value)],
-    )
+    )]
 
 
-def cmd_entropy(cfg: dict, out: Path, seed: int) -> None:
-    space = parse_space(cfg)
-    model = parse_measure(cfg, space)
-    K = parse_cylinder_set(cfg, space)
+def cmd_entropy(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
+    K = parse_cylinder_set(cfg, model.space)
     q = _number(cfg, "q", 0.0)
     k = _int(cfg, "k", 0, lo=0)
     schedule = parse_schedule(cfg)
@@ -353,49 +345,46 @@ def cmd_entropy(cfg: dict, out: Path, seed: int) -> None:
     D_min = min(D for _, D in schedule)
     if cover_depth > D_min:
         raise ConfigError(f"field 'cover_depth' exceeds the smallest schedule D={D_min}")
-    rows = []
-    for method, fn in (
-        ("bowen", lambda: bowen_entropy(model, K, q, k, schedule)),
-        ("packing_delta", lambda: packing_entropy_delta(model, K, q, k, schedule)),
-        ("packing", lambda: packing_entropy(model, K, q, k, schedule, cover_depth)),
-    ):
-        est = fn()
-        rows.append(
-            (method, q, est.N_used, est.D_used, est.k, est.value,
-             est.error_bar, est.degenerate)
-        )
-    write_csv(
-        out / "entropy.csv",
-        ["method", "q", "N", "D", "k", "value", "error_bar", "degenerate"],
-        rows,
+    _within("fields 'schedule' and 'k'", _refuse_deep_tree, max(D for _, D in schedule), k)
+
+    estimates = (
+        ("bowen", bowen_entropy(model, K, q, k, schedule)),
+        ("packing_delta", packing_entropy_delta(model, K, q, k, schedule)),
+        ("packing", packing_entropy(model, K, q, k, schedule, cover_depth)),
     )
+    return [(
+        "entropy.csv",
+        ["method", "q", "N", "D", "k", "value", "error_bar", "degenerate"],
+        [(method, q, e.N_used, e.D_used, e.k, e.value, e.error_bar, e.degenerate)
+         for method, e in estimates],
+    )]
 
 
-def cmd_verify_gibbs(cfg: dict, out: Path, seed: int) -> None:
-    space = parse_space(cfg)
-    model = parse_measure(cfg, space)
+def cmd_verify_gibbs(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
     q_grid = parse_grid(cfg, "q_grid", DEFAULT_Q_GRID)
+    if not isinstance(model, Chain):
+        raise ConfigError("field 'measure.kind' must be bernoulli, markov, or gibbs for verify-gibbs")
+    _require_irreducible(model.space, "verify-gibbs")
+
     rows = [(float(q), gibbs_identity_residual(model, float(q))) for q in q_grid]
-    write_csv(out / "verify_gibbs.csv", ["q", "residual"], rows)
+    return [("verify_gibbs.csv", ["q", "residual"], rows)]
 
 
-def cmd_doubling(cfg: dict, out: Path, seed: int) -> None:
-    space = parse_space(cfg)
-    model = parse_measure(cfg, space)
+def cmd_doubling(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
     k = _int(cfg, "k", 1, lo=1)
     n_max = _int(cfg, "n_max", 8, lo=1)
+    _within("fields 'n_max' and 'k'", _refuse_long_words, model.space, n_max + k)
+
     rep = doubling_check(model, k, n_max)
     bound = rep.analytic_bound if rep.analytic_bound is not None else math.nan
-    write_csv(
-        out / "doubling.csv",
+    return [(
+        "doubling.csv",
         ["k", "n_max", "empirical_sup", "analytic_bound", "unbounded"],
         [(rep.k, rep.n_max, rep.empirical_sup, bound, rep.unbounded)],
-    )
+    )]
 
 
-def cmd_local(cfg: dict, out: Path, seed: int) -> None:
-    space = parse_space(cfg)
-    model = parse_measure(cfg, space)
+def cmd_local(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
     k = _int(cfg, "k", 0, lo=0)
     tail_fraction = _number(cfg, "tail_fraction", 0.25)
     if not 0 < tail_fraction <= 1:
@@ -406,25 +395,29 @@ def cmd_local(cfg: dict, out: Path, seed: int) -> None:
             raise ConfigError("field 'words' must be a list of words")
         words = [parse_word(w, "words") for w in raw]
         for w in words:
-            if len(w) < k + 1 or not space.is_admissible(w):
+            if len(w) < k + 1 or not model.space.is_admissible(w):
                 raise ConfigError(
                     f"field 'words' entry {w} must be an admissible word of length >= {k + 1}"
                 )
     else:
         n = _int(cfg, "n", ctx="config (needed when 'words' is absent)", lo=1)
         count = _int(cfg, "count", 100, lo=0)
+        if count * (n + k) > _MAX_LOCAL_SYMBOLS:
+            raise ConfigError(
+                f"fields 'count', 'n' and 'k' too large: count * (n + k) exceeds "
+                f"{_MAX_LOCAL_SYMBOLS} sampled symbols"
+            )
         rng = np.random.default_rng(seed)
         words = [model.sample_word(n + k, rng) for _ in range(count)]
+
     rows = []
     for w in words:
         s = local_entropy(model, w, k=k, tail_fraction=tail_fraction)
         rows.append(("".join(str(c) for c in w), s.lower, s.upper, len(w) - k, k))
-    write_csv(out / "local.csv", ["word", "lower", "upper", "n", "k"], rows)
+    return [("local.csv", ["word", "lower", "upper", "n", "k"], rows)]
 
 
-def cmd_level_spectrum(cfg: dict, out: Path, seed: int) -> None:
-    space = parse_space(cfg)
-    model = parse_measure(cfg, space)
+def cmd_level_spectrum(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
     n = _int(cfg, "n", 14, lo=1)
     k = _int(cfg, "k", 0, lo=0)
     bin_width = _number(cfg, "bin_width", 0.05)
@@ -432,30 +425,26 @@ def cmd_level_spectrum(cfg: dict, out: Path, seed: int) -> None:
     for field, width in (("bin_width", bin_width), ("half_width", half_width)):
         if not width > 0:
             raise ConfigError(f"field '{field}' must be positive, got {width}")
+    _within("fields 'n' and 'k'", _refuse_long_words, model.space, n + k, _MAX_LEVEL_SET_WORDS)
+    q_grid = parse_grid(cfg, "q_grid", [0.0, 1.0, 2.0])
+
     bins = level_set_spectrum_oracle(model, n, bin_width, k)
     rows = [
         (b.beta, int(round(math.exp(b.log_count))), b.entropy_estimate, b.word_length, k)
         for b in bins
     ]
-    write_csv(
-        out / "level_spectrum.csv",
-        ["beta_bin", "count", "entropy_estimate", "n", "k"],
-        rows,
-    )
-    q_grid = parse_grid(cfg, "q_grid", [0.0, 1.0, 2.0])
-    res_rows = []
-    for q in q_grid:
-        beta = tangency_beta(model, float(q), n, k)
-        resid = level_tangency_residual(model, float(q), n, k, half_width)
-        res_rows.append((float(q), beta, resid, n, k))
-    write_csv(
-        out / "level_residuals.csv",
-        ["q", "beta", "residual", "n", "k"],
-        res_rows,
-    )
+    res_rows = [
+        (float(q), tangency_beta(model, float(q), n, k),
+         level_tangency_residual(model, float(q), n, k, half_width), n, k)
+        for q in q_grid
+    ]
+    return [
+        ("level_spectrum.csv", ["beta_bin", "count", "entropy_estimate", "n", "k"], rows),
+        ("level_residuals.csv", ["q", "beta", "residual", "n", "k"], res_rows),
+    ]
 
 
-_DISPATCH = {
+COMMANDS = {
     "spectrum": cmd_spectrum,
     "premeasure": cmd_premeasure,
     "entropy": cmd_entropy,
@@ -479,9 +468,13 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_config(args.config)
+        space = parse_space(cfg)
+        model = parse_measure(cfg, space)
+        tables = COMMANDS[args.command](cfg, model, args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _DISPATCH[args.command](cfg, out, args.seed)
+        for name, header, rows in tables:
+            write_csv(out / name, header, rows)
     except (ConfigError, TooLargeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

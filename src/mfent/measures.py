@@ -181,6 +181,17 @@ class Chain(MeasureModel):
             word.append(self.states[i][-1])
         return tuple(word[:n])
 
+    def q_power(self, q: float) -> tuple[np.ndarray, np.ndarray]:
+        """Entrywise q-powers of ``init`` and ``T``; exact zeros stay 0 at every q."""
+
+        def power(a: np.ndarray) -> np.ndarray:
+            out = np.zeros_like(a)
+            pos = a > 0
+            out[pos] = a[pos] ** q
+            return out
+
+        return power(self.init), power(self.T)
+
     def one_step_log_bound(self) -> float:
         worst = 0.0
         # conditionals below the block length are marginal ratios of init
@@ -351,9 +362,10 @@ def mixture(model_a: MeasureModel, model_b: MeasureModel, lam: float) -> Mixture
     return Mixture(model_a, model_b, lam)
 
 
-def _refuse_long_words(space: ShiftSpace, length: int) -> None:
-    """Refuse a level of more than 2^24 words, counted as alphabet_size^length."""
-    if space.alphabet_size**length > (1 << 24):
+def _refuse_long_words(space: ShiftSpace, length: int, cap: int = 1 << 24) -> None:
+    """Refuse a level of more than ``cap`` words, counted as alphabet_size^length;
+    alphabets have at least 2 symbols, so a length >= cap.bit_length() is refused at once."""
+    if length >= cap.bit_length() or space.alphabet_size**length > cap:
         raise TooLargeError(f"refusing to enumerate ~{space.alphabet_size}^{length} words")
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooLargeError
-from .measures import MeasureModel
+from .measures import MeasureModel, _refuse_long_words
 from .space import CylinderSet, Word
 
 _MAX_TREE_NODES = 1 << 22
@@ -77,6 +77,13 @@ class PremeasureValue:
         return math.exp(self.log_value) if self.log_value != math.inf else math.inf
 
 
+def _refuse_deep_tree(D: int, k: int) -> None:
+    """Refuse a tree of depth D + k before building it: every level keeps at
+    least one node, so it has at least D + k + 1."""
+    if D + k + 1 > _MAX_TREE_NODES:
+        raise TooLargeError(f"a depth-{D + k} cylinder tree exceeds {_MAX_TREE_NODES} nodes")
+
+
 class TreeEvaluator:
     """Cylinder tree of a compact set, with per-(q, t) DP sweeps.
 
@@ -91,6 +98,7 @@ class TreeEvaluator:
             raise ValueError("pre-measures need a non-empty cylinder set")
         if K.space != model.space:
             raise ValueError("cylinder set and measure live on different spaces")
+        _refuse_deep_tree(D, k)
         self.k = k
         self.D = D
 
@@ -226,11 +234,7 @@ def antichain_oracle(
     if K.is_empty:
         raise ValueError("pre-measures need a non-empty cylinder set")
     space = model.space
-    node_budget = space.alphabet_size ** (p.D + p.k + 1)
-    if node_budget > (1 << 16):
-        raise TooLargeError(
-            f"oracle refuses trees with up to {node_budget} nodes (cap 65536)"
-        )
+    _refuse_long_words(space, p.D + p.k + 1, 1 << 16)  # bounds the tree's node count
     packing = mode == "max"
     budget = [0]
 

@@ -14,11 +14,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import TooLargeError
-from .measures import MeasureModel, log_mass_array, logsumexp
+from .measures import MeasureModel, _refuse_long_words, log_mass_array, logsumexp
 from .solver import DEFAULT_SCHEDULE
 
 _CONVEXITY_SLACK = {"closed_form": 1e-9, "numeric": 2e-2}
+_MAX_LEVEL_SET_WORDS = 1 << 16
 
 
 def log_partition(model: MeasureModel, q: float, length: int) -> float:
@@ -221,8 +221,7 @@ def level_set_spectrum_oracle(
     integer multiples of bin_width and carry (1/n) log count as the
     entropy estimate.  Zero-mass words (beta = inf) are dropped.
     """
-    if model.space.alphabet_size ** (n + k) > (1 << 16):
-        raise TooLargeError(f"level-set enumeration refused for m^{n + k} words")
+    _refuse_long_words(model.space, n + k, _MAX_LEVEL_SET_WORDS)
     if bin_width <= 0:
         raise ValueError("bin width must be positive")
     arr = log_mass_array(model, n + k)

@@ -31,14 +31,6 @@ def pressure(space: ShiftSpace, psi: Potential, scale: float = 1.0) -> float:
     return math.log(perron_root(M))
 
 
-def _entrywise_power_growth(P: np.ndarray, q: float) -> float:
-    """log Perron root of the entrywise q-power with exact zeros preserved."""
-    M = np.zeros_like(P)
-    pos = P > 0
-    M[pos] = P[pos] ** q
-    return math.log(perron_root(M))
-
-
 def _chain(model: MeasureModel) -> Chain:
     if not isinstance(model, Chain):
         raise ValueError(
@@ -57,7 +49,7 @@ def closed_form_h(model: MeasureModel, q: float) -> float:
         return math.inf
     if q == 0:
         return math.log(perron_root(chain.adjacency.astype(float)))
-    return _entrywise_power_growth(chain.T, q)
+    return math.log(perron_root(chain.q_power(q)[1]))
 
 
 def log_potential_of(model: MeasureModel) -> Potential:
@@ -71,7 +63,7 @@ def gibbs_identity_residual(model: MeasureModel, q: float) -> float:
     where g is the partition growth rate from the stochastic representation
     over positive-mass words: the potential drops its structural zeros at
     every q, so zero-mass cylinders drop out of g too."""
-    g = _entrywise_power_growth(_chain(model).T, q)
+    g = math.log(perron_root(_chain(model).q_power(q)[1]))
     psi = log_potential_of(model)
     rhs = pressure(model.space, psi, q) - q * pressure(model.space, psi, 1.0)
     if math.isinf(g) or math.isinf(rhs):
@@ -83,13 +75,7 @@ def partition_growth_by_squaring(model: MeasureModel, q: float, log2_n: int = 12
     """Brute partition growth (1/n) log Z_n at n = 2^log2_n, via repeated
     squaring of the entrywise q-power with rescaling; an independent check
     on the Perron-root route."""
-    chain = _chain(model)
-    P, pi = chain.T, chain.init
-    M = np.zeros_like(P)
-    pos = P > 0
-    M[pos] = P[pos] ** q
-    piq = np.where(pi > 0, pi**q, 0.0)
-    B = M.copy()
+    piq, B = _chain(model).q_power(q)
     log_scale = 0.0
     half = None
     for step in range(log2_n):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import mfent
-from mfent.cli import main
+from mfent.cli import COMMANDS, main
 
 FULL2 = {"alphabet": 2, "transitions": [[1, 1], [1, 1]]}
 GOLDEN = {"alphabet": 2, "transitions": [[1, 1], [1, 0]]}
@@ -17,6 +17,12 @@ FAIR = {"kind": "bernoulli", "p": [0.5, 0.5]}
 BIASED = {"kind": "bernoulli", "p": [0.25, 0.75]}
 PARRY = {"kind": "markov", "P": [[0.618, 0.382], [1.0, 0.0]]}
 LOG2 = math.log(2)
+# the 2-cycle shift: one word of each length per first symbol, so a deep tree
+# is cheap level by level and only its depth can make it too large
+CYCLE2 = {"alphabet": 2, "transitions": [[0, 1], [1, 0]]}
+FLIP = {"kind": "markov", "P": [[0, 1], [1, 0]], "pi": [0.5, 0.5]}
+MIXTURE = {"kind": "mixture", "lam": 0.5, "a": FAIR, "b": BIASED}
+GOLDEN_DIR = Path(__file__).parent / "data" / "cli"
 
 
 def run(command, cfg, out, extra=()):
@@ -26,6 +32,19 @@ def run(command, cfg, out, extra=()):
 def read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+def run_subprocess(args, timeout=20):
+    """``python -m mfent.cli`` in a child process importing the same mfent as
+    this one, installed or not."""
+    src = str(Path(mfent.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    return subprocess.run(
+        [sys.executable, "-m", "mfent.cli", *args],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
 
 
 class TestSpectrumCommand:
@@ -128,7 +147,9 @@ class TestEntropyCommand:
             "q": 2,
             "schedule": [[4, 4], [6, 6]],
         }
-        assert run("entropy", cfg, tmp_path) == 1
+        out = tmp_path / "out"
+        assert run("entropy", cfg, out) == 1
+        assert not out.exists()  # tables are written only after a command succeeds
 
 
 class TestVerifyGibbsCommand:
@@ -227,6 +248,12 @@ class TestConfigErrors:
         assert run("spectrum", cfg, tmp_path) == 2
         assert "row 0" in capsys.readouterr().err
 
+    def test_psi_minus_inf_is_a_structural_zero(self, tmp_path):
+        psi = {"00": "-inf", "01": -0.5, "10": -1.0, "11": -0.3}
+        cfg = {"space": FULL2, "measure": {"kind": "gibbs", "r": 2, "psi": psi}}
+        assert run("verify-gibbs", cfg, tmp_path) == 0
+        assert all(float(r["residual"]) <= 1e-10 for r in read_csv(tmp_path / "verify_gibbs.csv"))
+
     def test_missing_psi_word_named(self, tmp_path, capsys):
         cfg = {
             "space": FULL2,
@@ -264,6 +291,19 @@ class TestConfigErrors:
             ("premeasure", {"K": [[]], "q": 0, "t": 0, "N": True, "D": 2}, "'N'"),
             ("entropy", {"K": [[]], "schedule": [[True, True]]}, "schedule"),
             ("spectrum", {"q_grid": [0.0, True]}, "q_grid"),
+            ("premeasure", {"K": [[True]], "q": 0, "t": 0, "N": 1, "D": 2}, "'K'"),
+            ("premeasure", {"K": [[1.5]], "q": 0, "t": 0, "N": 1, "D": 2}, "'K'"),
+            ("spectrum", {"measure": {"kind": "bernoulli", "p": [True, False]}}, "'measure.p'"),
+            ("spectrum", {"measure": {"kind": "markov", "P": [[True, 0], [0, 1]]}}, "'measure.P'"),
+            ("spectrum", {"measure": {"kind": "markov", "P": [[0.5, 0.5], [0.5, 0.5]],
+                                      "pi": [True, 0]}}, "'measure.pi'"),
+            ("verify-gibbs", {"measure": {"kind": "gibbs", "r": 2, "psi": {
+                "00": True, "01": -1.0, "10": -1.0, "11": -1.0}}}, "'measure.psi'"),
+            ("local", {"n": 5, "measure": {**MIXTURE, "b": {"kind": "bernoulli", "p": [0, "x"]}}},
+             "'measure.b.p'"),
+            ("verify-gibbs", {"measure": MIXTURE}, "'measure.kind'"),
+            ("spectrum", {"measure": {"kind": "bernoulli", "p": ["nan", 1]}}, "'measure.p'"),
+            ("entropy", {"K": [[]], "q": 10**400}, "'q'"),
         ],
     )
     def test_bad_field_named(self, tmp_path, capsys, command, extra, field):
@@ -274,20 +314,62 @@ class TestConfigErrors:
         assert "Traceback" not in err
 
 
+class TestNoWorkOnBadConfig:
+    """Every field, size caps included, is checked before any work: a bad or
+    oversized config exits 2 naming the field, with no traceback and no
+    output directory.  The cases are huge sizes, which must be refused before
+    any loop or allocation, grids too short for a conjugate, and fields whose
+    values only matter after the computation."""
+
+    @pytest.mark.parametrize(
+        "command, extra, field",
+        [
+            ("spectrum", {"k": 1e308}, "'k'"),
+            ("level-spectrum", {"n": 1e308}, "'n'"),
+            ("level-spectrum", {"k": 1e308}, "'k'"),
+            ("local", {"n": 10, "count": 1e308}, "'count'"),
+            ("local", {"n": 1e308}, "'n'"),
+            ("entropy", {"space": CYCLE2, "measure": FLIP, "K": [[]],
+                         "schedule": [[1, 1e9]]}, "'schedule'"),
+            ("premeasure", {"space": CYCLE2, "measure": FLIP, "K": [[]],
+                            "q": 0, "t": 0, "N": 1, "D": 1e12}, "'D'"),
+            ("spectrum", {"q_grid": [1]}, "'q_grid'"),
+            ("spectrum", {"q_grid": [0, 1, 1.0]}, "'q_grid'"),
+            ("spectrum", {"beta_grid": ["x"]}, "'beta_grid'"),
+            ("level-spectrum", {"q_grid": ["x"]}, "'q_grid'"),
+            ("premeasure", {"K": [[]], "q": 0, "t": 0, "N": 1, "D": 2,
+                            "mode": "outer", "cover_depth": 3}, "'cover_depth'"),
+        ],
+    )
+    def test_exits_2_before_any_work(self, tmp_path, command, extra, field):
+        cfg = {"space": FULL2, "measure": FAIR, **extra}
+        out = tmp_path / "out"
+        proc = run_subprocess([command, "--config", json.dumps(cfg), "--out", str(out)])
+        assert proc.returncode == 2
+        assert field in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_golden_bytes(tmp_path, command):
+    """Each command's CSV bytes on a small config, recorded with
+    ``mfent <command> --config tests/data/cli/<command>.json
+    --out tests/data/cli/<command> --seed 7``.  A change that moves these
+    bytes re-records them and says so."""
+    expected = GOLDEN_DIR / command
+    argv = [command, "--config", str(GOLDEN_DIR / f"{command}.json"), "--seed", "7"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == sorted(p.name for p in expected.iterdir())
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (expected / name).read_bytes(), name
+
+
 class TestEntryPoint:
     def test_console_script(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"space": FULL2, "measure": BIASED}))
-        # the child imports the same mfent as this process, installed or not
-        src = str(Path(mfent.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        ))
-        proc = subprocess.run(
-            [sys.executable, "-m", "mfent.cli", "doubling",
-             "--config", str(cfg), "--out", str(tmp_path)],
-            capture_output=True,
-            env=env,
-        )
+        proc = run_subprocess(["doubling", "--config", str(cfg), "--out", str(tmp_path)])
         assert proc.returncode == 0
         assert (tmp_path / "doubling.csv").exists()

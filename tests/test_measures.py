@@ -220,6 +220,49 @@ class TestDoubling:
             mf.doubling_check(fair, 1, 30)
 
 
+class TestRefuseLongWords:
+    def test_matches_the_power_count(self):
+        # the early exit on length refuses exactly what m^length > cap refuses
+        from mfent.measures import _refuse_long_words
+
+        for m in (2, 3, 5):
+            space = mf.make_shift(m, np.ones((m, m), dtype=int).tolist())
+            for cap in (1 << 16, 1 << 24):
+                for length in range(0, 40):
+                    if m**length > cap:
+                        with pytest.raises(mf.TooLargeError):
+                            _refuse_long_words(space, length, cap)
+                    else:
+                        _refuse_long_words(space, length, cap)
+
+    def test_huge_length_refused_at_once(self, fair):
+        # no bignum power: 2^(10^308) would never finish
+        from mfent.measures import _refuse_long_words
+
+        with pytest.raises(mf.TooLargeError):
+            _refuse_long_words(fair.space, 10**308)
+        with pytest.raises(mf.TooLargeError):
+            mf.log_mass_array(fair, 10**308)
+
+
+class TestQPower:
+    @pytest.mark.parametrize("fixture", ["parry", "biased", "gibbs3"])
+    def test_matches_entrywise_power_with_zeros_kept(self, fixture, request):
+        chain = request.getfixturevalue(fixture)
+        for q in (-2.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.7):
+            init_q, T_q = chain.q_power(q)
+            for a, got in ((chain.init, init_q), (chain.T, T_q)):
+                expected = np.zeros_like(a)
+                expected[a > 0] = a[a > 0] ** q
+                np.testing.assert_array_equal(got, expected)
+                assert (got[a == 0] == 0).all()
+
+    def test_inputs_untouched(self, parry):
+        T = parry.T.copy()
+        parry.q_power(-2.0)[1][:] = 7.0
+        np.testing.assert_array_equal(parry.T, T)
+
+
 class TestSampling:
     def test_words_admissible_and_deterministic(self, parry):
         rng = np.random.default_rng(42)

@@ -234,6 +234,18 @@ class TestEvaluatorGuards:
         with pytest.raises(mf.TooLargeError):
             mf.antichain_oracle(fair, Y, P(0, 0, 1, D=30), "min")
 
+    def test_oracle_refuses_huge_depth_at_once(self, fair, full2):
+        Y = mf.CylinderSet(full2, [()])
+        with pytest.raises(mf.TooLargeError):
+            mf.antichain_oracle(fair, Y, P(0, 0, 1, D=10**308), "min")
+
+    def test_deep_tree_refused_before_building(self):
+        # one word per level and first symbol: only the depth is too large
+        cycle = mf.make_shift(2, [[0, 1], [1, 0]])
+        flip = mf.Markov(cycle, [[0, 1], [1, 0]], [0.5, 0.5])
+        with pytest.raises(mf.TooLargeError):
+            mf.TreeEvaluator(flip, mf.CylinderSet(cycle, [()]), 0, 10**12)
+
 
 # K for the tree build: "" is two members at depths 2 and 3; on the golden
 # mean each "forced" member ends in 1, so only 0 may follow it

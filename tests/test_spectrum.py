@@ -162,3 +162,7 @@ class TestLevelSets:
     def test_oracle_refuses_huge_enumerations(self, fair):
         with pytest.raises(mf.TooLargeError):
             mf.level_set_spectrum_oracle(fair, 40, 0.05)
+
+    def test_oracle_refuses_huge_length_at_once(self, fair):
+        with pytest.raises(mf.TooLargeError):
+            mf.level_set_spectrum_oracle(fair, 10**308, 0.05)
