@@ -27,7 +27,6 @@ from .measures import (
     doubling_check,
     log_mass_array,
     logsumexp,
-    mixture,
 )
 from .potential import Potential
 from .premeasure import (
@@ -54,7 +53,6 @@ from .space import (
     ShiftSpace,
     Word,
     bowen_cylinder,
-    children,
     hausdorff_distance,
     intersects,
     make_shift,

@@ -22,10 +22,12 @@ import numpy as np
 from .errors import BracketError, ConfigError, ConvergenceError, MfentError, TooLargeError
 from .local import local_entropy
 from .measures import (
-    Bernoulli, Chain, Gibbs, Markov, MeasureModel, _refuse_long_words, doubling_check, mixture,
+    Bernoulli, Chain, Gibbs, Markov, MeasureModel, Mixture, _refuse_long_words, doubling_check,
 )
 from .potential import Potential
-from .premeasure import PremeasureParams, TreeEvaluator, _refuse_deep_tree
+from .premeasure import (
+    PremeasureParams, _refuse_deep_tree, covering_premeasure, packing_outer, packing_premeasure,
+)
 from .solver import DEFAULT_SCHEDULE, bowen_entropy, packing_entropy, packing_entropy_delta
 from .space import CylinderSet, ShiftSpace, make_shift
 from .spectrum import (
@@ -64,11 +66,6 @@ def _require(cfg: dict, field: str, ctx: str = "config"):
     return cfg[field]
 
 
-def _is_number(v) -> bool:
-    # JSON true/false load as bool, a subclass of int
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _to_number(v, field: str, log_weight: bool = False) -> float:
     """The one number rule of a config: a JSON number or a numeric string,
     never a boolean, and finite (a log-weight may also be -inf, weight 0)."""
@@ -77,7 +74,7 @@ def _to_number(v, field: str, log_weight: bool = False) -> float:
             v = float(v)
         except ValueError:
             raise ConfigError(f"field '{field}' is not a number: {v!r}") from None
-    if not _is_number(v):
+    if isinstance(v, bool) or not isinstance(v, (int, float)):  # JSON true/false are bools
         raise ConfigError(f"field '{field}' is not a number: {v!r}")
     try:
         x = float(v)
@@ -103,17 +100,26 @@ def _number(cfg: dict, field: str, default=None, ctx: str = "config") -> float:
     return _to_number(cfg[field], field)
 
 
-def _integral(v) -> bool:
-    return math.isfinite(v) and v == int(v)
+def _integer(v, field: str) -> int:
+    """An integer under the one number rule: 4, 4.0 and "4" alike."""
+    x = _to_number(v, field)
+    if x != int(x):
+        raise ConfigError(f"field '{field}' must be an integer, got {x}")
+    return int(x)
+
+
+def _integers(raw, field: str):
+    """An integer, or nested lists of integers, each under the one number rule."""
+    if isinstance(raw, list):
+        return [_integers(v, field) for v in raw]
+    return _integer(raw, field)
 
 
 def _int(cfg: dict, field: str, default=None, ctx: str = "config", lo: int | None = None) -> int:
-    v = _number(cfg, field, default, ctx)
-    if not _integral(v):
-        raise ConfigError(f"field '{field}' must be an integer, got {v}")
+    v = _integer(_number(cfg, field, default, ctx), field)
     if lo is not None and v < lo:
-        raise ConfigError(f"field '{field}' must be >= {lo}, got {int(v)}")
-    return int(v)
+        raise ConfigError(f"field '{field}' must be >= {lo}, got {v}")
+    return v
 
 
 def _within(fields: str, refuse, *args) -> None:
@@ -131,10 +137,7 @@ def parse_word(raw, field: str) -> tuple[int, ...]:
         raw = raw.split(",") if "," in raw else list(raw)
     elif not isinstance(raw, (list, tuple)):
         raise ConfigError(f"field '{field}' must be a word (list of ints or digit string)")
-    symbols = [_to_number(s, field) for s in raw]
-    if not all(_integral(s) for s in symbols):
-        raise ConfigError(f"field '{field}' contains a non-integer symbol: {raw!r}")
-    return tuple(int(s) for s in symbols)
+    return tuple(_integer(s, field) for s in raw)
 
 
 def parse_space(cfg: dict) -> ShiftSpace:
@@ -142,7 +145,7 @@ def parse_space(cfg: dict) -> ShiftSpace:
     if not isinstance(sp, dict):
         raise ConfigError("field 'space' must be an object")
     m = _int(sp, "alphabet", ctx="space")
-    transitions = _require(sp, "transitions", "space")
+    transitions = _integers(_require(sp, "transitions", "space"), "space.transitions")
     try:
         return make_shift(m, transitions)
     except (ValueError, TypeError) as e:
@@ -183,7 +186,7 @@ def parse_measure(
             lam = _number(ms, "lam", ctx=field)
             a = parse_measure(ms, space, field, "a")
             b = parse_measure(ms, space, field, "b")
-            return mixture(a, b, lam)
+            return Mixture(a, b, lam)
     except ConfigError:
         raise
     except (ValueError, TypeError) as e:
@@ -210,15 +213,15 @@ def parse_schedule(cfg: dict) -> tuple[tuple[int, int], ...]:
         raise ConfigError("field 'schedule' must be a nonempty list of [N, D] pairs")
     out = []
     for entry in raw:
-        pair = isinstance(entry, list) and len(entry) == 2 and all(
-            _is_number(v) and _integral(v) for v in entry
-        )
-        if not pair or not 1 <= entry[0] <= entry[1]:
+        pair = isinstance(entry, list) and len(entry) == 2
+        # a non-pair becomes (0, 0), which the range check below refuses
+        N, D = (_integer(v, "schedule") for v in entry) if pair else (0, 0)
+        if not 1 <= N <= D:
             raise ConfigError(
                 f"field 'schedule' entry {entry!r} is not an [N, D] pair of integers "
                 "with 1 <= N <= D"
             )
-        out.append((int(entry[0]), int(entry[1])))
+        out.append((N, D))
     return tuple(out)
 
 
@@ -288,10 +291,8 @@ def cmd_spectrum(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
         ))
         beta_lo, beta_hi = ep.lower, ep.upper
     except ValueError:
-        # grid tails too short for endpoints; fall back for the beta range
-        finite = np.isfinite(curve.h_values)
-        slopes = np.diff(curve.h_values[finite]) / np.diff(curve.q_grid[finite])
-        beta_lo, beta_hi = -float(slopes.max()), -float(slopes.min())
+        # grid tails too short for endpoints; the conjugate's own reach instead
+        beta_lo, beta_hi = curve.slope_range()
     if beta_grid is None:
         beta_grid = np.unique(np.linspace(beta_lo, beta_hi, 41))
     h_star, in_domain = legendre(curve, beta_grid)
@@ -314,7 +315,7 @@ def cmd_premeasure(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
     if mode not in ("covering", "packing", "outer"):
         raise ConfigError(f"field 'mode' must be covering, packing, or outer; got {mode!r}")
     try:
-        PremeasureParams(q=q, t=t, N=N, k=k, D=D)
+        p = PremeasureParams(q=q, t=t, N=N, k=k, D=D)
     except ValueError as e:
         raise ConfigError(str(e)) from None
     if mode == "outer":
@@ -323,16 +324,14 @@ def cmd_premeasure(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
             raise ConfigError(f"field 'cover_depth' exceeds D={D}")
     _within("fields 'D' and 'k'", _refuse_deep_tree, D, k)
 
-    ev = TreeEvaluator(model, K, k, D)
     if mode == "outer":
-        log_value = ev.outer_log(q, t, N, cover_depth)
+        pv = packing_outer(model, K, p, cover_depth)
     else:
-        log_value = (ev.covering_log if mode == "covering" else ev.packing_log)(q, t, N)
-    value = math.exp(log_value) if log_value < 700 else math.inf
+        pv = (covering_premeasure if mode == "covering" else packing_premeasure)(model, K, p)
     return [(
         "premeasure.csv",
         ["mode", "q", "t", "N", "D", "k", "log_value", "value"],
-        [(mode, q, t, N, D, k, log_value, value)],
+        [(mode, q, t, N, D, k, pv.log_value, pv.value)],
     )]
 
 
@@ -429,10 +428,7 @@ def cmd_level_spectrum(cfg: dict, model: MeasureModel, seed: int) -> list[Table]
     q_grid = parse_grid(cfg, "q_grid", [0.0, 1.0, 2.0])
 
     bins = level_set_spectrum_oracle(model, n, bin_width, k)
-    rows = [
-        (b.beta, int(round(math.exp(b.log_count))), b.entropy_estimate, b.word_length, k)
-        for b in bins
-    ]
+    rows = [(b.beta, b.count, b.entropy_estimate, b.word_length, k) for b in bins]
     res_rows = [
         (float(q), tangency_beta(model, float(q), n, k),
          level_tangency_residual(model, float(q), n, k, half_width), n, k)

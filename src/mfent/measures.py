@@ -309,7 +309,8 @@ class Gibbs(Chain):
 
 
 class Mixture(MeasureModel):
-    """Lazy convex combination of two models over the same space.
+    """Lazy convex combination of two models over the same space:
+    mass = lam * mass_a + (1 - lam) * mass_b.
 
     A level's states carry both components' states and log masses.
     """
@@ -357,11 +358,6 @@ class Mixture(MeasureModel):
         return (self.a if pick_a else self.b).sample_word(n, rng)
 
 
-def mixture(model_a: MeasureModel, model_b: MeasureModel, lam: float) -> Mixture:
-    """Formal convex combination: mass = lam * mass_a + (1 - lam) * mass_b."""
-    return Mixture(model_a, model_b, lam)
-
-
 def _refuse_long_words(space: ShiftSpace, length: int, cap: int = 1 << 24) -> None:
     """Refuse a level of more than ``cap`` words, counted as alphabet_size^length;
     alphabets have at least 2 symbols, so a length >= cap.bit_length() is refused at once."""
@@ -369,12 +365,14 @@ def _refuse_long_words(space: ShiftSpace, length: int, cap: int = 1 << 24) -> No
         raise TooLargeError(f"refusing to enumerate ~{space.alphabet_size}^{length} words")
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def log_mass_array(model: MeasureModel, length: int) -> np.ndarray:
     """Log masses of all admissible length-``length`` cylinders, in
     lexicographic order (that of ``ShiftSpace.words_of_length``).
 
-    Cached per (model, length); models are immutable so the cache is pure.
+    The last (model, length) is cached, at most 2^24 floats (128 MiB);
+    models are immutable so the cache is pure.  Callers walk one length
+    at a time.
     """
     _refuse_long_words(model.space, length)
     states, arr = model.root()

@@ -10,14 +10,16 @@ import numpy as np
 
 from .errors import ConvergenceError
 
+# stopping rule of the power iteration: change in root and vector, step cap
+_TOL = 1e-14
+_MAX_ITER = 200_000
 
-def perron_root(M: np.ndarray, tol: float = 1e-14, max_iter: int = 200_000) -> float:
-    return perron_triple(M, tol=tol, max_iter=max_iter)[0]
+
+def perron_root(M: np.ndarray) -> float:
+    return perron_triple(M)[0]
 
 
-def perron_triple(
-    M: np.ndarray, tol: float = 1e-14, max_iter: int = 200_000
-) -> tuple[float, np.ndarray, np.ndarray]:
+def perron_triple(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Perron root with right and left eigenvectors of a nonnegative matrix.
 
     The matrix must be irreducible (up to numerically-zero rounding); a
@@ -40,19 +42,19 @@ def perron_triple(
     def iterate(A: np.ndarray) -> tuple[float, np.ndarray]:
         v = np.full(n, 1.0 / n)
         lam = 0.0
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             w = A @ v
             lam_new = w.sum()
             if lam_new <= 0:
                 raise ConvergenceError("power iteration collapsed to zero vector")
             w /= lam_new
-            if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)) and np.max(
+            if abs(lam_new - lam) <= _TOL * max(1.0, abs(lam_new)) and np.max(
                 np.abs(w - v)
-            ) <= tol:
+            ) <= _TOL:
                 return lam_new, w
             v, lam = w, lam_new
         raise ConvergenceError(
-            f"power iteration did not converge within {max_iter} iterations"
+            f"power iteration did not converge within {_MAX_ITER} iterations"
         )
 
     lam_r, right = iterate(S)

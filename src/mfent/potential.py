@@ -56,8 +56,3 @@ class Potential:
                     continue
                 M[index[u], index[w[1:]]] = math.exp(scale * val)
         return M, states
-
-    def scaled(self, c: float) -> "Potential":
-        return Potential(
-            self.space, self.r, {w: c * v for w, v in self.table.items()}
-        )

@@ -7,7 +7,7 @@ over an array tree.  Restricting to cylinders loses nothing for coverings
 and packings here: centered dyadic dynamical balls *are* cylinders, and a
 disjoint family of cylinders is exactly an antichain.  The refined
 construction's arbitrary covers are restricted to cylinder partitions,
-which over-estimates the infimum; the returned value records that.
+which over-estimates the infimum.
 
 Everything runs in log domain; -inf encodes value 0 and +inf the blowup
 of the power gauge at zero mass with negative exponent.
@@ -16,6 +16,7 @@ of the power gauge at zero mass with negative exponent.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ from .space import CylinderSet, Word
 
 _MAX_TREE_NODES = 1 << 22
 _MAX_ORACLE_OPTIONS = 1 << 21
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def psi(s: float, x: float) -> float:
@@ -70,11 +72,11 @@ class PremeasureParams:
 @dataclass(frozen=True)
 class PremeasureValue:
     log_value: float  # -inf = 0, +inf allowed
-    exact_at_depth: bool
 
     @property
     def value(self) -> float:
-        return math.exp(self.log_value) if self.log_value != math.inf else math.inf
+        """exp(log_value), or inf from log(float max) on, where exp overflows."""
+        return math.inf if self.log_value >= _LOG_FLOAT_MAX else math.exp(self.log_value)
 
 
 def _refuse_deep_tree(D: int, k: int) -> None:
@@ -197,7 +199,7 @@ def covering_premeasure(
     so cylinder covers lose nothing.  Nonincreasing in D.
     """
     ev = TreeEvaluator(model, K, p.k, p.D)
-    return PremeasureValue(ev.covering_log(p.q, p.t, p.N), exact_at_depth=True)
+    return PremeasureValue(ev.covering_log(p.q, p.t, p.N))
 
 
 def packing_premeasure(
@@ -206,7 +208,7 @@ def packing_premeasure(
     """Exact supremum over packings with orders N..D; a lower bound for the
     supremum over unbounded orders, nondecreasing in D."""
     ev = TreeEvaluator(model, K, p.k, p.D)
-    return PremeasureValue(ev.packing_log(p.q, p.t, p.N), exact_at_depth=True)
+    return PremeasureValue(ev.packing_log(p.q, p.t, p.N))
 
 
 def packing_outer(
@@ -214,11 +216,10 @@ def packing_outer(
 ) -> PremeasureValue:
     """Infimum over cylinder-partition covers at depths <= cover_depth of the
     per-piece packing value.  Restricting covers to cylinder partitions
-    over-estimates the unrestricted infimum, hence exact_at_depth=False."""
+    over-estimates the unrestricted infimum, so this is an upper bound, not
+    exact at this depth."""
     ev = TreeEvaluator(model, K, p.k, p.D)
-    return PremeasureValue(
-        ev.outer_log(p.q, p.t, p.N, cover_depth), exact_at_depth=False
-    )
+    return PremeasureValue(ev.outer_log(p.q, p.t, p.N, cover_depth))
 
 
 def antichain_oracle(

@@ -22,12 +22,12 @@ from .premeasure import TreeEvaluator
 from .space import CylinderSet
 
 DEFAULT_SCHEDULE: tuple[tuple[int, int], ...] = ((4, 4), (8, 8), (12, 12), (16, 16))
+_SCHEDULE_TOL = 1e-8  # root tolerance per schedule entry
 
 
 @dataclass(frozen=True)
 class EntropyEstimate:
     value: float
-    method: str  # "root" or "growth_rate"
     N_used: int
     D_used: int
     k: int
@@ -149,7 +149,7 @@ def _default_bracket(model: MeasureModel, q: float) -> tuple[float, float]:
 
 
 def _schedule_estimate(
-    values: list[tuple[int, int, float]], k: int, method: str, degenerate: bool
+    values: list[tuple[int, int, float]], k: int, degenerate: bool
 ) -> EntropyEstimate:
     N, D, val = values[-1]
     if len(values) >= 2:
@@ -159,7 +159,7 @@ def _schedule_estimate(
     else:
         err = math.inf
     return EntropyEstimate(
-        value=val, method=method, N_used=N, D_used=D, k=k, error_bar=err,
+        value=val, N_used=N, D_used=D, k=k, error_bar=err,
         degenerate=degenerate,
     )
 
@@ -172,7 +172,6 @@ def _run_schedule(
     schedule: Sequence[tuple[int, int]],
     sweep: str,
     cover_depth: int | None = None,
-    tol: float = 1e-8,
 ) -> EntropyEstimate:
     bracket = _default_bracket(model, q)
     values = []
@@ -186,10 +185,10 @@ def _run_schedule(
         else:
             cd = min(6, N) if cover_depth is None else cover_depth
             f = lambda t: ev.outer_log(q, t, N, cd)
-        root, deg = _critical_exponent_impl(f, bracket, tol)
+        root, deg = _critical_exponent_impl(f, bracket, _SCHEDULE_TOL)
         degenerate = degenerate or deg
         values.append((N, D, root))
-    return _schedule_estimate(values, k, "root", degenerate)
+    return _schedule_estimate(values, k, degenerate)
 
 
 def bowen_entropy(

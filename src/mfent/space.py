@@ -145,12 +145,6 @@ def bowen_cylinder(x: Word, n: int, k: int) -> Word:
     return x[:need]
 
 
-def children(space: ShiftSpace, w: Word) -> list[Word]:
-    """Admissible one-symbol extensions of ``w`` (free-function form)."""
-    space.require_admissible(w)
-    return space.children(w)
-
-
 class CylinderSet:
     """Finite union of cylinders, stored as a canonical antichain of words.
 
@@ -241,10 +235,6 @@ class CylinderSet:
         return all(
             any(is_prefix(b, a) for b in other._members) for a in self._members
         )
-
-    def contains_point(self, x: Word) -> bool:
-        """True iff every point with prefix ``x`` ... i.e. [x] lies inside the set."""
-        return any(is_prefix(a, x) for a in self._members)
 
     def expand_to_depth(self, depth: int) -> list[Word]:
         """All admissible depth-``depth`` words whose cylinder lies inside the set.

@@ -14,11 +14,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import BracketError
 from .measures import MeasureModel, _refuse_long_words, log_mass_array, logsumexp
 from .solver import DEFAULT_SCHEDULE
 
-_CONVEXITY_SLACK = {"closed_form": 1e-9, "numeric": 2e-2}
+_CONVEXITY_SLACK = 2e-2  # second differences of a schedule-regressed curve
 _MAX_LEVEL_SET_WORDS = 1 << 16
+_MIN_ABS_Q = 10.0  # the grid reach both tails need for stable endpoints
 
 
 def log_partition(model: MeasureModel, q: float, length: int) -> float:
@@ -39,7 +41,6 @@ def log_partition(model: MeasureModel, q: float, length: int) -> float:
 class SpectrumCurve:
     q_grid: np.ndarray
     h_values: np.ndarray
-    provenance: str  # "numeric" | "closed_form"
     convexity_certificate: bool
     k: int = 0
 
@@ -54,19 +55,26 @@ class SpectrumCurve:
         object.__setattr__(self, "h_values", h)
 
     def value(self, q: float) -> float:
-        i = int(np.searchsorted(self.q_grid, q))
-        if self.q_grid[min(i, len(self.q_grid) - 1)] == q:
-            return float(self.h_values[min(i, len(self.q_grid) - 1)])
-        if i > 0 and self.q_grid[i - 1] == q:
-            return float(self.h_values[i - 1])
+        """Piecewise-linear h; exactly the grid value at a grid point, even
+        next to an infinite one."""
         return float(np.interp(q, self.q_grid, self.h_values))
 
+    def slope_range(self) -> tuple[float, float]:
+        """(-max, -min) of the chord slopes between finite h values: the
+        beta range where the conjugate's grid infimum is attained.  Raises
+        BracketError when fewer than 2 values are finite."""
+        finite = np.isfinite(self.h_values)
+        if finite.sum() < 2:
+            raise BracketError("h is finite at fewer than 2 grid points: no slope range")
+        slopes = np.diff(self.h_values[finite]) / np.diff(self.q_grid[finite])
+        return -float(slopes.max()), -float(slopes.min())
+
     @staticmethod
-    def certify(q: np.ndarray, h: np.ndarray, provenance: str) -> bool:
+    def certify(q: np.ndarray, h: np.ndarray) -> bool:
         if len(q) < 3 or not np.isfinite(h).all():
             return False
         d2 = np.diff(np.diff(h) / np.diff(q))
-        return bool((d2 >= -_CONVEXITY_SLACK[provenance]).all())
+        return bool((d2 >= -_CONVEXITY_SLACK).all())
 
 
 def h_curve(
@@ -78,21 +86,21 @@ def h_curve(
     """Partition-growth estimate of h over a q grid.
 
     For each q, log Z_N is computed at every schedule depth and h(q) is
-    the least-squares slope of log Z_N against N.
+    the least-squares slope of log Z_N against N.  Depths are the outer
+    loop, so each word length's masses are enumerated once.
     """
     if not model.space.irreducible:
         raise ValueError("h-curve estimation needs an irreducible shift space")
     q_grid = np.unique(np.asarray(q_grid, dtype=float))
     Ns = np.asarray([N for N, _ in schedule], dtype=float)
+    logZ = np.array([[log_partition(model, q, int(N) + k) for q in q_grid] for N in Ns])
     h = np.empty_like(q_grid)
-    for iq, q in enumerate(q_grid):
-        logZ = np.asarray([log_partition(model, q, int(N) + k) for N in Ns])
-        if np.isinf(logZ).any():
+    for iq in range(len(q_grid)):
+        if np.isinf(logZ[:, iq]).any():
             h[iq] = math.inf
         else:
-            h[iq] = np.polyfit(Ns, logZ, 1)[0]
-    cert = SpectrumCurve.certify(q_grid, h, "numeric")
-    return SpectrumCurve(q_grid, h, "numeric", cert, k=k)
+            h[iq] = np.polyfit(Ns, logZ[:, iq], 1)[0]
+    return SpectrumCurve(q_grid, h, SpectrumCurve.certify(q_grid, h), k=k)
 
 
 def legendre(
@@ -100,51 +108,40 @@ def legendre(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise conjugate h*(beta) = inf_q (q beta + h(q)) over the grid.
 
-    Returns (h_star, in_domain).  Outside the slope range reachable on the
-    grid the infimum runs away; those entries are -inf with in_domain
-    False.  On a convex curve the grid minimum equals the infimum of the
+    Returns (h_star, in_domain).  Outside ``curve.slope_range()`` the
+    infimum runs away; those entries are -inf with in_domain False.  On a
+    convex curve the grid minimum equals the infimum of the
     piecewise-linear interpolant, so no off-grid refinement is needed.
     """
-    q = curve.q_grid
-    h = curve.h_values
-    if len(q) < 3:
+    if len(curve.q_grid) < 3:
         raise ValueError("need at least 3 grid points for a conjugate")
+    beta_lo, beta_hi = curve.slope_range()
     beta_grid = np.asarray(beta_grid, dtype=float)
-    finite = np.isfinite(h)
-    qf, hf = q[finite], h[finite]
-    if len(qf) < 2:
-        raise ValueError("curve has fewer than 2 finite values")
-    slopes = np.diff(hf) / np.diff(qf)
-    beta_min_reach = -float(slopes.max())
-    beta_max_reach = -float(slopes.min())
-    h_star = np.empty_like(beta_grid)
-    in_domain = np.empty(beta_grid.shape, dtype=bool)
-    for i, beta in enumerate(beta_grid):
-        if beta < beta_min_reach or beta > beta_max_reach:
-            h_star[i] = -math.inf
-            in_domain[i] = False
-        else:
-            h_star[i] = float(np.min(qf * beta + hf))
-            in_domain[i] = True
+    finite = np.isfinite(curve.h_values)
+    qf, hf = curve.q_grid[finite], curve.h_values[finite]
+    in_domain = (beta_grid >= beta_lo) & (beta_grid <= beta_hi)
+    h_star = np.where(in_domain, np.min(np.outer(beta_grid, qf) + hf, axis=1), -math.inf)
     return h_star, in_domain
 
 
-class EndpointEstimate(tuple):
-    """(beta_lower, beta_upper) with 1/q tail extrapolations as extras."""
+@dataclass(frozen=True)
+class EndpointEstimate:
+    """Attainable local-entropy interval [lower, upper], with the 1/q tail
+    extrapolations of both ends."""
 
-    def __new__(cls, lower, upper, lower_extrapolated, upper_extrapolated):
-        self = super().__new__(cls, (lower, upper))
-        self.lower = lower
-        self.upper = upper
-        self.lower_extrapolated = lower_extrapolated
-        self.upper_extrapolated = upper_extrapolated
-        self.error_bar = max(
-            abs(lower - lower_extrapolated), abs(upper - upper_extrapolated)
+    lower: float
+    upper: float
+    lower_extrapolated: float
+    upper_extrapolated: float
+
+    @property
+    def error_bar(self) -> float:
+        return max(
+            abs(self.lower - self.lower_extrapolated), abs(self.upper - self.upper_extrapolated)
         )
-        return self
 
 
-def domain_endpoints(curve: SpectrumCurve, min_abs_q: float = 10.0) -> EndpointEstimate:
+def domain_endpoints(curve: SpectrumCurve) -> EndpointEstimate:
     """Attainable local-entropy interval endpoints from the curve tails.
 
     lower = max over grid q > 0 of -h(q)/q, upper = min over q < 0; the
@@ -158,9 +155,9 @@ def domain_endpoints(curve: SpectrumCurve, min_abs_q: float = 10.0) -> EndpointE
     neg = finite & (q < 0)
     if not pos.any() or not neg.any():
         raise ValueError("grid needs finite values at both signs of q")
-    if q[pos].max() < min_abs_q or -q[neg].min() < min_abs_q:
+    if q[pos].max() < _MIN_ABS_Q or -q[neg].min() < _MIN_ABS_Q:
         raise ValueError(
-            f"grid must reach |q| >= {min_abs_q} on both sides for stable endpoints"
+            f"grid must reach |q| >= {_MIN_ABS_Q} on both sides for stable endpoints"
         )
     ratios_pos = -h[pos] / q[pos]
     ratios_neg = -h[neg] / q[neg]
@@ -207,7 +204,7 @@ def one_sided_derivatives(curve: SpectrumCurve, q: float) -> tuple[float, float]
 @dataclass(frozen=True)
 class LevelSetBin:
     beta: float
-    log_count: float
+    count: int
     word_length: int
     entropy_estimate: float
 
@@ -233,7 +230,7 @@ def level_set_spectrum_oracle(
         bins.append(
             LevelSetBin(
                 beta=j * bin_width,
-                log_count=math.log(count),
+                count=count,
                 word_length=n,
                 entropy_estimate=math.log(count) / n,
             )

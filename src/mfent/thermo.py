@@ -16,16 +16,15 @@ from .errors import ConvergenceError
 from .measures import Chain, MeasureModel
 from .perron import perron_root
 from .potential import Potential
-from .space import ShiftSpace
 from .spectrum import log_partition
 
+_SQUARINGS = 12  # partition_growth_by_squaring measures Z_n at n = 2^12
 
-def pressure(space: ShiftSpace, psi: Potential, scale: float = 1.0) -> float:
-    """Topological pressure of scale * psi: log Perron root of the weighted
-    transfer matrix over length-(r-1) word states."""
-    if psi.space != space:
-        raise ValueError("potential defined on a different space")
-    if not space.irreducible:
+
+def pressure(psi: Potential, scale: float = 1.0) -> float:
+    """Topological pressure of scale * psi on its space: log Perron root of
+    the weighted transfer matrix over length-(r-1) word states."""
+    if not psi.space.irreducible:
         raise ValueError("pressure needs an irreducible shift space")
     M, _ = psi.transfer_matrix(scale)
     return math.log(perron_root(M))
@@ -65,39 +64,34 @@ def gibbs_identity_residual(model: MeasureModel, q: float) -> float:
     every q, so zero-mass cylinders drop out of g too."""
     g = math.log(perron_root(_chain(model).q_power(q)[1]))
     psi = log_potential_of(model)
-    rhs = pressure(model.space, psi, q) - q * pressure(model.space, psi, 1.0)
+    rhs = pressure(psi, q) - q * pressure(psi, 1.0)
     if math.isinf(g) or math.isinf(rhs):
         return 0.0 if g == rhs else math.inf
     return abs(g - rhs)
 
 
-def partition_growth_by_squaring(model: MeasureModel, q: float, log2_n: int = 12) -> float:
-    """Brute partition growth (1/n) log Z_n at n = 2^log2_n, via repeated
+def partition_growth_by_squaring(model: MeasureModel, q: float) -> float:
+    """Brute partition growth (1/n) log Z_n at n = 2^12, via repeated
     squaring of the entrywise q-power with rescaling; an independent check
     on the Perron-root route."""
     piq, B = _chain(model).q_power(q)
     log_scale = 0.0
-    half = None
-    for step in range(log2_n):
+    for step in range(_SQUARINGS):
         s = B.max()
         if s <= 0:
             raise ConvergenceError("partition matrix power collapsed to zero")
         B = (B / s) @ (B / s)
         log_scale = 2.0 * (log_scale + math.log(s))
-        if step == log2_n - 2:
+        if step == _SQUARINGS - 2:
             half = (B.copy(), log_scale)
 
     def logZ(mat, ls):
         # Z at n = power + 1 (one extra step from the initial distribution)
         return math.log(float(piq @ mat @ np.ones(mat.shape[0]))) + ls
 
-    z_full = logZ(B, log_scale)
-    if half is None:
-        return z_full / ((1 << log2_n) + 1)
     # difference of two depths cancels the eigenvector prefactor, leaving
     # only a geometrically small subdominant-eigenvalue correction
-    z_half = logZ(*half)
-    return (z_full - z_half) / (1 << (log2_n - 1))
+    return (logZ(B, log_scale) - logZ(*half)) / (1 << (_SQUARINGS - 1))
 
 
 def correlation_entropy(model: MeasureModel, q: float, n: int, k: int = 0) -> float:

@@ -62,7 +62,7 @@ def gibbs3(full2):
 
 @pytest.fixture(scope="session")
 def bernoulli_gibbs(biased, gibbs3):
-    return mf.mixture(biased, gibbs3, 0.35)
+    return mf.Mixture(biased, gibbs3, 0.35)
 
 
 def random_irreducible_markov(rng: np.random.Generator, m: int = 3):

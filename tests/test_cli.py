@@ -95,6 +95,19 @@ class TestSpectrumCommand:
         assert (a / "spectrum.csv").read_bytes() == (b / "spectrum.csv").read_bytes()
         assert (a / "legendre.csv").read_bytes() == (b / "legendre.csv").read_bytes()
 
+    @pytest.mark.parametrize("extra", [{}, {"beta_grid": [0.5, 1.0]}])
+    def test_one_finite_h_is_a_numeric_failure(self, tmp_path, extra):
+        # zero-mass words make h(q) infinite at every q < 0, leaving one
+        # finite value and no chord slope for the conjugate
+        cfg = {"space": FULL2, "measure": {"kind": "bernoulli", "p": [1, 0]},
+               "q_grid": [-2, -1, 0], **extra}
+        out = tmp_path / "out"
+        proc = run_subprocess(["spectrum", "--config", json.dumps(cfg), "--out", str(out)])
+        assert proc.returncode == 1
+        assert "numeric failure" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
 
 class TestPremeasureCommand:
     def test_counting_value(self, tmp_path):
@@ -105,6 +118,17 @@ class TestPremeasureCommand:
         assert run("premeasure", cfg, tmp_path) == 0
         row = read_csv(tmp_path / "premeasure.csv")[0]
         assert float(row["value"]) == pytest.approx(1.0, abs=1e-10)
+
+    def test_value_finite_below_float_max(self, tmp_path):
+        # 2^8 packed words of weight e^{87 * 8}: log value ~701.5, value ~1e304
+        cfg = {
+            "space": FULL2, "measure": FAIR, "K": [[]],
+            "q": 0, "t": -87, "N": 1, "D": 8, "mode": "packing",
+        }
+        assert run("premeasure", cfg, tmp_path) == 0
+        row = read_csv(tmp_path / "premeasure.csv")[0]
+        assert float(row["log_value"]) == pytest.approx(87 * 8 + 8 * LOG2)
+        assert float(row["value"]) == pytest.approx(math.exp(float(row["log_value"])), rel=1e-8)
 
     def test_outer_mode(self, tmp_path):
         cfg = {
@@ -137,6 +161,15 @@ class TestEntropyCommand:
         assert methods == {"bowen", "packing_delta", "packing"}
         for r in rows:
             assert float(r["value"]) == pytest.approx(math.log(phi), abs=2e-2)
+
+    def test_numeric_string_schedule(self, tmp_path):
+        # numeric strings are numbers in every config field
+        cfg = {"space": FULL2, "measure": FAIR, "K": [[]], "schedule": [[4, 4], [6, 6]]}
+        assert run("entropy", cfg, tmp_path / "a") == 0
+        cfg["schedule"] = [["4", "4"], ["6", 6.0]]
+        assert run("entropy", cfg, tmp_path / "b") == 0
+        name = "entropy.csv"
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_numeric_failure_exit_code(self, tmp_path):
         # q > 0 with an unbounded mass-halving ratio cannot be certified
@@ -304,6 +337,12 @@ class TestConfigErrors:
             ("verify-gibbs", {"measure": MIXTURE}, "'measure.kind'"),
             ("spectrum", {"measure": {"kind": "bernoulli", "p": ["nan", 1]}}, "'measure.p'"),
             ("entropy", {"K": [[]], "q": 10**400}, "'q'"),
+            ("entropy", {"K": [[]], "schedule": [["4", 4.5]]}, "'schedule'"),
+            ("entropy", {"K": [[]], "schedule": [[4, True]]}, "'schedule'"),
+            ("spectrum", {"space": {"alphabet": 2, "transitions": [[1, 1], [1, 1.7]]}},
+             "'space.transitions'"),
+            ("spectrum", {"space": {"alphabet": 2, "transitions": [[True, True], [True, 1]]}},
+             "'space.transitions'"),
         ],
     )
     def test_bad_field_named(self, tmp_path, capsys, command, extra, field):

@@ -134,18 +134,18 @@ class TestGibbs:
 
 class TestMixture:
     def test_convex_combination(self, fair, biased):
-        mx = mf.mixture(fair, biased, 0.3)
+        mx = mf.Mixture(fair, biased, 0.3)
         w = (0, 1, 1)
         assert mx.mass(w) == pytest.approx(0.3 * fair.mass(w) + 0.7 * biased.mass(w))
 
     def test_weight_and_space_checks(self, fair, biased, parry):
         with pytest.raises(ValueError):
-            mf.mixture(fair, biased, 1.5)
+            mf.Mixture(fair, biased, 1.5)
         with pytest.raises(mf.SpaceMismatchError):
-            mf.mixture(fair, parry, 0.5)
+            mf.Mixture(fair, parry, 0.5)
 
     def test_bound_unknown(self, fair, biased):
-        assert mf.mixture(fair, biased, 0.5).one_step_log_bound() is None
+        assert mf.Mixture(fair, biased, 0.5).one_step_log_bound() is None
 
 
 class TestLogMassArray:
@@ -170,7 +170,7 @@ class TestLogMassArray:
             np.testing.assert_array_equal(arr, expected)
 
     def test_mixture_path(self, fair, biased):
-        mx = mf.mixture(fair, biased, 0.4)
+        mx = mf.Mixture(fair, biased, 0.4)
         arr = mf.log_mass_array(mx, 4)
         expected = [mx.log_mass(w) for w in mx.space.words_of_length(4)]
         np.testing.assert_array_equal(arr, expected)

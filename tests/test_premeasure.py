@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -91,6 +92,15 @@ class TestClosedForms:
         K = mf.CylinderSet(full2, [(1,)])
         v = mf.covering_premeasure(degenerate, K, P(-1, 0, 1))
         assert v.log_value == math.inf
+
+    def test_value_is_inf_exactly_where_exp_overflows(self, fair, full2):
+        # 2^8 words of weight e^{100 * 8}: log value ~805.5, past the float range
+        Y = mf.CylinderSet(full2, [()])
+        assert mf.packing_premeasure(fair, Y, P(0, -100, 1, D=8)).value == math.inf
+        log_max = math.log(sys.float_info.max)
+        assert mf.PremeasureValue(log_max).value == math.inf
+        below = math.nextafter(log_max, 0.0)
+        assert mf.PremeasureValue(below).value == math.exp(below) < math.inf
 
 
 class TestMonotonicity:

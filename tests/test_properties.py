@@ -220,7 +220,7 @@ class TestSemicontinuityProbes:
         # tiny mixture weight barely moves the value (weak-* convergence probe)
         model = bern(a)
         other = bern(1.0 - a)
-        mixed = mf.mixture(other, model, lam)
+        mixed = mf.Mixture(other, model, lam)
         K = mf.CylinderSet(FULL2, ws)
         p = params(q, t, 1)
         v0 = mf.covering_premeasure(model, K, p).log_value

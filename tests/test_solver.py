@@ -247,7 +247,7 @@ class TestDoublingGate:
         assert est.value == pytest.approx(LOG2, abs=1e-2)
 
     def test_mixture_uses_empirical_probe(self, fair, biased, full2):
-        mx = mf.mixture(fair, biased, 0.5)
+        mx = mf.Mixture(fair, biased, 0.5)
         Y = mf.CylinderSet(full2, [()])
         est = mf.bowen_entropy(mx, Y, 2.0, schedule=FAST)
         assert math.isfinite(est.value)

@@ -54,6 +54,15 @@ class TestHCurve:
         curve = mf.h_curve(fair, QG, schedule=FAST)
         assert curve.value(0.125) == pytest.approx((1 - 0.125) * LOG2, abs=2e-2)
 
+    def test_one_word_length_cached_at_a_time(self, biased):
+        # depths are the outer loop: one enumeration per schedule length
+        mf.log_mass_array.cache_clear()
+        mf.h_curve(biased, QG, schedule=FAST)
+        info = mf.log_mass_array.cache_info()
+        assert info.currsize <= 1
+        assert info.misses == len(FAST)
+        assert info.hits == len(FAST) * (len(QG) - 1)
+
 
 class TestLegendre:
     def test_fair_coin_spectrum_is_a_point(self, fair):
@@ -133,7 +142,7 @@ class TestLevelSets:
 
     def test_biased_bin_structure(self, biased):
         bins = mf.level_set_spectrum_oracle(biased, 14, 0.05)
-        total = sum(int(round(math.exp(b.log_count))) for b in bins)
+        total = sum(b.count for b in bins)
         assert total == 2**14
         betas = [b.beta for b in bins]
         assert min(betas) >= -math.log(0.75) / 1.0 - 0.05

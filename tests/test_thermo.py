@@ -13,16 +13,16 @@ PHI = (1 + math.sqrt(5)) / 2
 class TestPressure:
     def test_zero_potential_gives_topological_entropy(self, golden):
         pot = mf.Potential(golden, 2, {(0, 0): 0.0, (0, 1): 0.0, (1, 0): 0.0})
-        assert mf.pressure(golden, pot) == pytest.approx(math.log(PHI), abs=1e-12)
+        assert mf.pressure(pot) == pytest.approx(math.log(PHI), abs=1e-12)
 
     def test_full_shift_constant_potential(self, full2):
         c = -0.37
         pot = mf.Potential(full2, 2, {w: c for w in full2.words_of_length(2)})
-        assert mf.pressure(full2, pot) == pytest.approx(LOG2 + c, abs=1e-12)
+        assert mf.pressure(pot) == pytest.approx(LOG2 + c, abs=1e-12)
 
     def test_scale_argument(self, full2):
         pot = mf.Potential(full2, 2, {w: math.log(0.5) for w in full2.words_of_length(2)})
-        assert mf.pressure(full2, pot, 2.0) == pytest.approx(LOG2 + 2 * math.log(0.5), abs=1e-12)
+        assert mf.pressure(pot, 2.0) == pytest.approx(LOG2 + 2 * math.log(0.5), abs=1e-12)
 
 
 class TestClosedForm:
@@ -56,7 +56,7 @@ class TestClosedForm:
 
     def test_mixture_has_no_closed_form(self, fair, biased):
         with pytest.raises(ValueError):
-            mf.closed_form_h(mf.mixture(fair, biased, 0.5), 1.0)
+            mf.closed_form_h(mf.Mixture(fair, biased, 0.5), 1.0)
 
 
 class TestSquaringOracle:
@@ -101,7 +101,7 @@ class TestGibbsIdentity:
         # a mixture of two very different Bernoulli laws is not the
         # equilibrium state of any single-site potential
         other = mf.Bernoulli(full2, [0.05, 0.95])
-        mx = mf.mixture(fair, other, 0.5)
+        mx = mf.Mixture(fair, other, 0.5)
         with pytest.raises(ValueError):
             mf.gibbs_identity_residual(mx, 2.0)
 
