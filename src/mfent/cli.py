@@ -28,7 +28,9 @@ from .potential import Potential
 from .premeasure import (
     PremeasureParams, _refuse_deep_tree, covering_premeasure, packing_outer, packing_premeasure,
 )
-from .solver import DEFAULT_SCHEDULE, bowen_entropy, packing_entropy, packing_entropy_delta
+from .solver import (
+    DEFAULT_SCHEDULE, bowen_entropy, default_cover_depth, packing_entropy, packing_entropy_delta,
+)
 from .space import CylinderSet, ShiftSpace, make_shift
 from .spectrum import (
     _MAX_LEVEL_SET_WORDS, domain_endpoints, h_curve, legendre, level_set_spectrum_oracle,
@@ -85,19 +87,10 @@ def _to_number(v, field: str, log_weight: bool = False) -> float:
     return x
 
 
-def _numbers(raw, field: str):
-    """A number, or nested lists of numbers, each under the one number rule."""
-    if isinstance(raw, list):
-        return [_numbers(v, field) for v in raw]
-    return _to_number(raw, field)
-
-
 def _number(cfg: dict, field: str, default=None, ctx: str = "config") -> float:
-    if field not in cfg:
-        if default is None:
-            raise ConfigError(f"{ctx} is missing required field '{field}'")
+    if field not in cfg and default is not None:
         return default
-    return _to_number(cfg[field], field)
+    return _to_number(_require(cfg, field, ctx), field)
 
 
 def _integer(v, field: str) -> int:
@@ -108,11 +101,11 @@ def _integer(v, field: str) -> int:
     return int(x)
 
 
-def _integers(raw, field: str):
-    """An integer, or nested lists of integers, each under the one number rule."""
+def _numbers(raw, field: str, read=_to_number):
+    """A number, or nested lists of numbers, each read by ``read``."""
     if isinstance(raw, list):
-        return [_integers(v, field) for v in raw]
-    return _integer(raw, field)
+        return [_numbers(v, field, read) for v in raw]
+    return read(raw, field)
 
 
 def _int(cfg: dict, field: str, default=None, ctx: str = "config", lo: int | None = None) -> int:
@@ -145,7 +138,7 @@ def parse_space(cfg: dict) -> ShiftSpace:
     if not isinstance(sp, dict):
         raise ConfigError("field 'space' must be an object")
     m = _int(sp, "alphabet", ctx="space")
-    transitions = _integers(_require(sp, "transitions", "space"), "space.transitions")
+    transitions = _numbers(_require(sp, "transitions", "space"), "space.transitions", _integer)
     try:
         return make_shift(m, transitions)
     except (ValueError, TypeError) as e:
@@ -319,7 +312,7 @@ def cmd_premeasure(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
     except ValueError as e:
         raise ConfigError(str(e)) from None
     if mode == "outer":
-        cover_depth = _int(cfg, "cover_depth", min(6, N), lo=0)
+        cover_depth = _int(cfg, "cover_depth", default_cover_depth([(N, D)]), lo=0)
         if cover_depth > D:
             raise ConfigError(f"field 'cover_depth' exceeds D={D}")
     _within("fields 'D' and 'k'", _refuse_deep_tree, D, k)
@@ -340,9 +333,9 @@ def cmd_entropy(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
     q = _number(cfg, "q", 0.0)
     k = _int(cfg, "k", 0, lo=0)
     schedule = parse_schedule(cfg)
-    cover_depth = _int(cfg, "cover_depth", min(6, min(N for N, _ in schedule)), lo=0)
+    cover_depth = _int(cfg, "cover_depth", lo=0) if "cover_depth" in cfg else None
     D_min = min(D for _, D in schedule)
-    if cover_depth > D_min:
+    if cover_depth is not None and cover_depth > D_min:
         raise ConfigError(f"field 'cover_depth' exceeds the smallest schedule D={D_min}")
     _within("fields 'schedule' and 'k'", _refuse_deep_tree, max(D for _, D in schedule), k)
 
@@ -427,7 +420,10 @@ def cmd_level_spectrum(cfg: dict, model: MeasureModel, seed: int) -> list[Table]
     _within("fields 'n' and 'k'", _refuse_long_words, model.space, n + k, _MAX_LEVEL_SET_WORDS)
     q_grid = parse_grid(cfg, "q_grid", [0.0, 1.0, 2.0])
 
-    bins = level_set_spectrum_oracle(model, n, bin_width, k)
+    try:
+        bins = level_set_spectrum_oracle(model, n, bin_width, k)
+    except OverflowError as e:
+        raise ConfigError(f"field 'bin_width' invalid: {e}") from None
     rows = [(b.beta, b.count, b.entropy_estimate, b.word_length, k) for b in bins]
     res_rows = [
         (float(q), tangency_beta(model, float(q), n, k),

@@ -22,7 +22,7 @@ class BracketError(MfentError):
 
 
 class ConvergenceError(MfentError):
-    """An iterative numeric routine failed to converge (CLI exit code 1)."""
+    """A numeric routine failed to converge, or under- or overflowed (CLI exit code 1)."""
 
 
 class TooLargeError(MfentError):

@@ -52,11 +52,7 @@ def local_entropy(
     if not 0 < tail_fraction <= 1:
         raise ValueError("tail_fraction must be in (0, 1]")
     lm = model.log_mass_prefixes(x[: n_max + k])[k + 1 :]
-    est = -lm / np.arange(1, n_max + 1)
-    zero = np.flatnonzero(np.isneginf(lm))
-    hit_zero = bool(zero.size)
-    if hit_zero:
-        est[zero[0] :] = math.inf
+    est = -lm / np.arange(1, n_max + 1)  # inf from the first zero-mass prefix on
     tail_start = min(n_max - 1, int(math.floor(n_max * (1 - tail_fraction))))
     tail = est[tail_start:]
     return LocalEntropySample(
@@ -65,7 +61,7 @@ def local_entropy(
         estimates=est,
         lower=float(tail.min()),
         upper=float(tail.max()),
-        hit_zero_mass=hit_zero,
+        hit_zero_mass=bool(np.isneginf(lm).any()),
     )
 
 
@@ -80,7 +76,7 @@ def filtration_member(
         raise ValueError(f"word of length {len(x)} shorter than N + M = {N + M}")
     ns = np.arange(N, len(x) - M + 1)
     lm = model.log_mass_prefixes(x)[ns + M]
-    val = np.where(np.isneginf(lm), math.inf, -lm / ns)
+    val = -lm / ns  # inf at zero mass
     return bool(((beta - delta < val) & (val < beta + delta)).all())
 
 

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import SpaceMismatchError, TooLargeError
+from .errors import ConvergenceError, SpaceMismatchError, TooLargeError
 from .perron import perron_triple
 from .potential import Potential
 from .space import ShiftSpace, Word
@@ -182,29 +182,32 @@ class Chain(MeasureModel):
         return tuple(word[:n])
 
     def q_power(self, q: float) -> tuple[np.ndarray, np.ndarray]:
-        """Entrywise q-powers of ``init`` and ``T``; exact zeros stay 0 at every q."""
+        """Entrywise q-powers of ``init`` and ``T``; exact zeros stay 0 at every q.
+        Raises ConvergenceError when the power of T underflows to the zero
+        matrix or overflows to inf: it then has no Perron root."""
 
         def power(a: np.ndarray) -> np.ndarray:
             out = np.zeros_like(a)
             pos = a > 0
-            out[pos] = a[pos] ** q
+            with np.errstate(over="ignore"):
+                out[pos] = a[pos] ** q
             return out
 
-        return power(self.init), power(self.T)
+        T_q = power(self.T)
+        if not (T_q.any() and np.isfinite(T_q).all()):
+            raise ConvergenceError(f"the entrywise {q}-power of the transition matrix "
+                                   "under- or overflows")
+        return power(self.init), T_q
 
     def one_step_log_bound(self) -> float:
         worst = 0.0
-        # conditionals below the block length are marginal ratios of init
+        # conditionals below the block length are marginal ratios of init:
+        # +inf below a zero-mass child, nan (no ratio) below a zero-mass parent
         states, lm = self.root()
         for _ in range(1, len(self.states[0])):
             parent, _, states, kids = self.extend(states, lm)
-            for lp, lc in zip(lm[parent].tolist(), kids.tolist()):
-                p, c = math.exp(lp), math.exp(lc)
-                if p <= 0:
-                    continue
-                if c <= 0:
-                    return math.inf
-                worst = max(worst, math.log(p / c))
+            with np.errstate(invalid="ignore"):
+                worst = float(np.fmax.reduce(lm[parent] - kids, initial=worst))
             lm = kids
         # at and beyond the block length the conditionals are entries of T
         mask = self.T > 0
@@ -426,11 +429,9 @@ def doubling_check(model: MeasureModel, k: int, n_max: int) -> DoublingReport:
         keep = np.flatnonzero(live)  # zero-mass subtrees contribute no ratios below
         states, lm = model.select(states, keep), kids[keep]
 
-    empirical = math.exp(worst_log) if worst_log != math.inf else math.inf
+    empirical = math.exp(worst_log)
     bound_log = model.one_step_log_bound()
-    bound = None if bound_log is None else (
-        math.inf if math.isinf(bound_log) else math.exp(bound_log)
-    )
+    bound = None if bound_log is None else math.exp(bound_log)
     if bound is not None and math.isfinite(bound) and math.isfinite(empirical):
         # log accumulation drifts by ~1 ulp; the sup can never exceed the bound
         if empirical > bound and empirical < bound * (1 + 1e-9):

@@ -7,6 +7,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .space import ShiftSpace, Word
 
 
@@ -25,14 +26,13 @@ class Potential:
         self.space = space
         self.r = r
         tab = {tuple(w): float(v) for w, v in table.items()}
-        admissible = set(space.words_of_length(r))
         for w in tab:
-            if w not in admissible:
+            if len(w) != r or not space.is_admissible(w):
                 raise ValueError(f"potential table contains inadmissible word {w}")
-        missing = admissible - set(tab)
-        if missing:
-            w = min(missing)
-            raise ValueError(f"potential table missing admissible word {w}")
+        # the first missing word in lexicographic order, found without listing all words
+        missing = next((w for w in space.words_of_length(r) if w not in tab), None)
+        if missing is not None:
+            raise ValueError(f"potential table missing admissible word {missing}")
         self.table = tab
 
     def states(self) -> list[Word]:
@@ -43,7 +43,8 @@ class Potential:
         """Weighted transfer matrix M[u, v] = exp(scale * psi(u + v[-1])).
 
         Entries are zero when the overlap is inadmissible or the potential
-        is -inf on the composed word (structural zero).
+        is -inf on the composed word (structural zero).  Raises
+        ConvergenceError when an entry overflows.
         """
         states = self.states()
         index = {u: i for i, u in enumerate(states)}
@@ -54,5 +55,8 @@ class Potential:
                 val = self.table[w]
                 if math.isinf(val) and val < 0:
                     continue
-                M[index[u], index[w[1:]]] = math.exp(scale * val)
+                try:
+                    M[index[u], index[w[1:]]] = math.exp(scale * val)
+                except OverflowError:
+                    raise ConvergenceError(f"weight exp({scale} * {val}) overflows") from None
         return M, states

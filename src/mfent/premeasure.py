@@ -40,12 +40,12 @@ def psi(s: float, x: float) -> float:
         return math.inf if s < 0 else 0.0
     return x**s
 
-def psi_log(s: float, log_x: float) -> float:
-    """log of psi(s, exp(log_x)); log_x = -inf encodes x = 0."""
+def psi_log(s: float, log_x):
+    """log of psi(s, exp(log_x)), elementwise over an array log_x; log_x =
+    -inf encodes x = 0, where s * log_x is already +inf for s < 0 and -inf
+    for s > 0."""
     if s == 0:
-        return 0.0
-    if log_x == -math.inf:
-        return math.inf if s < 0 else -math.inf
+        return np.zeros_like(log_x, dtype=float) if np.ndim(log_x) else 0.0
     return s * log_x
 
 
@@ -132,15 +132,7 @@ class TreeEvaluator:
     # -- weights ---------------------------------------------------------
 
     def _weights(self, q: float, t: float, level: int) -> np.ndarray:
-        lm = self.log_masses[level]
-        n = level - self.k
-        if q == 0:
-            pw = np.zeros_like(lm)
-        else:
-            pw = q * lm
-            if q < 0:
-                pw[np.isneginf(lm)] = math.inf
-        return pw - t * n
+        return psi_log(q, self.log_masses[level]) - t * (level - self.k)
 
     def _children_logsum(self, level: int, child_vals: np.ndarray) -> np.ndarray:
         acc = np.logaddexp.reduceat(child_vals, self._starts[level])
@@ -174,13 +166,9 @@ class TreeEvaluator:
         anc = np.full(1, -math.inf)
         ancs = [anc]
         for level in range(1, cover_depth + 1):
-            n_parent = (level - 1) - self.k
-            parent_w = self._weights(q, t, level - 1)
-            if N <= n_parent <= self.D:
-                carried = np.maximum(anc, parent_w)
-            else:
-                carried = anc
-            anc = carried[self.parents[level]]
+            if N <= (level - 1) - self.k <= self.D:  # the parent's order is usable
+                anc = np.maximum(anc, self._weights(q, t, level - 1))
+            anc = anc[self.parents[level]]
             ancs.append(anc)
         # restricted packing value of K inside each depth-cover_depth piece
         outer = np.maximum(packs[cover_depth], ancs[cover_depth])
@@ -240,8 +228,7 @@ def antichain_oracle(
     budget = [0]
 
     def weight(w: Word) -> float:
-        lw = psi_log(p.q, model.log_mass(w)) - p.t * (len(w) - p.k)
-        return math.exp(lw) if lw != math.inf else math.inf
+        return math.exp(psi_log(p.q, model.log_mass(w)) - p.t * (len(w) - p.k))
 
     def options(w: Word) -> np.ndarray:
         """Values of every admissible antichain selection inside the subtree of w."""
@@ -266,6 +253,4 @@ def antichain_oracle(
 
     vals = options(())
     best = float(np.max(vals) if packing else np.min(vals))
-    if best == math.inf:
-        return math.inf
     return math.log(best) if best > 0 else -math.inf

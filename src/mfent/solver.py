@@ -7,7 +7,7 @@ then tracked over an (N, D) schedule.  The root finder is Brent's method
 (inverse-quadratic and secant steps guarded by bisection): the log value
 is a log-sum-exp of terms a_i - t * n_i over the orders n_i in [N, D] of
 an optimal antichain, so it is nearly linear in t and a root takes about
-5-10 sweeps where bisection took about 35.
+5-10 sweeps.
 """
 
 from __future__ import annotations
@@ -35,6 +35,18 @@ class EntropyEstimate:
     degenerate: bool = False
 
 
+def _walk_out(log_value_at: Callable[[float], float], t: float, f_t: float, width: float,
+              sign: float) -> tuple[float, float]:
+    """Move a bracket end out by width, 2 width, ... (60 steps at most) until
+    sign * value > 0: sign 1 at the lower end, -1 at the upper."""
+    for _ in range(60):
+        if sign * f_t > 0.0:
+            break
+        t, width = t - sign * width, 2.0 * width
+        f_t = log_value_at(t)
+    return t, f_t
+
+
 def _critical_exponent_impl(
     log_value_at: Callable[[float], float],
     bracket: tuple[float, float],
@@ -51,27 +63,13 @@ def _critical_exponent_impl(
         # flat at the critical value: exactly-normalized degenerate case
         return 0.5 * (lo + hi), True
 
-    width = hi - lo
-    for _ in range(60):
-        if f_lo > 0.0:
-            break
-        lo -= width
-        width *= 2.0
-        f_lo = log_value_at(lo)
-    else:
-        if f_lo <= 0.0:
-            # value never exceeds 1: the transition sits at -infinity
-            return -math.inf, False
-    width = hi - lo
-    for _ in range(60):
-        if f_hi < 0.0:
-            break
-        hi += width
-        width *= 2.0
-        f_hi = log_value_at(hi)
-    else:
-        if f_hi >= 0.0:
-            return math.inf, False
+    lo, f_lo = _walk_out(log_value_at, lo, f_lo, hi - lo, 1.0)
+    if f_lo <= 0.0:
+        # value never exceeds 1: the transition sits at -infinity
+        return -math.inf, False
+    hi, f_hi = _walk_out(log_value_at, hi, f_hi, hi - lo, -1.0)
+    if f_hi >= 0.0:
+        return math.inf, False
 
     # Brent's zeroin (Brent 1973, ch. 4).  [b, c] brackets the sign change,
     # b is the end with the smaller |value| and a is the previous b.  A step
@@ -143,6 +141,11 @@ def critical_exponent(
     return _critical_exponent_impl(log_value_at, bracket, tol)[0]
 
 
+def default_cover_depth(schedule: Sequence[tuple[int, int]]) -> int:
+    """min(6, smallest N): every entry's cover depth when none is given."""
+    return min(6, min(N for N, _ in schedule))
+
+
 def _default_bracket(model: MeasureModel, q: float) -> tuple[float, float]:
     span = math.log(model.space.alphabet_size) * (2.0 + abs(q)) + 1.0
     return (-span, span)
@@ -152,16 +155,9 @@ def _schedule_estimate(
     values: list[tuple[int, int, float]], k: int, degenerate: bool
 ) -> EntropyEstimate:
     N, D, val = values[-1]
-    if len(values) >= 2:
-        err = abs(values[-1][2] - values[-2][2])
-        if math.isnan(err):
-            err = math.inf
-    else:
-        err = math.inf
-    return EntropyEstimate(
-        value=val, N_used=N, D_used=D, k=k, error_bar=err,
-        degenerate=degenerate,
-    )
+    err = abs(val - values[-2][2]) if len(values) >= 2 else math.inf
+    err = math.inf if math.isnan(err) else err  # nan: two infinite roots of one sign
+    return EntropyEstimate(value=val, N_used=N, D_used=D, k=k, error_bar=err, degenerate=degenerate)
 
 
 def _run_schedule(
@@ -183,8 +179,7 @@ def _run_schedule(
         elif sweep == "packing":
             f = lambda t: ev.packing_log(q, t, N)
         else:
-            cd = min(6, N) if cover_depth is None else cover_depth
-            f = lambda t: ev.outer_log(q, t, N, cd)
+            f = lambda t: ev.outer_log(q, t, N, cover_depth)
         root, deg = _critical_exponent_impl(f, bracket, _SCHEDULE_TOL)
         degenerate = degenerate or deg
         values.append((N, D, root))
@@ -240,8 +235,8 @@ def packing_entropy(
     schedule: Sequence[tuple[int, int]] = DEFAULT_SCHEDULE,
     cover_depth: int | None = None,
 ) -> EntropyEstimate:
-    """Critical exponent of the cover-refined packing construction.
-
-    cover_depth defaults to min(6, N) per schedule entry.
-    """
-    return _run_schedule(model, E, q, k, schedule, "outer", cover_depth=cover_depth)
+    """Critical exponent of the cover-refined packing construction; every
+    entry covers at ``cover_depth``, by default min(6, smallest N)."""
+    if cover_depth is None:
+        cover_depth = default_cover_depth(schedule)
+    return _run_schedule(model, E, q, k, schedule, "outer", cover_depth)

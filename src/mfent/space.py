@@ -30,11 +30,12 @@ class ShiftSpace:
     """
 
     def __init__(self, transitions: Sequence[Sequence[int]]):
-        A = np.asarray(transitions, dtype=np.int8)
+        A = np.asarray(transitions)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"transition matrix must be square, got shape {A.shape}")
-        if not np.isin(A, (0, 1)).all():
+        if not np.isin(A, (0, 1)).all():  # before the cast, which would wrap or truncate
             raise ValueError("transition matrix entries must be 0 or 1")
+        A = A.astype(np.int8)
         m = A.shape[0]
         if m < 2:
             raise ValueError("alphabet must have at least 2 symbols")

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import BracketError
 from .measures import MeasureModel, _refuse_long_words, log_mass_array, logsumexp
+from .premeasure import psi_log
 from .solver import DEFAULT_SCHEDULE
 
 _CONVEXITY_SLACK = 2e-2  # second differences of a schedule-regressed curve
@@ -30,11 +31,9 @@ def log_partition(model: MeasureModel, q: float, length: int) -> float:
         return math.log(arr.size)
     if q == 1:
         return 0.0  # the masses of a level sum to one
-    if q < 0:
-        if np.isneginf(arr).any():
-            return math.inf
-        return logsumexp(q * arr)
-    return logsumexp(q * arr[~np.isneginf(arr)])
+    # zero masses: dropped at q > 0 (keeps numpy's summation order), +inf at q < 0;
+    # the filtered copy is a temporary, so it is freed before logsumexp's own arrays
+    return logsumexp(psi_log(q, arr[~np.isneginf(arr)] if q > 0 else arr))
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,6 @@ class SpectrumCurve:
     q_grid: np.ndarray
     h_values: np.ndarray
     convexity_certificate: bool
-    k: int = 0
 
     def __post_init__(self):
         q = np.asarray(self.q_grid, dtype=float)
@@ -100,7 +98,7 @@ def h_curve(
             h[iq] = math.inf
         else:
             h[iq] = np.polyfit(Ns, logZ[:, iq], 1)[0]
-    return SpectrumCurve(q_grid, h, SpectrumCurve.certify(q_grid, h), k=k)
+    return SpectrumCurve(q_grid, h, SpectrumCurve.certify(q_grid, h))
 
 
 def legendre(
@@ -165,11 +163,11 @@ def domain_endpoints(curve: SpectrumCurve) -> EndpointEstimate:
     upper = float(ratios_neg.min())
 
     def tail_extrapolate(qs: np.ndarray, vals: np.ndarray) -> float:
+        if len(qs) < 2:
+            raise ValueError(f"a tail needs 2 finite points to extrapolate, got {len(qs)}")
         order = np.argsort(np.abs(qs))
         q1, q2 = qs[order][-2:]
         v1, v2 = vals[order][-2:]
-        if q1 == q2:
-            return float(v2)
         # v = a + b/q  =>  a = (q2 v2 - q1 v1) / (q2 - q1)
         return float((q2 * v2 - q1 * v1) / (q2 - q1))
 
@@ -216,26 +214,23 @@ def level_set_spectrum_oracle(
 
     Each word contributes beta_w = -(1/n) log mass; bins are centered at
     integer multiples of bin_width and carry (1/n) log count as the
-    entropy estimate.  Zero-mass words (beta = inf) are dropped.
+    entropy estimate.  Zero-mass words (beta = inf) are dropped.  Raises
+    OverflowError when bin_width is too small for a bin index to be finite.
     """
     _refuse_long_words(model.space, n + k, _MAX_LEVEL_SET_WORDS)
     if bin_width <= 0:
         raise ValueError("bin width must be positive")
     arr = log_mass_array(model, n + k)
     betas = -arr[~np.isneginf(arr)] / n
-    idx = np.round(betas / bin_width).astype(int)
-    bins = []
-    for j in sorted(set(idx.tolist())):
-        count = int((idx == j).sum())
-        bins.append(
-            LevelSetBin(
-                beta=j * bin_width,
-                count=count,
-                word_length=n,
-                entropy_estimate=math.log(count) / n,
-            )
-        )
-    return bins
+    with np.errstate(over="ignore"):
+        idx = np.round(betas / bin_width) + 0.0  # + 0.0 makes a -0.0 index 0.0
+    if not np.isfinite(idx).all():
+        raise OverflowError(f"bin width {bin_width} is too small: a bin index overflows")
+    js, counts = np.unique(idx, return_counts=True)
+    return [
+        LevelSetBin(beta=j * bin_width, count=c, word_length=n, entropy_estimate=math.log(c) / n)
+        for j, c in zip(js.tolist(), counts.tolist())
+    ]
 
 
 def level_set_window(
@@ -257,7 +252,7 @@ def tangency_beta(model: MeasureModel, q: float, n: int, k: int = 0) -> float:
     finite = arr[~np.isneginf(arr)]
     if q < 0 and finite.size != arr.size:
         raise ValueError("partition derivative undefined: zero-mass word at q < 0")
-    w = q * finite
+    w = psi_log(q, finite)
     w = np.exp(w - w.max())
     return float(-(w @ finite) / (w.sum() * n))
 
@@ -275,5 +270,5 @@ def level_tangency_residual(
             f"no admissible word has local entropy within {half_width} of {beta}"
         )
     lhs = math.log(count) / n
-    t_star = logsumexp(q * masses) / n
+    t_star = logsumexp(psi_log(q, masses)) / n
     return abs(lhs - (q * beta + t_star))

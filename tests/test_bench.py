@@ -3,16 +3,31 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def bench_result(workload, trace):
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "0",
+         "--seconds", "0", "--trace", trace],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout, json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_traced_benchmark_pass():
     """The benchmark's tracer wraps and reads mfent names from outside the
     package; a rename or deletion that breaks it fails here."""
-    proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "entropy-schedule", "--seed", "0",
-         "--seconds", "0", "--trace", "1"],
-        cwd=ROOT, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True, proc.stdout[-2000:]
+    stdout, result = bench_result("entropy-schedule", "1")
+    assert result["correct"] is True, stdout[-2000:]
+
+
+@pytest.mark.parametrize("workload", ["partition-spectrum", "exponent-scan"])
+def test_benchmark_pass_matches_reference(workload):
+    """Partition sums, level histograms and critical exponents against the
+    outcomes recorded in bench/reference.json."""
+    stdout, result = bench_result(workload, "0")
+    assert result["correct"] is True, stdout[-2000:]

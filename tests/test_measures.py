@@ -131,6 +131,11 @@ class TestGibbs:
         with pytest.raises(ValueError, match="0"):
             mf.Potential(full2, 2, {(0, 0): 0.0})
 
+    def test_missing_word_found_without_listing_all_words(self, full2):
+        # 2^40 words of length 40; the lexicographically first missing one is named
+        with pytest.raises(ValueError, match=r"missing admissible word \(0, (0, ){38}1\)"):
+            mf.Potential(full2, 40, {(0,) * 40: 0.0})
+
 
 class TestMixture:
     def test_convex_combination(self, fair, biased):

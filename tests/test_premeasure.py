@@ -41,6 +41,14 @@ class TestGauge:
         assert mf.psi_log(1.0, -math.inf) == -math.inf
         assert mf.psi_log(0.0, -math.inf) == 0.0
 
+    @pytest.mark.parametrize("s", [-2.5, -1.0, 0.0, 0.5, 3.0])
+    def test_log_gauge_on_arrays_matches_scalars_bitwise(self, s):
+        log_x = np.array([-math.inf, -745.0, -1.5, -0.0, 0.0, 0.7, math.inf])
+        want = [mf.psi_log(s, float(v)) for v in log_x]
+        got = mf.psi_log(s, log_x)
+        assert got.shape == log_x.shape
+        assert got.tobytes() == np.array(want).tobytes()
+
 
 class TestParamsValidation:
     def test_order_window(self):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import mfent as mf
 from conftest import random_irreducible_markov
+from mfent.solver import default_cover_depth
 
 LOG2 = math.log(2)
 PHI = (1 + math.sqrt(5)) / 2
@@ -208,6 +209,17 @@ class TestSubshift:
         delta = mf.packing_entropy_delta(parry, Y, 0.0, schedule=FAST)
         refined = mf.packing_entropy(parry, Y, 0.0, schedule=FAST)
         assert refined.value == pytest.approx(delta.value, abs=1e-9)
+
+
+class TestCoverDepthDefault:
+    def test_packing_default_is_min_6_smallest_N(self, biased, full2):
+        # the smallest N is 4, so every entry covers at depth 4, the 8 and 10 ones too
+        K = mf.CylinderSet(full2, [(0,), (1, 1)])
+        assert default_cover_depth(FAST) == 4
+        default = mf.packing_entropy(biased, K, 0.5, schedule=FAST)
+        explicit = mf.packing_entropy(biased, K, 0.5, schedule=FAST, cover_depth=4)
+        assert default == explicit
+        assert default_cover_depth(((8, 8), (12, 12))) == 6
 
 
 class TestRestrictedSets:

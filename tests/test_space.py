@@ -10,6 +10,10 @@ def test_make_shift_rejects_bad_matrix():
         mf.make_shift(2, [[1, 2], [1, 1]])
     with pytest.raises(ValueError):
         mf.make_shift(3, [[1, 1], [1, 1]])
+    # checked before the int8 cast, which would truncate 1.7 and overflow on 257
+    for bad in (1.7, 257, -255):
+        with pytest.raises(ValueError, match="0 or 1"):
+            mf.make_shift(2, [[1, 1], [1, bad]])
 
 
 def test_dead_symbol_detected():

@@ -114,6 +114,13 @@ class TestEndpoints:
         with pytest.raises(ValueError):
             mf.domain_endpoints(curve)
 
+    def test_one_point_tail_rejected(self):
+        # one finite q > 0, far enough out: the tail has nothing to extrapolate
+        curve = mf.SpectrumCurve(np.array([-20.0, -10.0, 0.0, 10.0]),
+                                 np.array([20.0, 10.0, 0.7, -5.0]), False)
+        with pytest.raises(ValueError, match="a tail needs 2 finite points"):
+            mf.domain_endpoints(curve)
+
 
 class TestDerivatives:
     def test_fair_coin_constant_slope(self, fair):
