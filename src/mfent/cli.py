@@ -29,7 +29,8 @@ from .premeasure import (
     PremeasureParams, _refuse_deep_tree, covering_premeasure, packing_outer, packing_premeasure,
 )
 from .solver import (
-    DEFAULT_SCHEDULE, bowen_entropy, default_cover_depth, packing_entropy, packing_entropy_delta,
+    DEFAULT_SCHEDULE, bowen_entropy, default_cover_depth, outer_is_packing, packing_entropy,
+    packing_entropy_delta,
 )
 from .space import CylinderSet, ShiftSpace, make_shift
 from .spectrum import (
@@ -80,8 +81,8 @@ def _to_number(v, field: str, log_weight: bool = False) -> float:
         raise ConfigError(f"field '{field}' is not a number: {v!r}")
     try:
         x = float(v)
-    except OverflowError:  # an integer beyond the float range
-        x = math.inf
+    except OverflowError:  # an integer beyond the float range; its digits are not echoed
+        raise ConfigError(f"field '{field}' is beyond the float range") from None
     if not (math.isfinite(x) or (log_weight and x == -math.inf)):
         raise ConfigError(f"field '{field}' must be finite, got {v}")
     return x
@@ -333,17 +334,19 @@ def cmd_entropy(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
     q = _number(cfg, "q", 0.0)
     k = _int(cfg, "k", 0, lo=0)
     schedule = parse_schedule(cfg)
-    cover_depth = _int(cfg, "cover_depth", lo=0) if "cover_depth" in cfg else None
+    cover_depth = _int(cfg, "cover_depth", default_cover_depth(schedule), lo=0)
     D_min = min(D for _, D in schedule)
-    if cover_depth is not None and cover_depth > D_min:
+    if cover_depth > D_min:
         raise ConfigError(f"field 'cover_depth' exceeds the smallest schedule D={D_min}")
     _within("fields 'schedule' and 'k'", _refuse_deep_tree, max(D for _, D in schedule), k)
 
-    estimates = (
-        ("bowen", bowen_entropy(model, K, q, k, schedule)),
-        ("packing_delta", packing_entropy_delta(model, K, q, k, schedule)),
-        ("packing", packing_entropy(model, K, q, k, schedule, cover_depth)),
+    bowen = bowen_entropy(model, K, q, k, schedule)
+    delta = packing_entropy_delta(model, K, q, k, schedule)
+    packing = (
+        delta if outer_is_packing(schedule, k, cover_depth)
+        else packing_entropy(model, K, q, k, schedule, cover_depth)
     )
+    estimates = (("bowen", bowen), ("packing_delta", delta), ("packing", packing))
     return [(
         "entropy.csv",
         ["method", "q", "N", "D", "k", "value", "error_bar", "degenerate"],

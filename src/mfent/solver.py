@@ -146,6 +146,13 @@ def default_cover_depth(schedule: Sequence[tuple[int, int]]) -> int:
     return min(6, min(N for N, _ in schedule))
 
 
+def outer_is_packing(schedule: Sequence[tuple[int, int]], k: int, cover_depth: int) -> bool:
+    """True when every entry covers at a depth in [0, min(N + k, D)]: no
+    ancestor ball is usable above the cover and the packing fold is a plain
+    sum there, so ``outer_log`` equals ``packing_log`` bit for bit."""
+    return all(0 <= cover_depth <= min(N + k, D) for N, D in schedule)
+
+
 def _default_bracket(model: MeasureModel, q: float) -> tuple[float, float]:
     span = math.log(model.space.alphabet_size) * (2.0 + abs(q)) + 1.0
     return (-span, span)
@@ -236,7 +243,11 @@ def packing_entropy(
     cover_depth: int | None = None,
 ) -> EntropyEstimate:
     """Critical exponent of the cover-refined packing construction; every
-    entry covers at ``cover_depth``, by default min(6, smallest N)."""
+    entry covers at ``cover_depth``, by default min(6, smallest N).  Where
+    ``outer_is_packing`` holds (always at the default) it is the
+    ``packing_entropy_delta`` estimate."""
     if cover_depth is None:
         cover_depth = default_cover_depth(schedule)
+    if outer_is_packing(schedule, k, cover_depth):
+        return packing_entropy_delta(model, E, q, k, schedule)
     return _run_schedule(model, E, q, k, schedule, "outer", cover_depth)

@@ -4,6 +4,8 @@ level-set spectrum oracles built from exhaustive word enumeration.
 h(q) is estimated as the growth rate in N of log Z_N(q), where Z_N is
 the gauge-weighted partition sum over admissible length-(N+k) words; the
 slope regression over a schedule of depths removes additive transients.
+``log_partition`` takes a scalar q or an array of q, so ``h_curve`` loads
+each word length once and sums it for the whole grid.
 """
 
 from __future__ import annotations
@@ -24,16 +26,39 @@ _MAX_LEVEL_SET_WORDS = 1 << 16
 _MIN_ABS_Q = 10.0  # the grid reach both tails need for stable endpoints
 
 
-def log_partition(model: MeasureModel, q: float, length: int) -> float:
-    """log sum over admissible length-``length`` words of psi_q(mass)."""
+def log_partition(model: MeasureModel, q, length: int):
+    """log sum over admissible length-``length`` words of psi_q(mass), for a
+    scalar q (a float back) or an array of q (an array of its shape back).
+
+    The level is loaded once, with its min, max and (if it has zero
+    masses) zero-filtered copy.  Every q but 0 and 1 then runs in one
+    buffer reused over the whole level, and bit for bit equals
+    ``logsumexp(psi_log(q, masses))``: rounding is monotone, so the largest
+    term is q*max (q > 0) or q*min (q < 0), and the sum runs over the same
+    contiguous array in the same pairwise order.
+    """
     arr = log_mass_array(model, length)
-    if q == 0:
-        return math.log(arr.size)
-    if q == 1:
-        return 0.0  # the masses of a level sum to one
-    # zero masses: dropped at q > 0 (keeps numpy's summation order), +inf at q < 0;
-    # the filtered copy is a temporary, so it is freed before logsumexp's own arrays
-    return logsumexp(psi_log(q, arr[~np.isneginf(arr)] if q > 0 else arr))
+    qs = np.asarray(q, dtype=float)
+    lo, hi_mass = float(arr.min()), float(arr.max())
+    # zero masses: dropped at q > 0 (keeps numpy's summation order), +inf at q < 0
+    live = arr[~np.isneginf(arr)] if lo == -math.inf else arr
+    buf = np.empty_like(live)
+    out = np.empty(qs.shape)
+    for i, qi in np.ndenumerate(qs):
+        qi = float(qi)
+        hi = qi * (hi_mass if qi > 0 else lo)
+        if qi == 0:
+            out[i] = math.log(arr.size)
+        elif qi == 1:
+            out[i] = 0.0  # the masses of a level sum to one
+        elif math.isinf(hi):
+            out[i] = hi
+        else:
+            np.multiply(live, qi, out=buf)
+            np.subtract(buf, hi, out=buf)
+            np.exp(buf, out=buf)
+            out[i] = hi + math.log(float(buf.sum()))
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -91,7 +116,7 @@ def h_curve(
         raise ValueError("h-curve estimation needs an irreducible shift space")
     q_grid = np.unique(np.asarray(q_grid, dtype=float))
     Ns = np.asarray([N for N, _ in schedule], dtype=float)
-    logZ = np.array([[log_partition(model, q, int(N) + k) for q in q_grid] for N in Ns])
+    logZ = np.array([log_partition(model, q_grid, int(N) + k) for N in Ns])
     h = np.empty_like(q_grid)
     for iq in range(len(q_grid)):
         if np.isinf(logZ[:, iq]).any():

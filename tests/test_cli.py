@@ -359,6 +359,13 @@ class TestConfigErrors:
         assert field in err
         assert "Traceback" not in err
 
+    def test_integer_beyond_float_range_not_echoed(self, tmp_path, capsys):
+        cfg = {"space": {"alphabet": 2, "transitions": [[1, 10**400], [1, 1]]}, "measure": FAIR}
+        assert run("spectrum", cfg, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "'space.transitions'" in err and "beyond the float range" in err
+        assert len(err) < 100, err
+
 
 class TestNoWorkOnBadConfig:
     """Every field, size caps included, is checked before any work: a bad or

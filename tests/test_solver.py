@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import mfent as mf
 from conftest import random_irreducible_markov
-from mfent.solver import default_cover_depth
+from mfent.solver import default_cover_depth, outer_is_packing
 
 LOG2 = math.log(2)
 PHI = (1 + math.sqrt(5)) / 2
@@ -220,6 +220,42 @@ class TestCoverDepthDefault:
         explicit = mf.packing_entropy(biased, K, 0.5, schedule=FAST, cover_depth=4)
         assert default == explicit
         assert default_cover_depth(((8, 8), (12, 12))) == 6
+
+
+WIDE = ((4, 8), (8, 8))
+
+
+class TestOuterIsPacking:
+    """Covering at a depth <= N + k leaves no usable ancestor ball and a
+    plain-sum packing fold above the cover: the cover-refined packing is
+    the raw packing bit for bit, and packing_entropy reuses that estimate."""
+
+    @pytest.mark.parametrize("name", ["biased", "gibbs3", "bernoulli_gibbs"])
+    def test_outer_log_is_packing_log_bitwise(self, request, full2, name):
+        model = request.getfixturevalue(name)
+        K = mf.CylinderSet(full2, [(0,), (1, 1)])
+        for k in (0, 2):
+            ev = mf.TreeEvaluator(model, K, k, 8)
+            for N in (1, 4, 8):
+                for depth in range(min(N + k, 8) + 1):
+                    assert outer_is_packing([(N, 8)], k, depth)
+                    for q, t in ((-2.0, 0.3), (0.0, 0.7), (0.5, -0.1), (3.0, 1.2)):
+                        assert ev.outer_log(q, t, N, depth) == ev.packing_log(q, t, N)
+
+    def test_condition(self):
+        assert outer_is_packing(FAST, 0, default_cover_depth(FAST))
+        assert outer_is_packing(WIDE, 1, 5)
+        assert not outer_is_packing(WIDE, 0, 5)  # above N + k of the (4, 8) entry
+        assert not outer_is_packing(((4, 4),), 2, 5)  # below N + k, above D
+        assert not outer_is_packing(FAST, 0, -1)
+
+    def test_packing_entropy_reuses_delta(self, biased, full2):
+        K = mf.CylinderSet(full2, [(0,), (1, 1)])
+        delta = mf.packing_entropy_delta(biased, K, 0.5, k=1, schedule=WIDE)
+        assert mf.packing_entropy(biased, K, 0.5, k=1, schedule=WIDE) == delta
+        assert mf.packing_entropy(biased, K, 0.5, k=1, schedule=WIDE, cover_depth=5) == delta
+        with pytest.raises(ValueError):
+            mf.packing_entropy(biased, K, 0.5, schedule=((4, 4),), cover_depth=5)
 
 
 class TestRestrictedSets:

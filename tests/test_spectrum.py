@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,74 @@ class TestPartition:
     def test_zero_mass_blowup(self, full2):
         degenerate = mf.Bernoulli(full2, [1.0, 0.0])
         assert mf.log_partition(degenerate, -1.0, 4) == math.inf
+
+
+def old_log_partition(model, q, length):
+    """One q at a time, each pass into fresh arrays: the reference that the
+    reused-buffer loop of log_partition must match bit for bit."""
+    arr = mf.log_mass_array(model, length)
+    if q == 0:
+        return math.log(arr.size)
+    if q == 1:
+        return 0.0
+    return mf.logsumexp(mf.psi_log(q, arr[~np.isneginf(arr)] if q > 0 else arr))
+
+
+FULL3 = np.ones((3, 3), dtype=int)
+# the zero admissible transition 2 -> 2 gives zero-mass words
+ZERO_STEP_P = [[0.2, 0.3, 0.5], [0.3, 0.3, 0.4], [0.5, 0.5, 0.0]]
+EDGE_Q = np.array([-40, -2.5, -1e-3, 0, 1e-3, 1, 2.5, 40])
+
+
+class TestPartitionBuffer:
+    @pytest.fixture(
+        params=["bernoulli", "bernoulli-one-zero", "parry", "markov-zero-step", "gibbs3",
+                "mixture"]
+    )
+    def model(self, request, full2, parry, gibbs3, bernoulli_gibbs):
+        return {
+            "bernoulli": lambda: mf.Bernoulli(full2, [0.3, 0.7]),
+            "bernoulli-one-zero": lambda: mf.Bernoulli(full2, [1.0, 0.0]),
+            "parry": lambda: parry,
+            "markov-zero-step": lambda: mf.Markov(mf.make_shift(3, FULL3), ZERO_STEP_P),
+            "gibbs3": lambda: gibbs3,
+            "mixture": lambda: bernoulli_gibbs,
+        }[request.param]()
+
+    def test_matches_old_expression_bitwise(self, model):
+        for length in range(11):
+            got = mf.log_partition(model, EDGE_Q, length)
+            want = np.array([old_log_partition(model, q, length) for q in EDGE_Q])
+            assert got.shape == EDGE_Q.shape
+            assert np.array_equal(got, want), (length, got, want)
+            for q, w in zip(EDGE_Q.tolist(), want.tolist()):
+                one = mf.log_partition(model, q, length)
+                assert type(one) is float
+                assert np.array_equal(one, w), (length, q, one, w)
+
+    def test_array_shape_kept(self, model):
+        qs = EDGE_Q.reshape(2, 4)
+        got = mf.log_partition(model, qs, 6)
+        assert got.shape == (2, 4)
+        assert np.array_equal(got.ravel(), mf.log_partition(model, EDGE_Q, 6))
+
+    @pytest.mark.parametrize(
+        "P", [np.full((3, 3), 1 / 3), ZERO_STEP_P], ids=["positive", "zero-step"]
+    )
+    def test_grid_peak_memory(self, P):
+        """A 25-point grid on a cached 3^12 level allocates one q-buffer, plus
+        the zero-filtered copy when the level has zero masses: never the
+        fresh arrays per q of the one-q-at-a-time expression (about 3x)."""
+        model = mf.Markov(mf.make_shift(3, FULL3), P)
+        level = mf.log_mass_array(model, 12)
+        tracemalloc.start()
+        try:
+            mf.log_partition(model, np.linspace(-3, 3, 25), 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mf.log_mass_array.cache_info().currsize == 1
+        assert peak <= 2 * level.nbytes + (1 << 20), (peak, level.nbytes)
 
 
 class TestHCurve:
@@ -55,13 +124,13 @@ class TestHCurve:
         assert curve.value(0.125) == pytest.approx((1 - 0.125) * LOG2, abs=2e-2)
 
     def test_one_word_length_cached_at_a_time(self, biased):
-        # depths are the outer loop: one enumeration per schedule length
+        # depths are the outer loop: one lookup per schedule length, whole grid at once
         mf.log_mass_array.cache_clear()
         mf.h_curve(biased, QG, schedule=FAST)
         info = mf.log_mass_array.cache_info()
         assert info.currsize <= 1
         assert info.misses == len(FAST)
-        assert info.hits == len(FAST) * (len(QG) - 1)
+        assert info.hits == 0
 
 
 class TestLegendre:
