@@ -243,11 +243,7 @@ def packing_entropy(
     cover_depth: int | None = None,
 ) -> EntropyEstimate:
     """Critical exponent of the cover-refined packing construction; every
-    entry covers at ``cover_depth``, by default min(6, smallest N).  Where
-    ``outer_is_packing`` holds (always at the default) it is the
-    ``packing_entropy_delta`` estimate."""
+    entry covers at ``cover_depth``, by default min(6, smallest N)."""
     if cover_depth is None:
         cover_depth = default_cover_depth(schedule)
-    if outer_is_packing(schedule, k, cover_depth):
-        return packing_entropy_delta(model, E, q, k, schedule)
     return _run_schedule(model, E, q, k, schedule, "outer", cover_depth)

@@ -167,6 +167,20 @@ class TestEntropyCommand:
         for r in rows:
             assert float(r["value"]) == pytest.approx(math.log(phi), abs=2e-2)
 
+    def test_cover_depth_above_n_plus_k(self, tmp_path):
+        # depth 5 is above N + k = 4 of the (4, 8) entry, so the packing row
+        # comes from the cover-refined sweep, not from the packing_delta row
+        cfg = {"space": FULL2, "measure": BIASED, "K": [[0], [1, 0, 1]], "q": 0.5,
+               "schedule": [[4, 8], [8, 8]], "cover_depth": 5}
+        assert run("entropy", cfg, tmp_path) == 0
+        rows = {r["method"]: r for r in read_csv(tmp_path / "entropy.csv")}
+        space = mfent.make_shift(2, FULL2["transitions"])
+        K = mfent.CylinderSet(space, [(0,), (1, 0, 1)])
+        est = mfent.packing_entropy(mfent.Bernoulli(space, BIASED["p"]), K, 0.5,
+                                    schedule=((4, 8), (8, 8)), cover_depth=5)
+        assert float(rows["packing"]["value"]) == pytest.approx(est.value, abs=1e-11)
+        assert float(rows["packing"]["value"]) <= float(rows["packing_delta"]["value"]) + 1e-9
+
     def test_numeric_string_schedule(self, tmp_path):
         # numeric strings are numbers in every config field
         cfg = {"space": FULL2, "measure": FAIR, "K": [[]], "schedule": [[4, 4], [6, 6]]}

@@ -228,7 +228,7 @@ WIDE = ((4, 8), (8, 8))
 class TestOuterIsPacking:
     """Covering at a depth <= N + k leaves no usable ancestor ball and a
     plain-sum packing fold above the cover: the cover-refined packing is
-    the raw packing bit for bit, and packing_entropy reuses that estimate."""
+    the raw packing bit for bit, so `mfent entropy` may reuse that estimate."""
 
     @pytest.mark.parametrize("name", ["biased", "gibbs3", "bernoulli_gibbs"])
     def test_outer_log_is_packing_log_bitwise(self, request, full2, name):
@@ -249,13 +249,25 @@ class TestOuterIsPacking:
         assert not outer_is_packing(((4, 4),), 2, 5)  # below N + k, above D
         assert not outer_is_packing(FAST, 0, -1)
 
-    def test_packing_entropy_reuses_delta(self, biased, full2):
+    def test_outer_sweep_gives_delta_estimate(self, biased, full2):
         K = mf.CylinderSet(full2, [(0,), (1, 1)])
         delta = mf.packing_entropy_delta(biased, K, 0.5, k=1, schedule=WIDE)
         assert mf.packing_entropy(biased, K, 0.5, k=1, schedule=WIDE) == delta
         assert mf.packing_entropy(biased, K, 0.5, k=1, schedule=WIDE, cover_depth=5) == delta
         with pytest.raises(ValueError):
             mf.packing_entropy(biased, K, 0.5, schedule=((4, 4),), cover_depth=5)
+
+    @pytest.mark.parametrize("name", ["biased", "gibbs3", "bernoulli_gibbs"])
+    def test_refined_below_raw_above_n_plus_k(self, request, full2, name):
+        # depth 5 is above N + k = 4 of the (4, 8) entry: the outer sweep runs
+        model = request.getfixturevalue(name)
+        K = mf.CylinderSet(full2, [(0,), (1, 0, 1)])
+        assert not outer_is_packing(WIDE, 0, 5)
+        for q in (-1.0, 0.0, 2.0):
+            raw = mf.packing_entropy_delta(model, K, q, schedule=WIDE)
+            refined = mf.packing_entropy(model, K, q, schedule=WIDE, cover_depth=5)
+            assert refined.value <= raw.value + 1e-9
+            assert refined.error_bar < math.inf
 
 
 class TestRestrictedSets:
