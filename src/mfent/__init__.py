@@ -30,13 +30,8 @@ from .measures import (
 )
 from .potential import Potential
 from .premeasure import (
-    PremeasureParams,
-    PremeasureValue,
     TreeEvaluator,
     antichain_oracle,
-    covering_premeasure,
-    packing_outer,
-    packing_premeasure,
     psi,
     psi_log,
 )

@@ -25,9 +25,7 @@ from .measures import (
     Bernoulli, Chain, Gibbs, Markov, MeasureModel, Mixture, _refuse_long_words, doubling_check,
 )
 from .potential import Potential
-from .premeasure import (
-    PremeasureParams, _refuse_deep_tree, covering_premeasure, packing_outer, packing_premeasure,
-)
+from .premeasure import TreeEvaluator, _refuse_deep_tree
 from .solver import (
     DEFAULT_SCHEDULE, bowen_entropy, default_cover_depth, outer_is_packing, packing_entropy,
     packing_entropy_delta,
@@ -43,6 +41,8 @@ DEFAULT_Q_GRID = [round(-3.0 + 0.25 * i, 6) for i in range(25)]
 
 # `local` samples count words of n + k symbols each
 _MAX_LOCAL_SYMBOLS = 1 << 24
+# exp overflows from here on, so the premeasure `value` column is inf there
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 Table = tuple[str, list[str], list[tuple]]
 
@@ -258,6 +258,8 @@ def cmd_spectrum(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
         raise ConfigError("field 'q_grid' needs at least 3 distinct points for a conjugate")
     k = _int(cfg, "k", 0, lo=0)
     schedule = parse_schedule(cfg)
+    if len({N for N, _ in schedule}) < 2:
+        raise ConfigError("field 'schedule' needs at least 2 distinct N for a slope")
     N_max = max(N for N, _ in schedule)
     D_max = max(D for _, D in schedule)
     _require_irreducible(model.space, "spectrum")
@@ -302,30 +304,28 @@ def cmd_premeasure(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
     K = parse_cylinder_set(cfg, model.space)
     q = _number(cfg, "q")
     t = _number(cfg, "t")
-    N = _int(cfg, "N")
-    D = _int(cfg, "D")
-    k = _int(cfg, "k", 0)
+    N = _int(cfg, "N", lo=1)
+    D = _int(cfg, "D", lo=N)
+    k = _int(cfg, "k", 0, lo=0)
     mode = cfg.get("mode", "covering")
     if mode not in ("covering", "packing", "outer"):
         raise ConfigError(f"field 'mode' must be covering, packing, or outer; got {mode!r}")
-    try:
-        p = PremeasureParams(q=q, t=t, N=N, k=k, D=D)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
     if mode == "outer":
         cover_depth = _int(cfg, "cover_depth", default_cover_depth([(N, D)]), lo=0)
         if cover_depth > D:
             raise ConfigError(f"field 'cover_depth' exceeds D={D}")
     _within("fields 'D' and 'k'", _refuse_deep_tree, D, k)
 
+    ev = TreeEvaluator(model, K, k, D)
     if mode == "outer":
-        pv = packing_outer(model, K, p, cover_depth)
+        log_value = ev.outer_log(q, t, N, cover_depth)
     else:
-        pv = (covering_premeasure if mode == "covering" else packing_premeasure)(model, K, p)
+        log_value = (ev.covering_log if mode == "covering" else ev.packing_log)(q, t, N)
+    value = math.inf if log_value >= _LOG_FLOAT_MAX else math.exp(log_value)
     return [(
         "premeasure.csv",
         ["mode", "q", "t", "N", "D", "k", "log_value", "value"],
-        [(mode, q, t, N, D, k, pv.log_value, pv.value)],
+        [(mode, q, t, N, D, k, log_value, value)],
     )]
 
 

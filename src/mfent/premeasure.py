@@ -9,6 +9,10 @@ disjoint family of cylinders is exactly an antichain.  The refined
 construction's arbitrary covers are restricted to cylinder partitions,
 which over-estimates the infimum.
 
+``TreeEvaluator`` is the one entry point.  Its constructor refuses k < 0
+(and D < 1) before building anything, and its three sweeps refuse a minimum
+order N outside [1, D], as the brute-force ``antichain_oracle`` does.
+
 Everything runs in log domain; -inf encodes value 0 and +inf the blowup
 of the power gauge at zero mass with negative exponent.
 """
@@ -16,8 +20,6 @@ of the power gauge at zero mass with negative exponent.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +29,6 @@ from .space import CylinderSet, Word
 
 _MAX_TREE_NODES = 1 << 22
 _MAX_ORACLE_OPTIONS = 1 << 21
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def psi(s: float, x: float) -> float:
@@ -49,34 +50,15 @@ def psi_log(s: float, log_x):
     return s * log_x
 
 
-@dataclass(frozen=True)
-class PremeasureParams:
-    """q: gauge exponent, t: discount rate, N: minimum order, k: dyadic
-    radius offset, D: maximum order (truncation of the unbounded family)."""
-
-    q: float
-    t: float
-    N: int
-    k: int
-    D: int
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("minimum order N must be >= 1")
-        if self.D < self.N:
-            raise ValueError(f"order cap D={self.D} below N={self.N}")
-        if self.k < 0:
-            raise ValueError("depth offset k must be >= 0")
-
-
-@dataclass(frozen=True)
-class PremeasureValue:
-    log_value: float  # -inf = 0, +inf allowed
-
-    @property
-    def value(self) -> float:
-        """exp(log_value), or inf from log(float max) on, where exp overflows."""
-        return math.inf if self.log_value >= _LOG_FLOAT_MAX else math.exp(self.log_value)
+def _check_window(N: int, D: int, k: int) -> None:
+    """The order window of every pre-measure: balls of order N..D at
+    radius offset k, with 1 <= N <= D and k >= 0."""
+    if N < 1:
+        raise ValueError("minimum order N must be >= 1")
+    if D < N:
+        raise ValueError(f"order cap D={D} below N={N}")
+    if k < 0:
+        raise ValueError("depth offset k must be >= 0")
 
 
 def _refuse_deep_tree(D: int, k: int) -> None:
@@ -100,6 +82,7 @@ class TreeEvaluator:
             raise ValueError("pre-measures need a non-empty cylinder set")
         if K.space != model.space:
             raise ValueError("cylinder set and measure live on different spaces")
+        _check_window(1, D, k)
         _refuse_deep_tree(D, k)
         self.k = k
         self.D = D
@@ -145,6 +128,7 @@ class TreeEvaluator:
         """Bottom-up optimum per node over antichains of its subtree: ``best``
         (np.minimum for coverings, np.maximum for packings) of the node's own
         weight, where its order is at least N, and its children's sum."""
+        _check_window(N, self.D, self.k)
         top = self.D + self.k
         vals = [self._weights(q, t, top)]
         for level in range(top - 1, -1, -1):
@@ -153,15 +137,21 @@ class TreeEvaluator:
         return vals[::-1]
 
     def covering_log(self, q: float, t: float, N: int) -> float:
+        """Exact infimum over centered coverings by balls of order N..D: every
+        centered dyadic ball is a cylinder meeting K.  Nonincreasing in D."""
         return float(self._fold(q, t, N, np.minimum)[0][0])
 
     def packing_log(self, q: float, t: float, N: int) -> float:
+        """Exact supremum over packings with orders N..D; a lower bound for the
+        supremum over unbounded orders, nondecreasing in D."""
         return float(self._fold(q, t, N, np.maximum)[0][0])
 
     def outer_log(self, q: float, t: float, N: int, cover_depth: int) -> float:
+        """Infimum over cylinder-partition covers at depths <= cover_depth of the
+        per-piece packing value: an upper bound, not exact at this depth."""
+        packs = self._fold(q, t, N, np.maximum)  # checks the order window first
         if cover_depth < 0 or cover_depth > self.D:
             raise ValueError(f"cover depth {cover_depth} outside [0, {self.D}]")
-        packs = self._fold(q, t, N, np.maximum)
         # best usable ancestor-ball weight along each path, top-down
         anc = np.full(1, -math.inf)
         ancs = [anc]
@@ -178,40 +168,8 @@ class TreeEvaluator:
         return float(outer[0])
 
 
-def covering_premeasure(
-    model: MeasureModel, K: CylinderSet, p: PremeasureParams
-) -> PremeasureValue:
-    """Exact infimum over centered coverings by balls of order N..D.
-
-    Exact at this depth: every centered dyadic ball is a cylinder meeting K,
-    so cylinder covers lose nothing.  Nonincreasing in D.
-    """
-    ev = TreeEvaluator(model, K, p.k, p.D)
-    return PremeasureValue(ev.covering_log(p.q, p.t, p.N))
-
-
-def packing_premeasure(
-    model: MeasureModel, K: CylinderSet, p: PremeasureParams
-) -> PremeasureValue:
-    """Exact supremum over packings with orders N..D; a lower bound for the
-    supremum over unbounded orders, nondecreasing in D."""
-    ev = TreeEvaluator(model, K, p.k, p.D)
-    return PremeasureValue(ev.packing_log(p.q, p.t, p.N))
-
-
-def packing_outer(
-    model: MeasureModel, K: CylinderSet, p: PremeasureParams, cover_depth: int
-) -> PremeasureValue:
-    """Infimum over cylinder-partition covers at depths <= cover_depth of the
-    per-piece packing value.  Restricting covers to cylinder partitions
-    over-estimates the unrestricted infimum, so this is an upper bound, not
-    exact at this depth."""
-    ev = TreeEvaluator(model, K, p.k, p.D)
-    return PremeasureValue(ev.outer_log(p.q, p.t, p.N, cover_depth))
-
-
 def antichain_oracle(
-    model: MeasureModel, K: CylinderSet, p: PremeasureParams, mode: str
+    model: MeasureModel, K: CylinderSet, q: float, t: float, N: int, k: int, D: int, mode: str
 ) -> float:
     """Brute-force optimum over explicitly enumerated antichains (log value).
 
@@ -222,24 +180,25 @@ def antichain_oracle(
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
     if K.is_empty:
         raise ValueError("pre-measures need a non-empty cylinder set")
+    _check_window(N, D, k)
     space = model.space
-    _refuse_long_words(space, p.D + p.k + 1, 1 << 16)  # bounds the tree's node count
+    _refuse_long_words(space, D + k + 1, 1 << 16)  # bounds the tree's node count
     packing = mode == "max"
     budget = [0]
 
     def weight(w: Word) -> float:
-        return math.exp(psi_log(p.q, model.log_mass(w)) - p.t * (len(w) - p.k))
+        return math.exp(psi_log(q, model.log_mass(w)) - t * (len(w) - k))
 
     def options(w: Word) -> np.ndarray:
         """Values of every admissible antichain selection inside the subtree of w."""
-        n = len(w) - p.k
+        n = len(w) - k
         opts: list[np.ndarray] = []
-        if p.N <= n <= p.D:
+        if N <= n <= D:
             own = [weight(w)]
             if packing:
                 own.append(0.0)  # a packing may leave this subtree empty
             opts.append(np.asarray(own))
-        if n < p.D:
+        if n < D:
             combo = np.zeros(1)
             for c in space.children(w):
                 if not K.intersects(c):

@@ -176,6 +176,10 @@ def _run_schedule(
     sweep: str,
     cover_depth: int | None = None,
 ) -> EntropyEstimate:
+    if not schedule:
+        raise ValueError("schedule is empty: it needs at least one (N, D) entry")
+    if cover_depth is None:
+        cover_depth = default_cover_depth(schedule)
     bracket = _default_bracket(model, q)
     values = []
     degenerate = False
@@ -244,6 +248,4 @@ def packing_entropy(
 ) -> EntropyEstimate:
     """Critical exponent of the cover-refined packing construction; every
     entry covers at ``cover_depth``, by default min(6, smallest N)."""
-    if cover_depth is None:
-        cover_depth = default_cover_depth(schedule)
     return _run_schedule(model, E, q, k, schedule, "outer", cover_depth)

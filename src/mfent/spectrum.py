@@ -114,6 +114,8 @@ def h_curve(
     """
     if not model.space.irreducible:
         raise ValueError("h-curve estimation needs an irreducible shift space")
+    if len({N for N, _ in schedule}) < 2:
+        raise ValueError("h-curve estimation needs a schedule with at least 2 distinct N")
     q_grid = np.unique(np.asarray(q_grid, dtype=float))
     Ns = np.asarray([N for N, _ in schedule], dtype=float)
     logZ = np.array([log_partition(model, q_grid, int(N) + k) for N in Ns])

@@ -92,12 +92,11 @@ def test_criterion_3_dp_matches_enumeration(biased, full2, capsys):
         for K in sets:
             ev = mf.TreeEvaluator(biased, K, 0, D)
             for q, t, N in itertools.product((-1.0, 0.0, 2.0), (0.0, LOG2), (1, 2)):
-                p = mf.PremeasureParams(q=q, t=t, N=N, k=0, D=D)
                 for dp_log, mode in (
                     (ev.covering_log(q, t, N), "min"),
                     (ev.packing_log(q, t, N), "max"),
                 ):
-                    oracle = mf.antichain_oracle(biased, K, p, mode)
+                    oracle = mf.antichain_oracle(biased, K, q, t, N, 0, D, mode)
                     assert dp_log == pytest.approx(oracle, abs=1e-12)
                     worst = max(worst, abs(dp_log - oracle))
                     cases += 1

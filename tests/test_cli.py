@@ -22,6 +22,7 @@ FAIR = {"kind": "bernoulli", "p": [0.5, 0.5]}
 BIASED = {"kind": "bernoulli", "p": [0.25, 0.75]}
 PARRY = {"kind": "markov", "P": [[0.618, 0.382], [1.0, 0.0]]}
 LOG2 = math.log(2)
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # the 2-cycle shift: one word of each length per first symbol, so a deep tree
 # is cheap level by level and only its depth can make it too large
 CYCLE2 = {"alphabet": 2, "transitions": [[0, 1], [1, 0]]}
@@ -134,6 +135,29 @@ class TestPremeasureCommand:
         row = read_csv(tmp_path / "premeasure.csv")[0]
         assert float(row["log_value"]) == pytest.approx(87 * 8 + 8 * LOG2)
         assert float(row["value"]) == pytest.approx(math.exp(float(row["log_value"])), rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "t, Y, D, value",
+        [
+            # 2^8 words of weight e^{100 * 8}: log value ~805.5, past the float range
+            (-100, [[]], 8, "inf"),
+            # one word of order 1 at weight e^{-t}: log value exactly -t
+            (-LOG_FLOAT_MAX, [[0]], 1, "inf"),
+            (-math.nextafter(LOG_FLOAT_MAX, 0.0), [[0]], 1,
+             "%.12g" % math.exp(math.nextafter(LOG_FLOAT_MAX, 0.0))),
+        ],
+        ids=["past-float-range", "at-log-float-max", "just-below"],
+    )
+    def test_value_is_inf_exactly_where_exp_overflows(self, tmp_path, t, Y, D, value):
+        cfg = {
+            "space": FULL2, "measure": FAIR, "K": Y,
+            "q": 0, "t": t, "N": 1, "D": D, "mode": "packing",
+        }
+        assert run("premeasure", cfg, tmp_path) == 0
+        row = read_csv(tmp_path / "premeasure.csv")[0]
+        assert row["value"] == value
+        if D == 1:
+            assert float(row["log_value"]) == pytest.approx(-t, rel=1e-12)
 
     def test_outer_mode(self, tmp_path):
         cfg = {
@@ -364,6 +388,11 @@ class TestConfigErrors:
              "'space.transitions'"),
             ("verify-gibbs", {"space": {"alphabet": 2, "transitions": [[1, 1], [1, 257]]}},
              "'space.transitions'"),
+            ("spectrum", {"schedule": [[4, 4]]}, "'schedule'"),
+            ("spectrum", {"schedule": [[4, 4], [4, 8]]}, "'schedule'"),
+            ("premeasure", {"K": [[]], "q": 0, "t": 0, "N": 0, "D": 2}, "'N'"),
+            ("premeasure", {"K": [[]], "q": 0, "t": 0, "N": 3, "D": 2}, "'D'"),
+            ("premeasure", {"K": [[]], "q": 0, "t": 0, "N": 1, "D": 2, "k": -1}, "'k'"),
         ],
     )
     def test_bad_field_named(self, tmp_path, capsys, command, extra, field):
@@ -471,6 +500,24 @@ def test_golden_bytes(tmp_path, command):
     assert names == sorted(p.name for p in expected.iterdir())
     for name in names:
         assert (tmp_path / name).read_bytes() == (expected / name).read_bytes(), name
+
+
+# premeasure.csv of the golden premeasure config in its other two modes,
+# recorded with every other field as in tests/data/cli/premeasure.json
+PREMEASURE_MODE_BYTES = {
+    "covering": "covering,0.5,0.4,2,6,1,-0.649582362261,0.522263848313\n",
+    "packing": "packing,0.5,0.4,2,6,1,-0.010179595446,0.989872041274\n",
+}
+
+
+@pytest.mark.parametrize("mode", PREMEASURE_MODE_BYTES)
+def test_premeasure_mode_bytes(tmp_path, mode):
+    """Pins the covering and packing branches next to the golden outer one."""
+    cfg = {**json.loads((GOLDEN_DIR / "premeasure.json").read_text()), "mode": mode}
+    assert run("premeasure", cfg, tmp_path, ["--seed", "7"]) == 0
+    header = "mode,q,t,N,D,k,log_value,value\n"
+    expected = header + PREMEASURE_MODE_BYTES[mode]
+    assert (tmp_path / "premeasure.csv").read_bytes() == expected.encode()
 
 
 class TestEntryPoint:

@@ -1,6 +1,5 @@
 import itertools
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -10,8 +9,16 @@ import mfent as mf
 LOG2 = math.log(2)
 
 
-def P(q, t, N, k=0, D=4):
-    return mf.PremeasureParams(q=q, t=t, N=N, k=k, D=D)
+def cover(model, K, q, t, N, k=0, D=4):
+    return mf.TreeEvaluator(model, K, k, D).covering_log(q, t, N)
+
+
+def pack(model, K, q, t, N, k=0, D=4):
+    return mf.TreeEvaluator(model, K, k, D).packing_log(q, t, N)
+
+
+def outer(model, K, q, t, N, cover_depth, D=4):
+    return mf.TreeEvaluator(model, K, 0, D).outer_log(q, t, N, cover_depth)
 
 
 class TestGauge:
@@ -50,16 +57,52 @@ class TestGauge:
         assert got.tobytes() == np.array(want).tobytes()
 
 
-class TestParamsValidation:
-    def test_order_window(self):
-        with pytest.raises(ValueError):
-            mf.PremeasureParams(q=0, t=0, N=3, k=0, D=2)
-        with pytest.raises(ValueError):
-            mf.PremeasureParams(q=0, t=0, N=0, k=0, D=4)
+class TestWindowValidation:
+    """The order window 1 <= N <= D, k >= 0 is part of every pre-measure:
+    the tree refuses k < 0 before building, each sweep and the oracle refuse
+    N outside [1, D], and the schedule estimators inherit both."""
 
-    def test_negative_radius_offset(self):
-        with pytest.raises(ValueError):
-            mf.PremeasureParams(q=0, t=0, N=1, k=-1, D=4)
+    @pytest.mark.parametrize("N", [0, 5])
+    @pytest.mark.parametrize("sweep", ["covering_log", "packing_log"])
+    def test_sweep_refuses_order_outside_window(self, fair, full2, sweep, N):
+        ev = mf.TreeEvaluator(fair, mf.CylinderSet(full2, [()]), 0, 4)
+        with pytest.raises(ValueError, match="minimum order|order cap"):
+            getattr(ev, sweep)(1.0, 0.0, N)
+
+    @pytest.mark.parametrize("N", [0, 5])
+    def test_outer_sweep_refuses_order_outside_window(self, fair, full2, N):
+        ev = mf.TreeEvaluator(fair, mf.CylinderSet(full2, [()]), 0, 4)
+        with pytest.raises(ValueError, match="minimum order|order cap"):
+            ev.outer_log(1.0, 0.0, N, 1)
+
+    def test_negative_radius_offset(self, fair, full2):
+        with pytest.raises(ValueError, match="depth offset k"):
+            mf.TreeEvaluator(fair, mf.CylinderSet(full2, [()]), -1, 4)
+
+    @pytest.mark.parametrize("mode", ["min", "max"])
+    def test_oracle_refuses_order_outside_window(self, fair, full2, mode):
+        Y = mf.CylinderSet(full2, [()])
+        with pytest.raises(ValueError, match="order cap D=2 below N=3"):
+            mf.antichain_oracle(fair, Y, 0, 0, 3, 0, 2, mode)
+        with pytest.raises(ValueError, match="minimum order"):
+            mf.antichain_oracle(fair, Y, 0, 0, 0, 0, 4, mode)
+        with pytest.raises(ValueError, match="depth offset k"):
+            mf.antichain_oracle(fair, Y, 0, 0, 1, -1, 4, mode)
+
+    @pytest.mark.parametrize(
+        "k, schedule, match",
+        [
+            (0, [(5, 3), (7, 4)], "order cap D=3 below N=5"),
+            (0, [(0, 3), (0, 4)], "minimum order"),
+            (-1, [(2, 2), (3, 3)], "depth offset k"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "estimator", [mf.bowen_entropy, mf.packing_entropy_delta, mf.packing_entropy]
+    )
+    def test_estimators_refuse_bad_window(self, biased, full2, estimator, k, schedule, match):
+        with pytest.raises(ValueError, match=match):
+            estimator(biased, mf.CylinderSet(full2, [()]), 0.0, k, schedule)
 
 
 class TestClosedForms:
@@ -67,89 +110,68 @@ class TestClosedForms:
 
     def test_counting_at_log2_is_one(self, fair, full2):
         Y = mf.CylinderSet(full2, [()])
-        v = mf.covering_premeasure(fair, Y, P(0, LOG2, 1))
-        assert v.value == pytest.approx(1.0, abs=1e-12)
-        vp = mf.packing_premeasure(fair, Y, P(0, LOG2, 1))
-        assert vp.value == pytest.approx(1.0, abs=1e-12)
+        assert math.exp(cover(fair, Y, 0, LOG2, 1)) == pytest.approx(1.0, abs=1e-12)
+        assert math.exp(pack(fair, Y, 0, LOG2, 1)) == pytest.approx(1.0, abs=1e-12)
 
     def test_counting_discount_above_growth(self, fair, full2):
         # at t = log2 + s every level-n cover costs 2^n e^{-n(log2+s)} = e^{-ns}
         Y = mf.CylinderSet(full2, [()])
         s = 0.1
-        v = mf.covering_premeasure(fair, Y, P(0, LOG2 + s, 1, D=8))
-        assert v.value == pytest.approx(math.exp(-8 * s), rel=1e-10)
+        v = cover(fair, Y, 0, LOG2 + s, 1, D=8)
+        assert math.exp(v) == pytest.approx(math.exp(-8 * s), rel=1e-10)
 
     def test_mass_gauge_normalizes(self, biased, full2):
         # q=1, t=0: every cover and packing sums cylinder masses, total 1
         Y = mf.CylinderSet(full2, [()])
-        assert mf.covering_premeasure(biased, Y, P(1, 0, 1)).value == pytest.approx(1.0)
-        assert mf.packing_premeasure(biased, Y, P(1, 0, 1)).value == pytest.approx(1.0)
+        assert math.exp(cover(biased, Y, 1, 0, 1)) == pytest.approx(1.0)
+        assert math.exp(pack(biased, Y, 1, 0, 1)) == pytest.approx(1.0)
 
     def test_single_cylinder_value(self, biased, full2):
         K = mf.CylinderSet(full2, [(0,)])
         # q=2, t=0: subdividing shrinks the sum of squares, so the best
         # cover sits at the truncation depth D=4
-        v = mf.covering_premeasure(biased, K, P(2, 0, 1))
-        assert v.value == pytest.approx(0.25**2 * (0.25**2 + 0.75**2) ** 3, rel=1e-12)
+        v = cover(biased, K, 2, 0, 1)
+        assert math.exp(v) == pytest.approx(0.25**2 * (0.25**2 + 0.75**2) ** 3, rel=1e-12)
         # and the same sum is the best packing at order exactly 1
-        vp = mf.packing_premeasure(biased, K, P(2, 0, 1, D=1))
-        assert vp.value == pytest.approx(0.25**2, rel=1e-12)
+        vp = pack(biased, K, 2, 0, 1, D=1)
+        assert math.exp(vp) == pytest.approx(0.25**2, rel=1e-12)
 
     def test_negative_gauge_blows_up_on_zero_mass(self, full2):
         degenerate = mf.Bernoulli(full2, [1.0, 0.0])
         K = mf.CylinderSet(full2, [(1,)])
-        v = mf.covering_premeasure(degenerate, K, P(-1, 0, 1))
-        assert v.log_value == math.inf
-
-    def test_value_is_inf_exactly_where_exp_overflows(self, fair, full2):
-        # 2^8 words of weight e^{100 * 8}: log value ~805.5, past the float range
-        Y = mf.CylinderSet(full2, [()])
-        assert mf.packing_premeasure(fair, Y, P(0, -100, 1, D=8)).value == math.inf
-        log_max = math.log(sys.float_info.max)
-        assert mf.PremeasureValue(log_max).value == math.inf
-        below = math.nextafter(log_max, 0.0)
-        assert mf.PremeasureValue(below).value == math.exp(below) < math.inf
+        assert cover(degenerate, K, -1, 0, 1) == math.inf
 
 
 class TestMonotonicity:
     def test_nonincreasing_in_t(self, biased, full2):
         K = mf.CylinderSet(full2, [(0,), (1, 0)])
         for q in (-1.0, 0.0, 2.0):
-            vals = [
-                mf.covering_premeasure(biased, K, P(q, t, 2, D=6)).log_value
-                for t in (-0.5, 0.0, 0.5, 1.0)
-            ]
+            vals = [cover(biased, K, q, t, 2, D=6) for t in (-0.5, 0.0, 0.5, 1.0)]
             assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_covering_nonincreasing_in_D(self, biased, full2):
         K = mf.CylinderSet(full2, [()])
-        vals = [
-            mf.covering_premeasure(biased, K, P(2, 0.3, 1, D=D)).log_value
-            for D in (2, 4, 6, 8)
-        ]
+        vals = [cover(biased, K, 2, 0.3, 1, D=D) for D in (2, 4, 6, 8)]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_packing_nondecreasing_in_D(self, biased, full2):
         K = mf.CylinderSet(full2, [()])
-        vals = [
-            mf.packing_premeasure(biased, K, P(2, -0.3, 1, D=D)).log_value
-            for D in (2, 4, 6, 8)
-        ]
+        vals = [pack(biased, K, 2, -0.3, 1, D=D) for D in (2, 4, 6, 8)]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_monotone_in_set(self, biased, full2):
         small = mf.CylinderSet(full2, [(0, 0)])
         big = mf.CylinderSet(full2, [(0,)])
         for q, t in itertools.product((-1, 0, 2), (0.0, 0.4)):
-            lo = mf.covering_premeasure(biased, small, P(q, t, 1)).log_value
-            hi = mf.covering_premeasure(biased, big, P(q, t, 1)).log_value
+            lo = cover(biased, small, q, t, 1)
+            hi = cover(biased, big, q, t, 1)
             assert lo <= hi + 1e-12
 
     def test_covering_below_packing(self, biased, full2):
         K = mf.CylinderSet(full2, [(0,), (1, 1)])
         for q, t in itertools.product((-1, 0, 1, 2), (0.0, 0.5)):
-            c = mf.covering_premeasure(biased, K, P(q, t, 1)).log_value
-            p = mf.packing_premeasure(biased, K, P(q, t, 1)).log_value
+            c = cover(biased, K, q, t, 1)
+            p = pack(biased, K, q, t, 1)
             assert c <= p + 1e-12
 
 
@@ -168,9 +190,8 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("N", [1, 2])
     def test_covering(self, biased, full2, q, t, N):
         for K in self.sets(full2):
-            p = P(q, t, N, D=4)
-            dp = mf.covering_premeasure(biased, K, p).log_value
-            oracle = mf.antichain_oracle(biased, K, p, "min")
+            dp = cover(biased, K, q, t, N)
+            oracle = mf.antichain_oracle(biased, K, q, t, N, 0, 4, "min")
             assert dp == pytest.approx(oracle, abs=1e-12)
 
     @pytest.mark.parametrize("q", [-1.0, 0.0, 2.0])
@@ -178,63 +199,54 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("N", [1, 2])
     def test_packing(self, biased, full2, q, t, N):
         for K in self.sets(full2):
-            p = P(q, t, N, D=4)
-            dp = mf.packing_premeasure(biased, K, p).log_value
-            oracle = mf.antichain_oracle(biased, K, p, "max")
+            dp = pack(biased, K, q, t, N)
+            oracle = mf.antichain_oracle(biased, K, q, t, N, 0, 4, "max")
             assert dp == pytest.approx(oracle, abs=1e-12)
 
     def test_golden_mean_subshift(self, parry, golden):
         K = mf.CylinderSet(golden, [(0,)])
         for q, t, N in itertools.product((-1, 0, 2), (0.0, 0.3), (1, 2)):
-            p = P(q, t, N, D=4)
-            dp = mf.covering_premeasure(parry, K, p).log_value
-            assert dp == pytest.approx(mf.antichain_oracle(parry, K, p, "min"), abs=1e-12)
-            dpp = mf.packing_premeasure(parry, K, p).log_value
-            assert dpp == pytest.approx(mf.antichain_oracle(parry, K, p, "max"), abs=1e-12)
+            oracle_min = mf.antichain_oracle(parry, K, q, t, N, 0, 4, "min")
+            assert cover(parry, K, q, t, N) == pytest.approx(oracle_min, abs=1e-12)
+            oracle_max = mf.antichain_oracle(parry, K, q, t, N, 0, 4, "max")
+            assert pack(parry, K, q, t, N) == pytest.approx(oracle_max, abs=1e-12)
 
     def test_radius_offset(self, biased, full2):
         K = mf.CylinderSet(full2, [(0,)])
         for k in (1, 2):
-            p = P(2, 0.2, 1, k=k, D=3)
-            dp = mf.covering_premeasure(biased, K, p).log_value
-            assert dp == pytest.approx(mf.antichain_oracle(biased, K, p, "min"), abs=1e-12)
+            oracle = mf.antichain_oracle(biased, K, 2, 0.2, 1, k, 3, "min")
+            assert cover(biased, K, 2, 0.2, 1, k=k, D=3) == pytest.approx(oracle, abs=1e-12)
 
 
 class TestOuter:
     def test_depth_zero_equals_packing(self, biased, full2):
         K = mf.CylinderSet(full2, [(0,), (1, 1)])
-        p = P(2, 0.1, 1, D=5)
-        outer0 = mf.packing_outer(biased, K, p, 0).log_value
-        pack = mf.packing_premeasure(biased, K, p).log_value
-        assert outer0 == pytest.approx(pack, abs=1e-12)
+        ev = mf.TreeEvaluator(biased, K, 0, 5)
+        assert ev.outer_log(2, 0.1, 1, 0) == pytest.approx(ev.packing_log(2, 0.1, 1), abs=1e-12)
 
     def test_whole_space_counting_is_one_at_any_depth(self, fair, full2):
         Y = mf.CylinderSet(full2, [()])
-        p = P(0, LOG2, 1, D=5)
         for depth in range(4):
-            assert mf.packing_outer(fair, Y, p, depth).value == pytest.approx(1.0)
+            assert math.exp(outer(fair, Y, 0, LOG2, 1, depth, D=5)) == pytest.approx(1.0)
 
     def test_outer_below_packing(self, biased, full2):
         K = mf.CylinderSet(full2, [(0,), (1, 0, 1)])
         for q, t in itertools.product((-1, 0, 2), (0.0, 0.4)):
-            p = P(q, t, 1, D=6)
-            outer = mf.packing_outer(biased, K, p, 4).log_value
-            pack = mf.packing_premeasure(biased, K, p).log_value
-            assert outer <= pack + 1e-12
+            ev = mf.TreeEvaluator(biased, K, 0, 6)
+            assert ev.outer_log(q, t, 1, 4) <= ev.packing_log(q, t, 1) + 1e-12
 
     def test_subadditive_over_pieces(self, biased, full2):
         A = mf.CylinderSet(full2, [(0, 0)])
         B = mf.CylinderSet(full2, [(0, 1), (1, 0)])
-        p = P(2, 0.1, 1, D=6)
-        u = mf.packing_outer(biased, A.union(B), p, 4).log_value
-        ua = mf.packing_outer(biased, A, p, 4).log_value
-        ub = mf.packing_outer(biased, B, p, 4).log_value
+        u = outer(biased, A.union(B), 2, 0.1, 1, 4, D=6)
+        ua = outer(biased, A, 2, 0.1, 1, 4, D=6)
+        ub = outer(biased, B, 2, 0.1, 1, 4, D=6)
         assert u <= np.logaddexp(ua, ub) + 1e-12
 
     def test_cover_depth_validation(self, biased, full2):
         K = mf.CylinderSet(full2, [(0,)])
         with pytest.raises(ValueError):
-            mf.packing_outer(biased, K, P(0, 0, 1, D=3), 5)
+            outer(biased, K, 0, 0, 1, 5, D=3)
 
 
 class TestEvaluatorGuards:
@@ -250,12 +262,12 @@ class TestEvaluatorGuards:
     def test_oracle_refuses_huge_trees(self, fair, full2):
         Y = mf.CylinderSet(full2, [()])
         with pytest.raises(mf.TooLargeError):
-            mf.antichain_oracle(fair, Y, P(0, 0, 1, D=30), "min")
+            mf.antichain_oracle(fair, Y, 0, 0, 1, 0, 30, "min")
 
     def test_oracle_refuses_huge_depth_at_once(self, fair, full2):
         Y = mf.CylinderSet(full2, [()])
         with pytest.raises(mf.TooLargeError):
-            mf.antichain_oracle(fair, Y, P(0, 0, 1, D=10**308), "min")
+            mf.antichain_oracle(fair, Y, 0, 0, 1, 0, 10**308, "min")
 
     def test_deep_tree_refused_before_building(self):
         # one word per level and first symbol: only the depth is too large

@@ -27,8 +27,8 @@ def bern(a: float) -> mf.Bernoulli:
     return mf.Bernoulli(FULL2, [a, 1.0 - a])
 
 
-def params(q, t, N, D=4):
-    return mf.PremeasureParams(q=q, t=t, N=N, k=0, D=D)
+def cover(model, K, q, t, N, D=4):
+    return mf.TreeEvaluator(model, K, 0, D).covering_log(q, t, N)
 
 
 class TestGaugeIdentities:
@@ -62,10 +62,8 @@ class TestPremeasureOrder:
     def test_covering_at_most_packing(self, ws, q, t, N, a):
         model = bern(a)
         K = mf.CylinderSet(FULL2, ws)
-        p = params(q, t, N)
-        c = mf.covering_premeasure(model, K, p).log_value
-        pk = mf.packing_premeasure(model, K, p).log_value
-        assert c <= pk + 1e-9
+        ev = mf.TreeEvaluator(model, K, 0, 4)
+        assert ev.covering_log(q, t, N) <= ev.packing_log(q, t, N) + 1e-9
 
     @settings(max_examples=150, deadline=None)
     @given(ws=nonempty_word_sets, extra=words, q=qs, t=ts, N=st.integers(1, 3), a=probs)
@@ -73,9 +71,8 @@ class TestPremeasureOrder:
         model = bern(a)
         K = mf.CylinderSet(FULL2, ws)
         L = K.union(mf.CylinderSet(FULL2, [extra]))
-        p = params(q, t, N)
-        small = mf.covering_premeasure(model, K, p).log_value
-        big = mf.covering_premeasure(model, L, p).log_value
+        small = cover(model, K, q, t, N)
+        big = cover(model, L, q, t, N)
         assert small <= big + 1e-9
 
     @settings(max_examples=100, deadline=None)
@@ -84,8 +81,8 @@ class TestPremeasureOrder:
     def test_nonincreasing_in_t(self, ws, q, N, a, t, dt):
         model = bern(a)
         K = mf.CylinderSet(FULL2, ws)
-        lo = mf.covering_premeasure(model, K, params(q, t + dt, N)).log_value
-        hi = mf.covering_premeasure(model, K, params(q, t, N)).log_value
+        lo = cover(model, K, q, t + dt, N)
+        hi = cover(model, K, q, t, N)
         assert lo <= hi + 1e-9
 
     @settings(max_examples=100, deadline=None)
@@ -94,11 +91,8 @@ class TestPremeasureOrder:
         # raising the minimum order shrinks the family of covers
         model = bern(a)
         K = mf.CylinderSet(FULL2, ws)
-        loose = mf.covering_premeasure(model, K, params(q, t, N)).log_value
-        tight = mf.covering_premeasure(model, K, params(q, t, N + 1, D=5)).log_value
-        loose5 = mf.covering_premeasure(model, K, params(q, t, N, D=5)).log_value
-        assert loose5 <= tight + 1e-9
-        del loose
+        ev = mf.TreeEvaluator(model, K, 0, 5)
+        assert ev.covering_log(q, t, N) <= ev.covering_log(q, t, N + 1) + 1e-9
 
     @settings(max_examples=100, deadline=None)
     @given(wsa=nonempty_word_sets, wsb=nonempty_word_sets, q=qs, t=ts, a=probs)
@@ -106,10 +100,9 @@ class TestPremeasureOrder:
         model = bern(a)
         A = mf.CylinderSet(FULL2, wsa)
         B = mf.CylinderSet(FULL2, wsb)
-        p = params(q, t, 1)
-        u = mf.packing_outer(model, A.union(B), p, 3).log_value
-        ua = mf.packing_outer(model, A, p, 3).log_value
-        ub = mf.packing_outer(model, B, p, 3).log_value
+        u, ua, ub = (
+            mf.TreeEvaluator(model, S, 0, 4).outer_log(q, t, 1, 3) for S in (A.union(B), A, B)
+        )
         assert u <= np.logaddexp(ua, ub) + 1e-9
 
 
@@ -207,10 +200,9 @@ class TestSemicontinuityProbes:
         model = bern(a)
         K = mf.CylinderSet(FULL2, ws)
         extra = mf.CylinderSet(FULL2, [(0,) * depth])
-        p = params(q, t, 1, D=4)
-        base = mf.covering_premeasure(model, K, p).log_value
-        bumped = mf.covering_premeasure(model, K.union(extra), p).log_value
-        bump_cost = mf.covering_premeasure(model, extra, p).log_value
+        base = cover(model, K, q, t, 1)
+        bumped = cover(model, K.union(extra), q, t, 1)
+        bump_cost = cover(model, extra, q, t, 1)
         assert bumped <= np.logaddexp(base, bump_cost) + 1e-9
 
     @settings(max_examples=60, deadline=None)
@@ -222,9 +214,8 @@ class TestSemicontinuityProbes:
         other = bern(1.0 - a)
         mixed = mf.Mixture(other, model, lam)
         K = mf.CylinderSet(FULL2, ws)
-        p = params(q, t, 1)
-        v0 = mf.covering_premeasure(model, K, p).log_value
-        v1 = mf.covering_premeasure(mixed, K, p).log_value
+        v0 = cover(model, K, q, t, 1)
+        v1 = cover(mixed, K, q, t, 1)
         # each log mass moves by at most log(1 + lam * worst ratio)
         ratio = max(
             float(np.max(mf.log_mass_array(other, n) - mf.log_mass_array(model, n)))
@@ -238,8 +229,8 @@ class TestSemicontinuityProbes:
     def test_gauge_exponent_continuity(self, ws, q, t, a):
         model = bern(a)
         K = mf.CylinderSet(FULL2, ws)
-        v0 = mf.covering_premeasure(model, K, params(q, t, 1)).log_value
-        v1 = mf.covering_premeasure(model, K, params(q + 1e-9, t, 1)).log_value
+        v0 = cover(model, K, q, t, 1)
+        v1 = cover(model, K, q + 1e-9, t, 1)
         assert v1 == pytest.approx(v0, abs=1e-6)
 
 

@@ -198,6 +198,14 @@ class TestFullShiftEntropy:
         assert est.error_bar < 0.05
 
 
+@pytest.mark.parametrize(
+    "estimator", [mf.bowen_entropy, mf.packing_entropy_delta, mf.packing_entropy]
+)
+def test_empty_schedule_refused(fair, full2, estimator):
+    with pytest.raises(ValueError, match="schedule is empty"):
+        estimator(fair, mf.CylinderSet(full2, [()]), 0.0, schedule=[])
+
+
 class TestSubshift:
     def test_golden_mean_growth(self, parry, golden):
         Y = mf.CylinderSet(golden, [()])

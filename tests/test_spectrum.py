@@ -119,6 +119,12 @@ class TestHCurve:
         with pytest.raises(ValueError):
             mf.h_curve(mk, QG, schedule=FAST)
 
+    @pytest.mark.parametrize("schedule", [[], [(4, 4)], [(4, 4), (4, 8)]])
+    def test_slope_needs_two_distinct_N(self, biased, schedule):
+        # one distinct N leaves a least-squares slope undetermined
+        with pytest.raises(ValueError, match="at least 2 distinct N"):
+            mf.h_curve(biased, QG, schedule=schedule)
+
     def test_interpolation(self, fair):
         curve = mf.h_curve(fair, QG, schedule=FAST)
         assert curve.value(0.125) == pytest.approx((1 - 0.125) * LOG2, abs=2e-2)
