@@ -25,7 +25,7 @@ from .measures import (
     Bernoulli, Chain, Gibbs, Markov, MeasureModel, Mixture, _refuse_long_words, doubling_check,
 )
 from .potential import Potential
-from .premeasure import TreeEvaluator, _refuse_deep_tree
+from .premeasure import TreeEvaluator, _refuse_big, _refuse_big_tree
 from .solver import (
     DEFAULT_SCHEDULE, bowen_entropy, default_cover_depth, outer_is_packing, packing_entropy,
     packing_entropy_delta,
@@ -260,8 +260,10 @@ def cmd_spectrum(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
     schedule = parse_schedule(cfg)
     if len({N for N, _ in schedule}) < 2:
         raise ConfigError("field 'schedule' needs at least 2 distinct N for a slope")
+    if any(D != N for N, D in schedule):
+        # h(q) is fitted over the N alone; a D of its own would only be a label
+        raise ConfigError("field 'schedule' entries must have D = N for spectrum")
     N_max = max(N for N, _ in schedule)
-    D_max = max(D for _, D in schedule)
     _require_irreducible(model.space, "spectrum")
     _within("fields 'schedule' and 'k'", _refuse_long_words, model.space, N_max + k)
     beta_grid = parse_grid(cfg, "beta_grid", []) if "beta_grid" in cfg else None
@@ -273,7 +275,7 @@ def cmd_spectrum(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
             h_minus, h_plus = one_sided_derivatives(curve, float(q))
         else:
             h_minus = h_plus = math.nan
-        rows.append((float(q), float(curve.h_values[i]), h_minus, h_plus, N_max, D_max, k))
+        rows.append((float(q), float(curve.h_values[i]), h_minus, h_plus, N_max, N_max, k))
     tables = [("spectrum.csv", ["q", "h", "h_minus", "h_plus", "N", "D", "k"], rows)]
 
     try:
@@ -283,7 +285,7 @@ def cmd_spectrum(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
             ["beta_lower", "beta_upper", "beta_lower_extrapolated",
              "beta_upper_extrapolated", "error_bar", "N", "D", "k"],
             [(ep.lower, ep.upper, ep.lower_extrapolated, ep.upper_extrapolated,
-              ep.error_bar, N_max, D_max, k)],
+              ep.error_bar, N_max, N_max, k)],
         ))
         beta_lo, beta_hi = ep.lower, ep.upper
     except ValueError:
@@ -293,7 +295,7 @@ def cmd_spectrum(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
         beta_grid = np.unique(np.linspace(beta_lo, beta_hi, 41))
     h_star, in_domain = legendre(curve, beta_grid)
     lg_rows = [
-        (float(b), float(hs), bool(d), N_max, D_max, k)
+        (float(b), float(hs), bool(d), N_max, N_max, k)
         for b, hs, d in zip(beta_grid, h_star, in_domain)
     ]
     tables.append(("legendre.csv", ["beta", "h_star", "in_domain", "N", "D", "k"], lg_rows))
@@ -314,7 +316,8 @@ def cmd_premeasure(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
         cover_depth = _int(cfg, "cover_depth", default_cover_depth([(N, D)]), lo=0)
         if cover_depth > D:
             raise ConfigError(f"field 'cover_depth' exceeds D={D}")
-    _within("fields 'D' and 'k'", _refuse_deep_tree, D, k)
+        _within("field 'cover_depth'", _refuse_big_tree, K, cover_depth)
+    _within("fields 'D' and 'k'", _refuse_big, model, K, D, k)
 
     ev = TreeEvaluator(model, K, k, D)
     if mode == "outer":
@@ -338,14 +341,14 @@ def cmd_entropy(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
     D_min = min(D for _, D in schedule)
     if cover_depth > D_min:
         raise ConfigError(f"field 'cover_depth' exceeds the smallest schedule D={D_min}")
-    _within("fields 'schedule' and 'k'", _refuse_deep_tree, max(D for _, D in schedule), k)
+    _within("fields 'schedule' and 'k'", _refuse_big, model, K, max(D for _, D in schedule), k)
+    refine = not outer_is_packing(schedule, k, cover_depth)
+    if refine:
+        _within("field 'cover_depth'", _refuse_big_tree, K, cover_depth)
 
     bowen = bowen_entropy(model, K, q, k, schedule)
     delta = packing_entropy_delta(model, K, q, k, schedule)
-    packing = (
-        delta if outer_is_packing(schedule, k, cover_depth)
-        else packing_entropy(model, K, q, k, schedule, cover_depth)
-    )
+    packing = packing_entropy(model, K, q, k, schedule, cover_depth) if refine else delta
     estimates = (("bowen", bowen), ("packing_delta", delta), ("packing", packing))
     return [(
         "entropy.csv",

@@ -2,16 +2,18 @@
 
 All three constructions (covering infimum, packing supremum, refined
 packing via partition covers) are exact optimizations over antichains of
-cylinders meeting a compact cylinder set, solved by one bottom-up fold
-over an array tree.  Restricting to cylinders loses nothing for coverings
-and packings here: centered dyadic dynamical balls *are* cylinders, and a
-disjoint family of cylinders is exactly an antichain.  The refined
+cylinders meeting a compact cylinder set, solved by one bottom-up fold:
+over one (chain node, trie state) table per level for a chain measure,
+over an array tree for a mixture.  Restricting to cylinders loses nothing
+for coverings and packings here: centered dyadic dynamical balls *are*
+cylinders, and a disjoint family of cylinders is exactly an antichain.  The refined
 construction's arbitrary covers are restricted to cylinder partitions,
 which over-estimates the infimum.
 
 ``TreeEvaluator`` is the one entry point.  Its constructor refuses k < 0
-(and D < 1) before building anything, and its three sweeps refuse a minimum
-order N outside [1, D], as the brute-force ``antichain_oracle`` does.
+(and D < 1), and tables or trees past the size cap, before building
+anything, and its three sweeps refuse a minimum order N outside [1, D], as
+the brute-force ``antichain_oracle`` does.
 
 Everything runs in log domain; -inf encodes value 0 and +inf the blowup
 of the power gauge at zero mass with negative exponent.
@@ -24,7 +26,7 @@ import math
 import numpy as np
 
 from .errors import TooLargeError
-from .measures import MeasureModel, _refuse_long_words
+from .measures import Chain, MeasureModel, _refuse_long_words
 from .space import CylinderSet, Word
 
 _MAX_TREE_NODES = 1 << 22
@@ -61,20 +63,72 @@ def _check_window(N: int, D: int, k: int) -> None:
         raise ValueError("depth offset k must be >= 0")
 
 
-def _refuse_deep_tree(D: int, k: int) -> None:
-    """Refuse a tree of depth D + k before building it: every level keeps at
-    least one node, so it has at least D + k + 1."""
-    if D + k + 1 > _MAX_TREE_NODES:
-        raise TooLargeError(f"a depth-{D + k} cylinder tree exceeds {_MAX_TREE_NODES} nodes")
+def _refuse_big_tree(K: CylinderSet, depth: int) -> None:
+    """Refuse an explicit cylinder tree of K to ``depth`` past _MAX_TREE_NODES
+    nodes before building it.  Level l of the tree holds the admissible
+    length-l words meeting K, whatever the measure, so the count steps integer
+    word counts per (last symbol, trie state) from level to level."""
+    if depth + 1 > _MAX_TREE_NODES:  # every level keeps at least one node
+        raise TooLargeError(f"a depth-{depth} cylinder tree exceeds {_MAX_TREE_NODES} nodes")
+    table, root = K.trie()
+    trie, symbol = np.nonzero(table >= 0)
+    allowed = K.space.transitions.astype(np.int64)
+    into = np.zeros(table.shape, dtype=np.int64)  # words per (trie state, next symbol)
+    into[root] = 1
+    total = 1
+    for level in range(1, depth + 1):
+        count = np.zeros(table.shape[::-1], dtype=np.int64)  # per (last symbol, trie state)
+        np.add.at(count, (symbol, table[trie, symbol]), into[trie, symbol])
+        total += int(count.sum())
+        if total > _MAX_TREE_NODES:
+            raise TooLargeError(f"cylinder tree exceeds {_MAX_TREE_NODES} nodes at depth {level}")
+        into = count.T @ allowed
+
+
+def _refuse_big(model: MeasureModel, K: CylinderSet, D: int, k: int) -> None:
+    """Refuse an evaluator of depth D + k past the cap before any work.  A
+    chain's sweeps step tables of at most (D + k + 1) levels x chain nodes x
+    trie states x alphabet entries; any other model's sweeps fold over its
+    cylinder tree, counted exactly."""
+    if not isinstance(model, Chain):
+        _refuse_big_tree(K, D + k)
+        return
+    nodes, m = model._next.shape
+    width = len(K.trie()[0])
+    if (D + k + 1) * nodes * width * m > _MAX_TREE_NODES:
+        raise TooLargeError(
+            f"a depth-{D + k} chain table of {D + k + 1} levels x {nodes} chain nodes x "
+            f"{width} trie states x {m} symbols exceeds {_MAX_TREE_NODES} entries"
+        )
+
+
+def _logsum(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """log of the sum of exp(vals) over each run that begins at ``starts``."""
+    acc = np.logaddexp.reduceat(vals, starts)
+    acc += 0.0  # a lone child's -0.0 becomes 0.0, as logaddexp(-inf, -0.0) does
+    return acc
 
 
 class TreeEvaluator:
-    """Cylinder tree of a compact set, with per-(q, t) DP sweeps.
+    """Pre-measure sweeps over the cylinder tree of a compact set, per (q, t).
 
-    Each level steps the measure's ``extend`` and K's prefix trie together,
-    keeping the children that meet K (``level_words[l]``: a row per word, in
-    lexicographic order).  Every node keeps a child, so sweeps use ``reduceat``.
-    Built once, so root-finding in t re-runs only the vectorized sweeps.
+    A sweep folds bottom-up over levels of units.  A unit stands for the
+    tree nodes of one level whose fold values agree up to an offset: a
+    node's value is its offset plus its unit's entry.  For a ``Chain`` a
+    unit is a (chain node, K-trie state) pair.  Every mass below a word is
+    the word's own times steps that depend only on its pair, so the offset
+    is psi_log of the word's log mass, and one small table per level stands
+    for a whole tree level.  Below the block length d a chain node is one
+    word, and those levels hold absolute values (offset 0).  For any other
+    model (a ``Mixture``, whose masses add) each node is its own unit, with
+    absolute values.
+
+    ``level_words[l]`` (a row per word, in lexicographic order),
+    ``parents`` and ``log_masses`` hold the explicit tree levels built so
+    far: all D + k of them for a tree model, and for a chain the top levels
+    that ``outer_log`` has needed.  Every unit keeps a child, so sweeps use
+    ``reduceat``.  Built once, so root-finding in t re-runs only the
+    vectorized sweeps.
     """
 
     def __init__(self, model: MeasureModel, K: CylinderSet, k: int, D: int):
@@ -83,56 +137,107 @@ class TreeEvaluator:
         if K.space != model.space:
             raise ValueError("cylinder set and measure live on different spaces")
         _check_window(1, D, k)
-        _refuse_deep_tree(D, k)
         self.k = k
         self.D = D
+        self._model = model
+        self._K = K
+        self._table, root = K.trie()
+        self._chain = isinstance(model, Chain)
 
-        table, root = K.trie()
-        k_state = np.array([root])
         states, lm = model.root()
         words = np.zeros((1, 0), dtype=np.min_scalar_type(model.space.alphabet_size - 1))
         self.level_words, self.parents, self.log_masses = [words], [np.zeros(1, np.int64)], [lm]
-        self._starts = []  # per level: where each node's children start on the next
-        total = 1
-        for level in range(1, D + k + 1):
-            par, sym, states, lm = model.extend(states, lm)
-            k_state = table[k_state[par], sym]
-            keep = np.flatnonzero(k_state >= 0)
-            total += len(keep)
-            if total > _MAX_TREE_NODES:
-                raise TooLargeError(
-                    f"cylinder tree exceeds {_MAX_TREE_NODES} nodes at depth {level}"
-                )
+        self._tip = states, np.array([root])  # model and trie states of the last explicit level
+        # per explicit level: where each node's children start on the next, each
+        # node's unit, and (chain levels of relative values) its log mass step
+        self._tree_starts, self._units, self._tree_steps = [], [slice(None)], [None]
+        if self._chain:
+            _refuse_big(model, K, D, k)
+            self._chain_tables(model, root)
+        else:
+            self._explicit(D + k)
+            self._lm, self._starts = self.log_masses, self._tree_starts
+            self._child, self._steps = [slice(None)] * (D + k), [None] * (D + k)
+
+    def _chain_tables(self, model: Chain, root: int) -> None:
+        """Per level, the (chain node, trie state) pairs its words reach, as
+        sorted keys node * trie states + trie state, and the edges to the
+        next level: one per admissible symbol that meets K, in (pair, symbol)
+        order, with the child pair and the log mass step."""
+        width = len(self._table)
+        d = len(model.states[0])
+        node, trie = np.zeros(1, np.int64), np.array([root])
+        self._keys = [node * width + trie]
+        self._lm, self._child, self._steps, self._starts = [np.zeros(1)], [], [], []
+        for level in range(1, self.D + self.k + 1):
+            nxt, kid_trie = model._next[node], self._table[trie]
+            par, sym = np.nonzero((nxt >= 0) & (kid_trie >= 0))
+            keys, child = np.unique(nxt[par, sym] * width + kid_trie[par, sym], return_inverse=True)
+            step = model._step[node[par], sym]
+            if level < d:  # each pair is one word: the unit holds its log mass
+                lm = np.empty(len(keys))
+                lm[child] = step
+                step = None
+            else:
+                lm = np.zeros(len(keys))
+            node, trie = keys // width, keys % width
+            self._keys.append(keys)
+            self._lm.append(lm)
+            self._child.append(child)
+            self._steps.append(step)
+            self._starts.append(np.flatnonzero(np.diff(par, prepend=-1)))
+
+    def _explicit(self, depth: int) -> None:
+        """Build the explicit tree down to ``depth``, once.  Each level steps the
+        measure's ``extend`` and K's prefix trie together, keeping the
+        children that meet K; a chain's nodes also get their unit and step."""
+        built = len(self.level_words)
+        if depth < built:
+            return
+        _refuse_big_tree(self._K, depth)
+        states, trie = self._tip
+        words, lm = self.level_words[-1], self.log_masses[-1]
+        width = len(self._table)
+        for level in range(built, depth + 1):
+            par, sym, kids, lm = self._model.extend(states, lm)
+            trie = self._table[trie[par], sym]
+            keep = np.flatnonzero(trie >= 0)
             if len(keep) < len(par):
-                par, sym, k_state = par[keep], sym[keep], k_state[keep]
-                states, lm = model.select(states, keep), lm[keep]
+                par, sym, trie = par[keep], sym[keep], trie[keep]
+                kids, lm = self._model.select(kids, keep), lm[keep]
+            if self._chain:
+                self._units.append(np.searchsorted(self._keys[level], kids * width + trie))
+                relative = self._steps[level - 1] is not None
+                self._tree_steps.append(self._model._step[states[par], sym] if relative else None)
+            else:
+                self._units.append(slice(None))
+                self._tree_steps.append(None)
             words = np.column_stack((words[par], sym.astype(words.dtype, copy=False)))
             self.level_words.append(words)
             self.parents.append(par)
             self.log_masses.append(lm)
-            self._starts.append(np.flatnonzero(np.diff(par, prepend=-1)))
-
-    # -- weights ---------------------------------------------------------
-
-    def _weights(self, q: float, t: float, level: int) -> np.ndarray:
-        return psi_log(q, self.log_masses[level]) - t * (level - self.k)
-
-    def _children_logsum(self, level: int, child_vals: np.ndarray) -> np.ndarray:
-        acc = np.logaddexp.reduceat(child_vals, self._starts[level])
-        acc += 0.0  # a lone child's -0.0 becomes 0.0, as logaddexp(-inf, -0.0) does
-        return acc
+            self._tree_starts.append(np.flatnonzero(np.diff(par, prepend=-1)))
+            states = kids
+        self._tip = states, trie
 
     # -- the three sweeps ------------------------------------------------
 
+    def _weights(self, q: float, t: float, level: int) -> np.ndarray:
+        """Each unit's own ball weight, relative to its offset."""
+        return psi_log(q, self._lm[level]) - t * (level - self.k)
+
     def _fold(self, q: float, t: float, N: int, best) -> list[np.ndarray]:
-        """Bottom-up optimum per node over antichains of its subtree: ``best``
-        (np.minimum for coverings, np.maximum for packings) of the node's own
+        """Bottom-up optimum per unit over antichains of its subtree: ``best``
+        (np.minimum for coverings, np.maximum for packings) of the unit's own
         weight, where its order is at least N, and its children's sum."""
         _check_window(N, self.D, self.k)
         top = self.D + self.k
         vals = [self._weights(q, t, top)]
         for level in range(top - 1, -1, -1):
-            acc = self._children_logsum(level, vals[-1])
+            kids = vals[-1][self._child[level]]
+            if self._steps[level] is not None:  # a child's offset is its parent's plus this
+                kids = kids + psi_log(q, self._steps[level])
+            acc = _logsum(kids, self._starts[level])
             vals.append(best(self._weights(q, t, level), acc) if level - self.k >= N else acc)
         return vals[::-1]
 
@@ -152,19 +257,34 @@ class TreeEvaluator:
         packs = self._fold(q, t, N, np.maximum)  # checks the order window first
         if cover_depth < 0 or cover_depth > self.D:
             raise ValueError(f"cover depth {cover_depth} outside [0, {self.D}]")
-        # best usable ancestor-ball weight along each path, top-down
+        self._explicit(cover_depth)
+        # Best usable ancestor-ball weight along each path, top-down, relative
+        # to the node's offset as the fold's values are.  ``handed`` keeps it
+        # relative to the parent's offset: a child whose step is infinite (zero
+        # mass at q != 0) has an infinite offset and packs nothing of its own,
+        # so its value there is that weight, or +inf from the offset.
         anc = np.full(1, -math.inf)
-        ancs = [anc]
+        ancs, incs, handed = [anc], [None], [None]
         for level in range(1, cover_depth + 1):
             if N <= (level - 1) - self.k <= self.D:  # the parent's order is usable
-                anc = np.maximum(anc, self._weights(q, t, level - 1))
+                anc = np.maximum(anc, self._weights(q, t, level - 1)[self._units[level - 1]])
             anc = anc[self.parents[level]]
+            handed.append(anc)
+            inc = self._tree_steps[level]
+            if inc is not None:
+                inc = psi_log(q, inc)
+                anc = np.subtract(anc, inc, out=np.full_like(anc, -math.inf), where=np.isfinite(inc))
+            incs.append(inc)
             ancs.append(anc)
         # restricted packing value of K inside each depth-cover_depth piece
-        outer = np.maximum(packs[cover_depth], ancs[cover_depth])
+        outer = np.maximum(packs[cover_depth][self._units[cover_depth]], ancs[cover_depth])
         for level in range(cover_depth - 1, -1, -1):
-            acc = self._children_logsum(level, outer)
-            outer = np.minimum(np.maximum(packs[level], ancs[level]), acc)
+            inc = incs[level + 1]
+            if inc is not None:
+                outer = outer + inc
+                np.maximum(outer, handed[level + 1], out=outer, where=np.isinf(inc))
+            acc = _logsum(outer, self._tree_starts[level])
+            outer = np.minimum(np.maximum(packs[level][self._units[level]], ancs[level]), acc)
         return float(outer[0])
 
 

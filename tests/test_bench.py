@@ -18,10 +18,12 @@ def bench_result(workload, trace, seed=0):
     return proc.stdout, json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_traced_benchmark_pass():
+@pytest.mark.parametrize("workload", ["entropy-schedule", "exponent-scan"])
+def test_traced_benchmark_pass(workload):
     """The benchmark's tracer wraps and reads mfent names from outside the
-    package; a rename or deletion that breaks it fails here."""
-    stdout, result = bench_result("entropy-schedule", "1")
+    package, ``TreeEvaluator.level_words`` after every build and sweep among
+    them; a rename or deletion that breaks it fails here."""
+    stdout, result = bench_result(workload, "1")
     assert result["correct"] is True, stdout[-2000:]
 
 

@@ -205,6 +205,29 @@ class TestEntropyCommand:
         assert float(rows["packing"]["value"]) == pytest.approx(est.value, abs=1e-11)
         assert float(rows["packing"]["value"]) <= float(rows["packing_delta"]["value"]) + 1e-9
 
+    def test_chain_depth_without_trees(self, tmp_path):
+        # the golden-mean tree to depth 30 holds 5.7M nodes, past the tree cap;
+        # a chain folds over 31 levels of 2 (chain node, trie state) pairs
+        phi = (1 + math.sqrt(5)) / 2
+        cfg = {"space": GOLDEN, "K": [[]], "q": 0, "schedule": [[20, 20], [30, 30]],
+               "measure": {"kind": "markov", "P": [[1 / phi, 1 - 1 / phi], [1.0, 0.0]]}}
+        assert run("entropy", cfg, tmp_path) == 0
+        rows = read_csv(tmp_path / "entropy.csv")
+        assert len(rows) == 3
+        for r in rows:
+            assert float(r["value"]) == pytest.approx(math.log(phi), abs=1e-2)
+
+    def test_mixture_tree_cap_before_any_tree(self, tmp_path, capsys, monkeypatch):
+        # the depth-22 tree of the full 2-shift holds 2^23 - 1 nodes; the cap
+        # counts them before the first schedule entry's tree is built
+        monkeypatch.setattr(mfent.Mixture, "extend", None)
+        cfg = {"space": FULL2, "measure": MIXTURE, "K": [[]],
+               "schedule": [[10, 10], [22, 22]]}
+        assert run("entropy", cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "'schedule'" in err and "'k'" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_numeric_string_schedule(self, tmp_path):
         # numeric strings are numbers in every config field
         cfg = {"space": FULL2, "measure": FAIR, "K": [[]], "schedule": [[4, 4], [6, 6]]}
@@ -393,6 +416,7 @@ class TestConfigErrors:
             ("premeasure", {"K": [[]], "q": 0, "t": 0, "N": 0, "D": 2}, "'N'"),
             ("premeasure", {"K": [[]], "q": 0, "t": 0, "N": 3, "D": 2}, "'D'"),
             ("premeasure", {"K": [[]], "q": 0, "t": 0, "N": 1, "D": 2, "k": -1}, "'k'"),
+            ("spectrum", {"schedule": [[4, 4], [8, 16]]}, "'schedule'"),
         ],
     )
     def test_bad_field_named(self, tmp_path, capsys, command, extra, field):
@@ -437,6 +461,13 @@ class TestNoWorkOnBadConfig:
                             "mode": "outer", "cover_depth": 3}, "'cover_depth'"),
             ("verify-gibbs", {"measure": {"kind": "gibbs", "r": 40, "psi": {"0" * 40: -1.0}}},
              "'measure'"),
+            # 700,001 levels x 3 chain nodes x 1 trie state x 2 symbols
+            ("entropy", {"space": GOLDEN, "measure": PARRY, "K": [[]],
+                         "schedule": [[1, 700000]]}, "'schedule'"),
+            # the chain sweeps need no tree, but the cover-refined one builds
+            # the top cover_depth levels: 2^26 - 1 nodes here
+            ("premeasure", {"K": [[]], "q": 0, "t": 0, "N": 1, "D": 30,
+                            "mode": "outer", "cover_depth": 25}, "'cover_depth'"),
         ],
     )
     def test_exits_2_before_any_work(self, tmp_path, command, extra, field):

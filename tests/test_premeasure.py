@@ -298,12 +298,110 @@ class TestTreeMasses:
         ],
     )
     def test_levels_match_per_word_log_mass(self, fixture, K_words, request):
-        # the trie keeps exactly the words whose cylinder meets K, in order
+        # the trie keeps exactly the words whose cylinder meets K, in order; a
+        # chain builds explicit levels only on demand
         model = request.getfixturevalue(fixture)
         K = mf.CylinderSet(model.space, K_words)
         ev = mf.TreeEvaluator(model, K, 1, 6)
+        ev._explicit(7)
         assert len(ev.level_words) == 8
         for n, (words, lm) in enumerate(zip(ev.level_words, ev.log_masses)):
             expected = [w for w in model.space.words_of_length(n) if K.intersects(w)]
             assert [tuple(w) for w in words.tolist()] == expected
             np.testing.assert_array_equal(lm, [model.log_mass(w) for w in words])
+
+    @pytest.mark.parametrize("K_words", TREE_KS.values(), ids=list(TREE_KS))
+    def test_tree_cap_counts_nodes_exactly(self, monkeypatch, parry, K_words):
+        # a Mixture folds over the explicit tree: the cap counts its nodes
+        # exactly before building it
+        model = mf.Mixture(parry, parry, 0.5)
+        K = mf.CylinderSet(model.space, K_words)
+        nodes = sum(len(w) for w in mf.TreeEvaluator(model, K, 1, 6).level_words)
+        monkeypatch.setattr(mf.premeasure, "_MAX_TREE_NODES", nodes)
+        mf.TreeEvaluator(model, K, 1, 6)
+        monkeypatch.setattr(mf.premeasure, "_MAX_TREE_NODES", nodes - 1)
+        monkeypatch.setattr(mf.Mixture, "extend", None)  # nothing may be built
+        with pytest.raises(mf.TooLargeError):
+            mf.TreeEvaluator(model, K, 1, 6)
+
+
+@pytest.fixture(scope="module")
+def stuck(full2):
+    # every word holding a 1 has mass zero
+    return mf.Bernoulli(full2, [1.0, 0.0])
+
+
+@pytest.fixture(scope="module")
+def sticky(full2):
+    # 1 -> 1 is admissible but has probability zero
+    return mf.Markov(full2, [[0.4, 0.6], [1.0, 0.0]])
+
+
+@pytest.fixture(scope="module")
+def gibbs4(full2):
+    # r = 4: a 3-block chain, so levels 0..2 hold absolute values
+    weights = (0.2, -0.7, 0.5, -0.1, -1.3, 0.8, 0.0, -0.4,
+               0.6, -0.9, 0.3, 0.1, -0.6, 1.0, -0.2, 0.4)
+    return mf.Gibbs(mf.Potential(full2, 4, dict(zip(full2.words_of_length(4), weights))))
+
+
+class TestChainTables:
+    """A chain folds over (chain node, trie state) tables instead of its tree.
+    ``Mixture(chain, chain, 1)`` has the chain's own masses and folds over the
+    explicit tree, so it is the reference, as is the antichain oracle."""
+
+    CASES = [([()], 0, 2), ([()], 1, 5), ([(0, 1), (1, 0, 0)], 0, 5), ([(1,), (0, 0, 1)], 2, 4)]
+
+    @staticmethod
+    def sweeps(ev, q, outer_first):
+        out = []
+        for t, N in itertools.product((-0.3, 0.5), (1, 2)):
+            calls = [("packing", lambda: ev.packing_log(q, t, N)),
+                     ("outer", lambda: ev.outer_log(q, t, N, ev.D)),
+                     ("covering", lambda: ev.covering_log(q, t, N))]
+            if outer_first:
+                calls.reverse()
+            out += sorted((name, call()) for name, call in calls)
+        return out
+
+    @pytest.mark.parametrize("name", ["stuck", "sticky", "gibbs4"])
+    @pytest.mark.parametrize("q", [-2.0, 0.0, 1.5])
+    def test_matches_tree_fold_in_either_call_order(self, request, name, q):
+        model = request.getfixturevalue(name)
+        for K_words, k, D in self.CASES:
+            K = mf.CylinderSet(model.space, K_words)
+            tree = self.sweeps(mf.TreeEvaluator(mf.Mixture(model, model, 1.0), K, k, D), q, False)
+            first = self.sweeps(mf.TreeEvaluator(model, K, k, D), q, False)
+            # bit for bit, whichever sweep built the explicit levels
+            assert self.sweeps(mf.TreeEvaluator(model, K, k, D), q, True) == first
+            for (sweep, got), (_, want) in zip(first, tree):
+                assert got == pytest.approx(want, rel=1e-13, abs=1e-13), (sweep, K_words, k, D)
+
+    @pytest.mark.parametrize("name", ["stuck", "sticky", "gibbs4"])
+    @pytest.mark.parametrize("q", [-2.0, 0.0, 1.5])
+    def test_matches_oracle(self, request, name, q):
+        model = request.getfixturevalue(name)
+        for (K_words, k, D), t, N in itertools.product(self.CASES[:3], (-0.3, 0.5), (1, 2)):
+            if N > D:
+                continue
+            K = mf.CylinderSet(model.space, K_words)
+            ev = mf.TreeEvaluator(model, K, k, min(D, 3))
+            for mode, sweep in (("min", ev.covering_log), ("max", ev.packing_log)):
+                oracle = mf.antichain_oracle(model, K, q, t, N, k, ev.D, mode)
+                assert sweep(q, t, N) == pytest.approx(oracle, rel=1e-12, abs=1e-12)
+
+    def test_chain_depth_needs_no_tree(self, parry):
+        # 5.7M nodes to depth 30, past the tree cap; the tables hold 31 x 2 pairs
+        ev = mf.TreeEvaluator(parry, mf.CylinderSet(parry.space, [()]), 0, 30)
+        assert len(ev.level_words) == 1
+        # q = 0 and N = D: each of the depth-30 words weighs e^{-30 t}
+        words = parry.space.count_words(30)
+        assert ev.packing_log(0.0, 0.5, 30) == pytest.approx(math.log(words) - 15, rel=1e-13)
+
+    def test_chain_cap_is_stated_in_table_entries(self, parry):
+        # (D + k + 1) levels x 3 chain nodes x 1 trie state x 2 symbols
+        Y = mf.CylinderSet(parry.space, [()])
+        with pytest.raises(mf.TooLargeError, match="chain table"):
+            mf.TreeEvaluator(parry, Y, 0, (1 << 22) // 6)
+        with pytest.raises(mf.TooLargeError, match="cylinder tree"):
+            mf.TreeEvaluator(parry, Y, 0, 30).outer_log(0.0, 0.5, 1, 30)
