@@ -341,14 +341,16 @@ def cmd_entropy(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
     D_min = min(D for _, D in schedule)
     if cover_depth > D_min:
         raise ConfigError(f"field 'cover_depth' exceeds the smallest schedule D={D_min}")
-    _within("fields 'schedule' and 'k'", _refuse_big, model, K, max(D for _, D in schedule), k)
+    D_max = max(D for _, D in schedule)
+    _within("fields 'schedule' and 'k'", _refuse_big, model, K, D_max, k)
     refine = not outer_is_packing(schedule, k, cover_depth)
     if refine:
         _within("field 'cover_depth'", _refuse_big_tree, K, cover_depth)
 
-    bowen = bowen_entropy(model, K, q, k, schedule)
-    delta = packing_entropy_delta(model, K, q, k, schedule)
-    packing = packing_entropy(model, K, q, k, schedule, cover_depth) if refine else delta
+    ev = TreeEvaluator(model, K, k, D_max)  # every entry of all three estimates folds on it
+    bowen = bowen_entropy(ev, q, schedule)
+    delta = packing_entropy_delta(ev, q, schedule)
+    packing = packing_entropy(ev, q, schedule, cover_depth) if refine else delta
     estimates = (("bowen", bowen), ("packing_delta", delta), ("packing", packing))
     return [(
         "entropy.csv",

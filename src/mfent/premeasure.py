@@ -10,10 +10,14 @@ cylinders, and a disjoint family of cylinders is exactly an antichain.  The refi
 construction's arbitrary covers are restricted to cylinder partitions,
 which over-estimates the infimum.
 
-``TreeEvaluator`` is the one entry point.  Its constructor refuses k < 0
-(and D < 1), and tables or trees past the size cap, before building
-anything, and its three sweeps refuse a minimum order N outside [1, D], as
-the brute-force ``antichain_oracle`` does.
+``TreeEvaluator`` is the one entry point.  It is built once per (model,
+K, k) at the largest D + k; each sweep folds from its own D <= that, and
+a depth-D evaluator holds every shallower one level for level, so the
+values are those of a fresh evaluator of depth D bit for bit.  Its
+constructor refuses k < 0 (and D < 1), and tables or trees past the size
+cap, before building anything, and its three sweeps refuse a minimum order
+N outside [1, D] and a D above the evaluator's own, as the brute-force
+``antichain_oracle`` refuses N outside [1, D].
 
 Everything runs in log domain; -inf encodes value 0 and +inf the blowup
 of the power gauge at zero mass with negative exponent.
@@ -127,8 +131,9 @@ class TreeEvaluator:
     ``parents`` and ``log_masses`` hold the explicit tree levels built so
     far: all D + k of them for a tree model, and for a chain the top levels
     that ``outer_log`` has needed.  Every unit keeps a child, so sweeps use
-    ``reduceat``.  Built once, so root-finding in t re-runs only the
-    vectorized sweeps.
+    ``reduceat``.  Built once per (model, K, k) at the largest D + k; each
+    sweep folds from its own D <= that, so root-finding in t and every
+    schedule entry re-run only the vectorized sweeps.
     """
 
     def __init__(self, model: MeasureModel, K: CylinderSet, k: int, D: int):
@@ -139,7 +144,7 @@ class TreeEvaluator:
         _check_window(1, D, k)
         self.k = k
         self.D = D
-        self._model = model
+        self.model = model
         self._K = K
         self._table, root = K.trie()
         self._chain = isinstance(model, Chain)
@@ -163,13 +168,17 @@ class TreeEvaluator:
         """Per level, the (chain node, trie state) pairs its words reach, as
         sorted keys node * trie states + trie state, and the edges to the
         next level: one per admissible symbol that meets K, in (pair, symbol)
-        order, with the child pair and the log mass step."""
+        order, with the child pair and the log mass step.  From a level >= d
+        whose pairs are the level before's, every later level repeats its
+        tables, so those levels share its arrays, made read-only."""
         width = len(self._table)
         d = len(model.states[0])
+        top = self.D + self.k
         node, trie = np.zeros(1, np.int64), np.array([root])
         self._keys = [node * width + trie]
         self._lm, self._child, self._steps, self._starts = [np.zeros(1)], [], [], []
-        for level in range(1, self.D + self.k + 1):
+        per_level = self._keys, self._lm, self._child, self._steps, self._starts
+        for level in range(1, top + 1):
             nxt, kid_trie = model._next[node], self._table[trie]
             par, sym = np.nonzero((nxt >= 0) & (kid_trie >= 0))
             keys, child = np.unique(nxt[par, sym] * width + kid_trie[par, sym], return_inverse=True)
@@ -180,12 +189,15 @@ class TreeEvaluator:
                 step = None
             else:
                 lm = np.zeros(len(keys))
+            tables = keys, lm, child, step, np.flatnonzero(np.diff(par, prepend=-1))
+            if level >= d and np.array_equal(keys, self._keys[-1]):
+                for levels, table in zip(per_level, tables):
+                    table.flags.writeable = False
+                    levels.extend([table] * (top + 1 - level))
+                break
+            for levels, table in zip(per_level, tables):
+                levels.append(table)
             node, trie = keys // width, keys % width
-            self._keys.append(keys)
-            self._lm.append(lm)
-            self._child.append(child)
-            self._steps.append(step)
-            self._starts.append(np.flatnonzero(np.diff(par, prepend=-1)))
 
     def _explicit(self, depth: int) -> None:
         """Build the explicit tree down to ``depth``, once.  Each level steps the
@@ -199,16 +211,16 @@ class TreeEvaluator:
         words, lm = self.level_words[-1], self.log_masses[-1]
         width = len(self._table)
         for level in range(built, depth + 1):
-            par, sym, kids, lm = self._model.extend(states, lm)
+            par, sym, kids, lm = self.model.extend(states, lm)
             trie = self._table[trie[par], sym]
             keep = np.flatnonzero(trie >= 0)
             if len(keep) < len(par):
                 par, sym, trie = par[keep], sym[keep], trie[keep]
-                kids, lm = self._model.select(kids, keep), lm[keep]
+                kids, lm = self.model.select(kids, keep), lm[keep]
             if self._chain:
                 self._units.append(np.searchsorted(self._keys[level], kids * width + trie))
                 relative = self._steps[level - 1] is not None
-                self._tree_steps.append(self._model._step[states[par], sym] if relative else None)
+                self._tree_steps.append(self.model._step[states[par], sym] if relative else None)
             else:
                 self._units.append(slice(None))
                 self._tree_steps.append(None)
@@ -226,12 +238,15 @@ class TreeEvaluator:
         """Each unit's own ball weight, relative to its offset."""
         return psi_log(q, self._lm[level]) - t * (level - self.k)
 
-    def _fold(self, q: float, t: float, N: int, best) -> list[np.ndarray]:
-        """Bottom-up optimum per unit over antichains of its subtree: ``best``
-        (np.minimum for coverings, np.maximum for packings) of the unit's own
-        weight, where its order is at least N, and its children's sum."""
-        _check_window(N, self.D, self.k)
-        top = self.D + self.k
+    def _fold(self, q: float, t: float, N: int, D: int, best) -> list[np.ndarray]:
+        """Bottom-up optimum per unit over antichains of its subtree, from
+        level D + k up: ``best`` (np.minimum for coverings, np.maximum for
+        packings) of the unit's own weight, where its order is at least N,
+        and its children's sum."""
+        _check_window(N, D, self.k)
+        if D > self.D:
+            raise ValueError(f"order cap D={D} above the evaluator's depth D={self.D}")
+        top = D + self.k
         vals = [self._weights(q, t, top)]
         for level in range(top - 1, -1, -1):
             kids = vals[-1][self._child[level]]
@@ -241,22 +256,26 @@ class TreeEvaluator:
             vals.append(best(self._weights(q, t, level), acc) if level - self.k >= N else acc)
         return vals[::-1]
 
-    def covering_log(self, q: float, t: float, N: int) -> float:
-        """Exact infimum over centered coverings by balls of order N..D: every
-        centered dyadic ball is a cylinder meeting K.  Nonincreasing in D."""
-        return float(self._fold(q, t, N, np.minimum)[0][0])
+    def covering_log(self, q: float, t: float, N: int, D: int | None = None) -> float:
+        """Exact infimum over centered coverings by balls of order N..D (by
+        default the evaluator's own D): every centered dyadic ball is a
+        cylinder meeting K.  Nonincreasing in D."""
+        return float(self._fold(q, t, N, self.D if D is None else D, np.minimum)[0][0])
 
-    def packing_log(self, q: float, t: float, N: int) -> float:
-        """Exact supremum over packings with orders N..D; a lower bound for the
-        supremum over unbounded orders, nondecreasing in D."""
-        return float(self._fold(q, t, N, np.maximum)[0][0])
+    def packing_log(self, q: float, t: float, N: int, D: int | None = None) -> float:
+        """Exact supremum over packings with orders N..D (by default the
+        evaluator's own D); a lower bound for the supremum over unbounded
+        orders, nondecreasing in D."""
+        return float(self._fold(q, t, N, self.D if D is None else D, np.maximum)[0][0])
 
-    def outer_log(self, q: float, t: float, N: int, cover_depth: int) -> float:
+    def outer_log(self, q: float, t: float, N: int, cover_depth: int, D: int | None = None) -> float:
         """Infimum over cylinder-partition covers at depths <= cover_depth of the
-        per-piece packing value: an upper bound, not exact at this depth."""
-        packs = self._fold(q, t, N, np.maximum)  # checks the order window first
-        if cover_depth < 0 or cover_depth > self.D:
-            raise ValueError(f"cover depth {cover_depth} outside [0, {self.D}]")
+        per-piece packing value with orders N..D (by default the evaluator's
+        own D): an upper bound, not exact at this depth."""
+        D = self.D if D is None else D
+        packs = self._fold(q, t, N, D, np.maximum)  # checks the order window first
+        if cover_depth < 0 or cover_depth > D:
+            raise ValueError(f"cover depth {cover_depth} outside [0, {D}]")
         self._explicit(cover_depth)
         # Best usable ancestor-ball weight along each path, top-down, relative
         # to the node's offset as the fold's values are.  ``handed`` keeps it
@@ -266,7 +285,7 @@ class TreeEvaluator:
         anc = np.full(1, -math.inf)
         ancs, incs, handed = [anc], [None], [None]
         for level in range(1, cover_depth + 1):
-            if N <= (level - 1) - self.k <= self.D:  # the parent's order is usable
+            if N <= (level - 1) - self.k <= D:  # the parent's order is usable
                 anc = np.maximum(anc, self._weights(q, t, level - 1)[self._units[level - 1]])
             anc = anc[self.parents[level]]
             handed.append(anc)

@@ -19,7 +19,6 @@ from typing import Callable, Sequence
 from .errors import BracketError
 from .measures import MeasureModel, doubling_check
 from .premeasure import TreeEvaluator
-from .space import CylinderSet
 
 DEFAULT_SCHEDULE: tuple[tuple[int, int], ...] = ((4, 4), (8, 8), (12, 12), (16, 16))
 _SCHEDULE_TOL = 1e-8  # root tolerance per schedule entry
@@ -168,10 +167,8 @@ def _schedule_estimate(
 
 
 def _run_schedule(
-    model: MeasureModel,
-    E: CylinderSet,
+    ev: TreeEvaluator,
     q: float,
-    k: int,
     schedule: Sequence[tuple[int, int]],
     sweep: str,
     cover_depth: int | None = None,
@@ -180,72 +177,65 @@ def _run_schedule(
         raise ValueError("schedule is empty: it needs at least one (N, D) entry")
     if cover_depth is None:
         cover_depth = default_cover_depth(schedule)
-    bracket = _default_bracket(model, q)
+    bracket = _default_bracket(ev.model, q)
     values = []
     degenerate = False
     for N, D in schedule:
-        ev = TreeEvaluator(model, E, k, D)
         if sweep == "covering":
-            f = lambda t: ev.covering_log(q, t, N)
+            f = lambda t: ev.covering_log(q, t, N, D)
         elif sweep == "packing":
-            f = lambda t: ev.packing_log(q, t, N)
+            f = lambda t: ev.packing_log(q, t, N, D)
         else:
-            f = lambda t: ev.outer_log(q, t, N, cover_depth)
+            f = lambda t: ev.outer_log(q, t, N, cover_depth, D)
         root, deg = _critical_exponent_impl(f, bracket, _SCHEDULE_TOL)
         degenerate = degenerate or deg
         values.append((N, D, root))
-    return _schedule_estimate(values, k, degenerate)
+    return _schedule_estimate(values, ev.k, degenerate)
 
 
 def bowen_entropy(
-    model: MeasureModel,
-    E: CylinderSet,
-    q: float,
-    k: int = 0,
-    schedule: Sequence[tuple[int, int]] = DEFAULT_SCHEDULE,
+    ev: TreeEvaluator, q: float, schedule: Sequence[tuple[int, int]]
 ) -> EntropyEstimate:
-    """Critical exponent of the covering pre-measure over the schedule.
+    """Critical exponent of the covering pre-measure over the schedule, each
+    entry folded from its own D on the one evaluator ``ev`` (its depth at
+    least the largest D).
 
     For q > 0 the identification of this exponent with the covering
     entropy requires the measure to satisfy the one-step doubling bound,
     so models with an infinite analytic bound are rejected.
     """
     if q > 0:
-        bound = model.one_step_log_bound()
+        bound = ev.model.one_step_log_bound()
         if bound is not None and math.isinf(bound):
             raise BracketError(
                 "q > 0 needs the entropy doubling condition; this measure has "
                 "zero-mass admissible transitions (unbounded doubling ratio)"
             )
         if bound is None:
-            rep = doubling_check(model, max(k, 1), n_max=6)
+            rep = doubling_check(ev.model, max(ev.k, 1), n_max=6)
             if math.isinf(rep.empirical_sup):
                 raise BracketError(
                     "q > 0 needs the entropy doubling condition; empirical "
                     "doubling ratio is unbounded"
                 )
-    return _run_schedule(model, E, q, k, schedule, "covering")
+    return _run_schedule(ev, q, schedule, "covering")
 
 
 def packing_entropy_delta(
-    model: MeasureModel,
-    E: CylinderSet,
-    q: float,
-    k: int = 0,
-    schedule: Sequence[tuple[int, int]] = DEFAULT_SCHEDULE,
+    ev: TreeEvaluator, q: float, schedule: Sequence[tuple[int, int]]
 ) -> EntropyEstimate:
-    """Critical exponent of the raw packing pre-measure (no cover refinement)."""
-    return _run_schedule(model, E, q, k, schedule, "packing")
+    """Critical exponent of the raw packing pre-measure (no cover refinement)
+    over the schedule, on the one evaluator ``ev``."""
+    return _run_schedule(ev, q, schedule, "packing")
 
 
 def packing_entropy(
-    model: MeasureModel,
-    E: CylinderSet,
+    ev: TreeEvaluator,
     q: float,
-    k: int = 0,
-    schedule: Sequence[tuple[int, int]] = DEFAULT_SCHEDULE,
+    schedule: Sequence[tuple[int, int]],
     cover_depth: int | None = None,
 ) -> EntropyEstimate:
-    """Critical exponent of the cover-refined packing construction; every
-    entry covers at ``cover_depth``, by default min(6, smallest N)."""
-    return _run_schedule(model, E, q, k, schedule, "outer", cover_depth)
+    """Critical exponent of the cover-refined packing construction over the
+    schedule, on the one evaluator ``ev``; every entry covers at
+    ``cover_depth``, by default min(6, smallest N)."""
+    return _run_schedule(ev, q, schedule, "outer", cover_depth)

@@ -111,8 +111,9 @@ def test_criterion_3_dp_matches_enumeration(biased, full2, capsys):
 def test_criterion_4_counting_entropy_of_golden_mean(parry, golden, capsys):
     Y = mf.CylinderSet(golden, [()])
     target = math.log(PHI)
-    b = mf.bowen_entropy(parry, Y, 0.0, schedule=FULL)
-    p = mf.packing_entropy_delta(parry, Y, 0.0, schedule=FULL)
+    ev = mf.TreeEvaluator(parry, Y, 0, max(D for _, D in FULL))
+    b = mf.bowen_entropy(ev, 0.0, FULL)
+    p = mf.packing_entropy_delta(ev, 0.0, FULL)
     assert b.N_used == 16
     assert abs(b.value - target) <= 1e-2
     assert abs(p.value - target) <= 1e-2

@@ -200,8 +200,8 @@ class TestEntropyCommand:
         rows = {r["method"]: r for r in read_csv(tmp_path / "entropy.csv")}
         space = mfent.make_shift(2, FULL2["transitions"])
         K = mfent.CylinderSet(space, [(0,), (1, 0, 1)])
-        est = mfent.packing_entropy(mfent.Bernoulli(space, BIASED["p"]), K, 0.5,
-                                    schedule=((4, 8), (8, 8)), cover_depth=5)
+        ev = mfent.TreeEvaluator(mfent.Bernoulli(space, BIASED["p"]), K, 0, 8)
+        est = mfent.packing_entropy(ev, 0.5, ((4, 8), (8, 8)), cover_depth=5)
         assert float(rows["packing"]["value"]) == pytest.approx(est.value, abs=1e-11)
         assert float(rows["packing"]["value"]) <= float(rows["packing_delta"]["value"]) + 1e-9
 
@@ -216,6 +216,32 @@ class TestEntropyCommand:
         assert len(rows) == 3
         for r in rows:
             assert float(r["value"]) == pytest.approx(math.log(phi), abs=1e-2)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            # cover depth 4 <= N + k of every entry: the packing row reuses packing_delta
+            {"space": GOLDEN, "measure": PARRY, "K": [[]], "schedule": [[4, 4], [8, 8], [10, 10]]},
+            # cover depth 5 above N + k = 4 of the (4, 8) entry: the outer sweep runs
+            {"space": FULL2, "measure": BIASED, "K": [[0], [1, 0, 1]], "q": 0.5,
+             "schedule": [[4, 8], [8, 8]], "cover_depth": 5},
+            {"space": FULL2, "measure": MIXTURE, "K": [[0, 1], [1, 1, 0]], "q": -1,
+             "schedule": [[4, 4], [6, 10], [10, 10]], "cover_depth": 4},
+        ],
+        ids=["outer-is-packing", "refined-chain", "refined-mixture"],
+    )
+    def test_one_evaluator_per_run(self, tmp_path, monkeypatch, cfg):
+        # every entry of all three estimates folds on one evaluator at the largest D
+        built = []
+        init = mfent.TreeEvaluator.__init__
+
+        def counting_init(self, model, K, k, D):
+            built.append(D)
+            init(self, model, K, k, D)
+
+        monkeypatch.setattr(mfent.TreeEvaluator, "__init__", counting_init)
+        assert run("entropy", cfg, tmp_path) == 0
+        assert built == [max(D for _, D in cfg["schedule"])]
 
     def test_mixture_tree_cap_before_any_tree(self, tmp_path, capsys, monkeypatch):
         # the depth-22 tree of the full 2-shift holds 2^23 - 1 nodes; the cap

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import mfent as mf
+from conftest import random_irreducible_markov
 
 LOG2 = math.log(2)
 
@@ -101,8 +102,9 @@ class TestWindowValidation:
         "estimator", [mf.bowen_entropy, mf.packing_entropy_delta, mf.packing_entropy]
     )
     def test_estimators_refuse_bad_window(self, biased, full2, estimator, k, schedule, match):
+        Y = mf.CylinderSet(full2, [()])
         with pytest.raises(ValueError, match=match):
-            estimator(biased, mf.CylinderSet(full2, [()]), 0.0, k, schedule)
+            estimator(mf.TreeEvaluator(biased, Y, k, max(D for _, D in schedule)), 0.0, schedule)
 
 
 class TestClosedForms:
@@ -353,12 +355,13 @@ class TestChainTables:
     CASES = [([()], 0, 2), ([()], 1, 5), ([(0, 1), (1, 0, 0)], 0, 5), ([(1,), (0, 0, 1)], 2, 4)]
 
     @staticmethod
-    def sweeps(ev, q, outer_first):
+    def sweeps(ev, q, outer_first, D=None):
+        D = ev.D if D is None else D
         out = []
         for t, N in itertools.product((-0.3, 0.5), (1, 2)):
-            calls = [("packing", lambda: ev.packing_log(q, t, N)),
-                     ("outer", lambda: ev.outer_log(q, t, N, ev.D)),
-                     ("covering", lambda: ev.covering_log(q, t, N))]
+            calls = [("packing", lambda: ev.packing_log(q, t, N, D)),
+                     ("outer", lambda: ev.outer_log(q, t, N, D, D)),
+                     ("covering", lambda: ev.covering_log(q, t, N, D))]
             if outer_first:
                 calls.reverse()
             out += sorted((name, call()) for name, call in calls)
@@ -390,6 +393,23 @@ class TestChainTables:
                 oracle = mf.antichain_oracle(model, K, q, t, N, k, ev.D, mode)
                 assert sweep(q, t, N) == pytest.approx(oracle, rel=1e-12, abs=1e-12)
 
+    def test_repeating_levels_share_one_table(self, parry):
+        # Parry's pairs are the same from level 1 on, so levels 2..D + k
+        # repeat level 2's tables: one read-only array each
+        Y = mf.CylinderSet(parry.space, [()])
+        ev = mf.TreeEvaluator(parry, Y, 1, 18)
+        assert [len(keys) for keys in ev._keys] == [1] + [2] * 19
+        for levels, first in ((ev._keys, 2), (ev._lm, 2), (ev._child, 1), (ev._steps, 1),
+                              (ev._starts, 1)):
+            assert len(levels) == len(ev._keys) - (first == 1)
+            assert all(table is levels[first] for table in levels[first:])
+            assert not levels[first].flags.writeable
+        tree = mf.TreeEvaluator(mf.Mixture(parry, parry, 1.0), Y, 1, 18)
+        for q, D in itertools.product((-2.0, 0.0, 1.5), (12, 18)):
+            for (sweep, got), (_, want) in zip(self.sweeps(ev, q, False, D),
+                                               self.sweeps(tree, q, False, D)):
+                assert got == pytest.approx(want, rel=1e-13, abs=1e-13), (sweep, D)
+
     def test_chain_depth_needs_no_tree(self, parry):
         # 5.7M nodes to depth 30, past the tree cap; the tables hold 31 x 2 pairs
         ev = mf.TreeEvaluator(parry, mf.CylinderSet(parry.space, [()]), 0, 30)
@@ -405,3 +425,52 @@ class TestChainTables:
             mf.TreeEvaluator(parry, Y, 0, (1 << 22) // 6)
         with pytest.raises(mf.TooLargeError, match="cylinder tree"):
             mf.TreeEvaluator(parry, Y, 0, 30).outer_log(0.0, 0.5, 1, 30)
+
+
+@pytest.fixture(scope="module")
+def markov3():
+    return random_irreducible_markov(np.random.default_rng(7), 3)
+
+
+@pytest.fixture(scope="module")
+def schedule_mixture(full2, gibbs3):
+    # the entropy-schedule workload's mixture: Bernoulli(0.3, 0.7) and an r = 3 Gibbs
+    return mf.Mixture(mf.Bernoulli(full2, [0.3, 0.7]), gibbs3, 0.5)
+
+
+class TestSharedDepth:
+    """One evaluator built at depth D + k serves every shallower D: a sweep
+    folds from its own D, and its values are a fresh depth-D evaluator's bit
+    for bit."""
+
+    CASES = [("parry", [()]), ("markov3", [(0,), (1, 2)]),
+             ("schedule_mixture", [(0, 1), (1, 1, 0)])]
+
+    @staticmethod
+    def values(ev, N, D):
+        out = []
+        for q, t in itertools.product((-2.0, 0.0, 1.5), (-0.3, 0.5)):
+            out += [ev.covering_log(q, t, N, D), ev.packing_log(q, t, N, D)]
+            out += [ev.outer_log(q, t, N, depth, D) for depth in range(D + 1)]
+        return np.array(out).tobytes()
+
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("name, K_words", CASES, ids=[name for name, _ in CASES])
+    def test_deep_evaluator_matches_fresh_ones(self, request, name, K_words, k):
+        model = request.getfixturevalue(name)
+        K = mf.CylinderSet(model.space, K_words)
+        deep = mf.TreeEvaluator(model, K, k, 7)
+        for D in range(1, deep.D):
+            fresh = mf.TreeEvaluator(model, K, k, D)
+            for N in range(1, D + 1):
+                assert self.values(deep, N, D) == self.values(fresh, N, D), (N, D)
+
+    def test_refuses_depth_above_its_own_and_cover_depth_above_d(self, biased, full2):
+        ev = mf.TreeEvaluator(biased, mf.CylinderSet(full2, [(0,)]), 1, 5)
+        for sweep in (ev.covering_log, ev.packing_log):
+            with pytest.raises(ValueError, match="D=6 above the evaluator's depth D=5"):
+                sweep(0.0, 0.1, 1, 6)
+        with pytest.raises(ValueError, match="D=6 above the evaluator's depth D=5"):
+            ev.outer_log(0.0, 0.1, 1, 2, 6)
+        with pytest.raises(ValueError, match=r"cover depth 4 outside \[0, 3\]"):
+            ev.outer_log(0.0, 0.1, 1, 4, 3)

@@ -13,6 +13,11 @@ PHI = (1 + math.sqrt(5)) / 2
 FAST = ((4, 4), (8, 8), (10, 10))
 
 
+def evaluator(model, K, schedule, k=0):
+    """The one evaluator every entry of ``schedule`` folds on."""
+    return mf.TreeEvaluator(model, K, k, max(D for _, D in schedule))
+
+
 def reference_root(f, lo: float, hi: float) -> float:
     """Plain bisection down to adjacent floats: the sign change of a
     nonincreasing f with f(lo) > 0 > f(hi)."""
@@ -175,26 +180,27 @@ class TestSweepRoots:
 class TestFullShiftEntropy:
     def test_fair_coin_counting(self, fair, full2):
         Y = mf.CylinderSet(full2, [()])
-        est = mf.bowen_entropy(fair, Y, 0.0, schedule=FAST)
+        est = mf.bowen_entropy(evaluator(fair, Y, FAST), 0.0, FAST)
         assert est.value == pytest.approx(LOG2, abs=1e-2)
         assert est.N_used == 10
 
     def test_mass_exponent_vanishes(self, biased, full2):
         # q=1 discounts by exactly the mass, so the exponent is 0
         Y = mf.CylinderSet(full2, [()])
-        est = mf.bowen_entropy(biased, Y, 1.0, schedule=FAST)
+        est = mf.bowen_entropy(evaluator(biased, Y, FAST), 1.0, FAST)
         assert est.value == pytest.approx(0.0, abs=1e-2)
 
     def test_gauge_scaling_on_fair_coin(self, fair, full2):
         # all masses 2^{-n}: exponent is (1 - q) log 2 for every q
         Y = mf.CylinderSet(full2, [()])
+        ev = evaluator(fair, Y, FAST)
         for q in (-1.0, 0.5, 2.0):
-            est = mf.bowen_entropy(fair, Y, q, schedule=FAST)
+            est = mf.bowen_entropy(ev, q, FAST)
             assert est.value == pytest.approx((1 - q) * LOG2, abs=2e-2)
 
     def test_error_bar_reflects_schedule_spread(self, fair, full2):
         Y = mf.CylinderSet(full2, [()])
-        est = mf.bowen_entropy(fair, Y, 0.0, schedule=FAST)
+        est = mf.bowen_entropy(evaluator(fair, Y, FAST), 0.0, FAST)
         assert est.error_bar < 0.05
 
 
@@ -203,19 +209,20 @@ class TestFullShiftEntropy:
 )
 def test_empty_schedule_refused(fair, full2, estimator):
     with pytest.raises(ValueError, match="schedule is empty"):
-        estimator(fair, mf.CylinderSet(full2, [()]), 0.0, schedule=[])
+        estimator(mf.TreeEvaluator(fair, mf.CylinderSet(full2, [()]), 0, 4), 0.0, [])
 
 
 class TestSubshift:
     def test_golden_mean_growth(self, parry, golden):
         Y = mf.CylinderSet(golden, [()])
-        est = mf.bowen_entropy(parry, Y, 0.0, schedule=FAST)
+        est = mf.bowen_entropy(evaluator(parry, Y, FAST), 0.0, FAST)
         assert est.value == pytest.approx(math.log(PHI), abs=2e-2)
 
     def test_packing_variants_agree_on_whole_space(self, parry, golden):
         Y = mf.CylinderSet(golden, [()])
-        delta = mf.packing_entropy_delta(parry, Y, 0.0, schedule=FAST)
-        refined = mf.packing_entropy(parry, Y, 0.0, schedule=FAST)
+        ev = evaluator(parry, Y, FAST)
+        delta = mf.packing_entropy_delta(ev, 0.0, FAST)
+        refined = mf.packing_entropy(ev, 0.0, FAST)
         assert refined.value == pytest.approx(delta.value, abs=1e-9)
 
 
@@ -224,8 +231,9 @@ class TestCoverDepthDefault:
         # the smallest N is 4, so every entry covers at depth 4, the 8 and 10 ones too
         K = mf.CylinderSet(full2, [(0,), (1, 1)])
         assert default_cover_depth(FAST) == 4
-        default = mf.packing_entropy(biased, K, 0.5, schedule=FAST)
-        explicit = mf.packing_entropy(biased, K, 0.5, schedule=FAST, cover_depth=4)
+        ev = evaluator(biased, K, FAST)
+        default = mf.packing_entropy(ev, 0.5, FAST)
+        explicit = mf.packing_entropy(ev, 0.5, FAST, cover_depth=4)
         assert default == explicit
         assert default_cover_depth(((8, 8), (12, 12))) == 6
 
@@ -259,11 +267,12 @@ class TestOuterIsPacking:
 
     def test_outer_sweep_gives_delta_estimate(self, biased, full2):
         K = mf.CylinderSet(full2, [(0,), (1, 1)])
-        delta = mf.packing_entropy_delta(biased, K, 0.5, k=1, schedule=WIDE)
-        assert mf.packing_entropy(biased, K, 0.5, k=1, schedule=WIDE) == delta
-        assert mf.packing_entropy(biased, K, 0.5, k=1, schedule=WIDE, cover_depth=5) == delta
+        ev = evaluator(biased, K, WIDE, k=1)
+        delta = mf.packing_entropy_delta(ev, 0.5, WIDE)
+        assert mf.packing_entropy(ev, 0.5, WIDE) == delta
+        assert mf.packing_entropy(ev, 0.5, WIDE, cover_depth=5) == delta
         with pytest.raises(ValueError):
-            mf.packing_entropy(biased, K, 0.5, schedule=((4, 4),), cover_depth=5)
+            mf.packing_entropy(evaluator(biased, K, ((4, 4),)), 0.5, ((4, 4),), cover_depth=5)
 
     @pytest.mark.parametrize("name", ["biased", "gibbs3", "bernoulli_gibbs"])
     def test_refined_below_raw_above_n_plus_k(self, request, full2, name):
@@ -271,9 +280,10 @@ class TestOuterIsPacking:
         model = request.getfixturevalue(name)
         K = mf.CylinderSet(full2, [(0,), (1, 0, 1)])
         assert not outer_is_packing(WIDE, 0, 5)
+        ev = evaluator(model, K, WIDE)
         for q in (-1.0, 0.0, 2.0):
-            raw = mf.packing_entropy_delta(model, K, q, schedule=WIDE)
-            refined = mf.packing_entropy(model, K, q, schedule=WIDE, cover_depth=5)
+            raw = mf.packing_entropy_delta(ev, q, WIDE)
+            refined = mf.packing_entropy(ev, q, WIDE, cover_depth=5)
             assert refined.value <= raw.value + 1e-9
             assert refined.error_bar < math.inf
 
@@ -283,21 +293,23 @@ class TestRestrictedSets:
         # a cylinder pins one symbol: 2^{N-1} words at order N, so the
         # exponent at N = D = 10 is exactly (9/10) log 2, approaching log 2
         K = mf.CylinderSet(full2, [(0,)])
-        est = mf.bowen_entropy(fair, K, 0.0, schedule=FAST)
+        est = mf.bowen_entropy(evaluator(fair, K, FAST), 0.0, FAST)
         assert est.value == pytest.approx(0.9 * LOG2, abs=1e-6)
 
     def test_covering_below_packing_exponent(self, biased, full2):
         K = mf.CylinderSet(full2, [(0, 0), (1, 0)])
+        ev = evaluator(biased, K, FAST)
         for q in (0.0, 2.0):
-            b = mf.bowen_entropy(biased, K, q, schedule=FAST)
-            p = mf.packing_entropy_delta(biased, K, q, schedule=FAST)
+            b = mf.bowen_entropy(ev, q, FAST)
+            p = mf.packing_entropy_delta(ev, q, FAST)
             assert b.value <= p.value + 1e-6
 
     def test_refined_packing_below_raw(self, biased, full2):
         K = mf.CylinderSet(full2, [(0,), (1, 0, 1)])
+        ev = evaluator(biased, K, FAST)
         for q in (0.0, 2.0):
-            raw = mf.packing_entropy_delta(biased, K, q, schedule=FAST)
-            refined = mf.packing_entropy(biased, K, q, schedule=FAST)
+            raw = mf.packing_entropy_delta(ev, q, FAST)
+            refined = mf.packing_entropy(ev, q, FAST)
             assert refined.value <= raw.value + 1e-9
 
 
@@ -306,18 +318,18 @@ class TestDoublingGate:
         degenerate = mf.Bernoulli(full2, [1.0, 0.0])
         Y = mf.CylinderSet(full2, [()])
         with pytest.raises(mf.BracketError):
-            mf.bowen_entropy(degenerate, Y, 2.0, schedule=FAST)
+            mf.bowen_entropy(evaluator(degenerate, Y, FAST), 2.0, FAST)
 
     def test_unbounded_model_fine_at_zero_q(self, full2):
         degenerate = mf.Bernoulli(full2, [1.0, 0.0])
         Y = mf.CylinderSet(full2, [()])
-        est = mf.bowen_entropy(degenerate, Y, 0.0, schedule=FAST)
+        est = mf.bowen_entropy(evaluator(degenerate, Y, FAST), 0.0, FAST)
         assert est.value == pytest.approx(LOG2, abs=1e-2)
 
     def test_mixture_uses_empirical_probe(self, fair, biased, full2):
         mx = mf.Mixture(fair, biased, 0.5)
         Y = mf.CylinderSet(full2, [()])
-        est = mf.bowen_entropy(mx, Y, 2.0, schedule=FAST)
+        est = mf.bowen_entropy(evaluator(mx, Y, FAST), 2.0, FAST)
         assert math.isfinite(est.value)
 
 
@@ -326,5 +338,5 @@ class TestDegenerateFlag:
         # the pre-measure of a zero-mass cylinder under q=2 is identically 0
         degenerate = mf.Bernoulli(full2, [1.0, 0.0])
         K = mf.CylinderSet(full2, [(1,)])
-        est = mf.packing_entropy_delta(degenerate, K, 2.0, schedule=FAST)
+        est = mf.packing_entropy_delta(evaluator(degenerate, K, FAST), 2.0, FAST)
         assert est.value == -math.inf or est.degenerate
