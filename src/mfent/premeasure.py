@@ -19,6 +19,13 @@ cap, before building anything, and its three sweeps refuse a minimum order
 N outside [1, D] and a D above the evaluator's own, as the brute-force
 ``antichain_oracle`` refuses N outside [1, D].
 
+Levels above the minimum order fold once per q into per-unit weights; a
+sweep folds D + k ... N + k and closes with one log-sum-exp.  No ball sits
+above level N + k, so the fold there is a plain log-sum, which depends on
+q but not on t.  The cover-refined sweep runs its cover pass over the
+explicit top levels only when a cover level can hold a ball (a cover depth
+above N + k); below that it is the packing sweep itself.
+
 Everything runs in log domain; -inf encodes value 0 and +inf the blowup
 of the power gauge at zero mass with negative exponent.
 """
@@ -134,6 +141,13 @@ class TreeEvaluator:
     ``reduceat``.  Built once per (model, K, k) at the largest D + k; each
     sweep folds from its own D <= that, so root-finding in t and every
     schedule entry re-run only the vectorized sweeps.
+
+    Levels above the minimum order fold once per q into per-unit weights;
+    a sweep folds D + k ... N + k and closes with one log-sum-exp.  A
+    unit's forward weight is the log-sum of its nodes' offsets (0 for a
+    tree model's nodes, so no array is kept for them); it and psi_log of
+    every distinct mass table are cached for the last q swept, and serve
+    every t, N and D at that q.
     """
 
     def __init__(self, model: MeasureModel, K: CylinderSet, k: int, D: int):
@@ -156,6 +170,7 @@ class TreeEvaluator:
         # per explicit level: where each node's children start on the next, each
         # node's unit, and (chain levels of relative values) its log mass step
         self._tree_starts, self._units, self._tree_steps = [], [slice(None)], [None]
+        self._q = None  # the q whose forward weights and gauge tables are cached
         if self._chain:
             _refuse_big(model, K, D, k)
             self._chain_tables(model, root)
@@ -168,16 +183,20 @@ class TreeEvaluator:
         """Per level, the (chain node, trie state) pairs its words reach, as
         sorted keys node * trie states + trie state, and the edges to the
         next level: one per admissible symbol that meets K, in (pair, symbol)
-        order, with the child pair and the log mass step.  From a level >= d
-        whose pairs are the level before's, every later level repeats its
-        tables, so those levels share its arrays, made read-only."""
+        order, with the child pair and the log mass step; for the forward
+        weights the same edges again, grouped by child pair, with their
+        parent pairs.  From a level >= d whose pairs are the level before's,
+        every later level repeats its tables, so those levels share its
+        arrays, made read-only."""
         width = len(self._table)
         d = len(model.states[0])
         top = self.D + self.k
         node, trie = np.zeros(1, np.int64), np.array([root])
         self._keys = [node * width + trie]
         self._lm, self._child, self._steps, self._starts = [np.zeros(1)], [], [], []
-        per_level = self._keys, self._lm, self._child, self._steps, self._starts
+        self._into_par, self._into_steps, self._into_starts = [], [], []
+        per_level = (self._keys, self._lm, self._child, self._steps, self._starts,
+                     self._into_par, self._into_steps, self._into_starts)
         for level in range(1, top + 1):
             nxt, kid_trie = model._next[node], self._table[trie]
             par, sym = np.nonzero((nxt >= 0) & (kid_trie >= 0))
@@ -189,7 +208,10 @@ class TreeEvaluator:
                 step = None
             else:
                 lm = np.zeros(len(keys))
-            tables = keys, lm, child, step, np.flatnonzero(np.diff(par, prepend=-1))
+            into = np.argsort(child, kind="stable")
+            tables = (keys, lm, child, step, np.flatnonzero(np.diff(par, prepend=-1)),
+                      par[into], None if step is None else step[into],
+                      np.flatnonzero(np.diff(child[into], prepend=-1)))
             if level >= d and np.array_equal(keys, self._keys[-1]):
                 for levels, table in zip(per_level, tables):
                     table.flags.writeable = False
@@ -234,46 +256,86 @@ class TreeEvaluator:
 
     # -- the three sweeps ------------------------------------------------
 
+    def _gauge(self, q: float, table: np.ndarray) -> np.ndarray:
+        """psi_log(q, table) for the q being swept, computed once per distinct
+        table: the levels that repeat a chain's tables share one array, so
+        they share its gauge too.  Read-only, as the cache hands it out."""
+        gauged = self._gauged.get(id(table))
+        if gauged is None:
+            gauged = self._gauged[id(table)] = psi_log(q, table)
+            gauged.flags.writeable = False
+        return gauged
+
+    def _forward(self, q: float, level: int) -> np.ndarray:
+        """Each chain unit's forward weight at ``level``: the log-sum of its
+        nodes' offsets.  The root's is 0, and a unit's at the next level is
+        the log-sum over its in-edges of the parent's weight plus the step
+        gauge the fold adds along the edge.  Built to the deepest level
+        asked for and kept for the q being swept."""
+        weights = self._forward_weights
+        for l in range(len(weights) - 1, level):
+            edges = weights[l][self._into_par[l]]
+            if self._into_steps[l] is not None:
+                edges = edges + self._gauge(q, self._into_steps[l])
+            weights.append(_logsum(edges, self._into_starts[l]))
+        return weights[level]
+
     def _weights(self, q: float, t: float, level: int) -> np.ndarray:
         """Each unit's own ball weight, relative to its offset."""
-        return psi_log(q, self._lm[level]) - t * (level - self.k)
+        return self._gauge(q, self._lm[level]) - t * (level - self.k)
 
-    def _fold(self, q: float, t: float, N: int, D: int, best) -> list[np.ndarray]:
+    def _fold(self, q: float, t: float, N: int, D: int, best, low: int) -> list[np.ndarray]:
         """Bottom-up optimum per unit over antichains of its subtree, from
-        level D + k up: ``best`` (np.minimum for coverings, np.maximum for
-        packings) of the unit's own weight, where its order is at least N,
-        and its children's sum."""
+        level D + k up to level ``low``: ``best`` (np.minimum for coverings,
+        np.maximum for packings) of the unit's own weight, where its order
+        is at least N, and its children's sum.  Entry i is level low + i."""
         _check_window(N, D, self.k)
         if D > self.D:
             raise ValueError(f"order cap D={D} above the evaluator's depth D={self.D}")
+        if q != self._q:  # the cached forward weights and gauges are another q's
+            self._q, self._gauged, self._forward_weights = q, {}, [np.zeros(1)]
         top = D + self.k
         vals = [self._weights(q, t, top)]
-        for level in range(top - 1, -1, -1):
+        for level in range(top - 1, low - 1, -1):
             kids = vals[-1][self._child[level]]
             if self._steps[level] is not None:  # a child's offset is its parent's plus this
-                kids = kids + psi_log(q, self._steps[level])
+                kids = kids + self._gauge(q, self._steps[level])
             acc = _logsum(kids, self._starts[level])
             vals.append(best(self._weights(q, t, level), acc) if level - self.k >= N else acc)
         return vals[::-1]
+
+    def _ordered(self, q: float, t: float, N: int, D: int, best) -> float:
+        """The root's value: the fold of the ordered levels D + k ... N + k,
+        closed with one log-sum-exp against the forward weights of level
+        N + k, since no ball sits above it and the fold there only sums."""
+        vals = self._fold(q, t, N, D, best, N + self.k)[0]
+        if self._chain:
+            vals = vals + self._forward(q, N + self.k)
+        # never -0.0, as in _logsum, whether or not reduce starts from the identity -inf
+        return float(np.logaddexp.reduce(vals) + 0.0)
 
     def covering_log(self, q: float, t: float, N: int, D: int | None = None) -> float:
         """Exact infimum over centered coverings by balls of order N..D (by
         default the evaluator's own D): every centered dyadic ball is a
         cylinder meeting K.  Nonincreasing in D."""
-        return float(self._fold(q, t, N, self.D if D is None else D, np.minimum)[0][0])
+        return self._ordered(q, t, N, self.D if D is None else D, np.minimum)
 
     def packing_log(self, q: float, t: float, N: int, D: int | None = None) -> float:
         """Exact supremum over packings with orders N..D (by default the
         evaluator's own D); a lower bound for the supremum over unbounded
         orders, nondecreasing in D."""
-        return float(self._fold(q, t, N, self.D if D is None else D, np.maximum)[0][0])
+        return self._ordered(q, t, N, self.D if D is None else D, np.maximum)
 
     def outer_log(self, q: float, t: float, N: int, cover_depth: int, D: int | None = None) -> float:
         """Infimum over cylinder-partition covers at depths <= cover_depth of the
         per-piece packing value with orders N..D (by default the evaluator's
-        own D): an upper bound, not exact at this depth."""
+        own D): an upper bound, not exact at this depth.  At a cover depth
+        <= N + k no cover level holds a usable order, so the refinement is the
+        packing itself and this returns ``packing_log``'s value."""
         D = self.D if D is None else D
-        packs = self._fold(q, t, N, D, np.maximum)  # checks the order window first
+        if 0 <= cover_depth <= min(N + self.k, D):
+            return self._ordered(q, t, N, D, np.maximum)  # checks the order window
+        packs = self._fold(q, t, N, D, np.maximum, 0)  # checks the order window first
         if cover_depth < 0 or cover_depth > D:
             raise ValueError(f"cover depth {cover_depth} outside [0, {D}]")
         self._explicit(cover_depth)
@@ -291,7 +353,7 @@ class TreeEvaluator:
             handed.append(anc)
             inc = self._tree_steps[level]
             if inc is not None:
-                inc = psi_log(q, inc)
+                inc = self._gauge(q, inc)
                 anc = np.subtract(anc, inc, out=np.full_like(anc, -math.inf), where=np.isfinite(inc))
             incs.append(inc)
             ancs.append(anc)
@@ -342,10 +404,11 @@ def antichain_oracle(
             for c in space.children(w):
                 if not K.intersects(c):
                     continue
-                combo = np.add.outer(combo, options(c)).ravel()
-                budget[0] += combo.size
+                below = options(c)
+                budget[0] += combo.size * below.size  # counted before the outer sum allocates it
                 if budget[0] > _MAX_ORACLE_OPTIONS:
                     raise TooLargeError("oracle antichain enumeration exceeded cap")
+                combo = np.add.outer(combo, below).ravel()
             opts.append(combo)
         return np.concatenate(opts)
 

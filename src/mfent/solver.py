@@ -148,7 +148,9 @@ def default_cover_depth(schedule: Sequence[tuple[int, int]]) -> int:
 def outer_is_packing(schedule: Sequence[tuple[int, int]], k: int, cover_depth: int) -> bool:
     """True when every entry covers at a depth in [0, min(N + k, D)]: no
     ancestor ball is usable above the cover and the packing fold is a plain
-    sum there, so ``outer_log`` equals ``packing_log`` bit for bit."""
+    sum there, so ``outer_log`` equals ``packing_log`` bit for bit.  The
+    identity holds by construction: at such a depth ``outer_log`` returns
+    the packing sweep's own value and runs no cover pass."""
     return all(0 <= cover_depth <= min(N + k, D) for N, D in schedule)
 
 

@@ -65,6 +65,18 @@ def bernoulli_gibbs(biased, gibbs3):
     return mf.Mixture(biased, gibbs3, 0.35)
 
 
+@pytest.fixture(scope="session")
+def stuck(full2):
+    # every word holding a 1 has mass zero
+    return mf.Bernoulli(full2, [1.0, 0.0])
+
+
+@pytest.fixture(scope="session")
+def sticky(full2):
+    # 1 -> 1 is admissible but has probability zero
+    return mf.Markov(full2, [[0.4, 0.6], [1.0, 0.0]])
+
+
 def random_irreducible_markov(rng: np.random.Generator, m: int = 3):
     """Strictly positive stochastic matrix on the full m-shift."""
     P = rng.uniform(0.1, 1.0, size=(m, m))

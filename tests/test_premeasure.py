@@ -226,16 +226,22 @@ class TestOuter:
         ev = mf.TreeEvaluator(biased, K, 0, 5)
         assert ev.outer_log(2, 0.1, 1, 0) == pytest.approx(ev.packing_log(2, 0.1, 1), abs=1e-12)
 
-    def test_whole_space_counting_is_one_at_any_depth(self, fair, full2):
+    def test_whole_space_counting_is_one_at_any_depth(self, fair, biased, full2):
+        # depths 2..5 are above N + k = 1: the cover pass runs there
         Y = mf.CylinderSet(full2, [()])
-        for depth in range(4):
-            assert math.exp(outer(fair, Y, 0, LOG2, 1, depth, D=5)) == pytest.approx(1.0)
+        for model in (fair, mf.Mixture(fair, biased, 0.5)):
+            for depth in range(6):
+                assert math.exp(outer(model, Y, 0, LOG2, 1, depth, D=5)) == pytest.approx(1.0)
 
-    def test_outer_below_packing(self, biased, full2):
+    def test_outer_below_packing(self, biased, bernoulli_gibbs, full2):
+        # depth 4 is above N + k = 1: the cover pass runs, between the covering and the packing
         K = mf.CylinderSet(full2, [(0,), (1, 0, 1)])
-        for q, t in itertools.product((-1, 0, 2), (0.0, 0.4)):
-            ev = mf.TreeEvaluator(biased, K, 0, 6)
-            assert ev.outer_log(q, t, 1, 4) <= ev.packing_log(q, t, 1) + 1e-12
+        for model in (biased, bernoulli_gibbs):
+            ev = mf.TreeEvaluator(model, K, 0, 6)
+            for q, t in itertools.product((-1, 0, 2), (0.0, 0.4)):
+                refined = ev.outer_log(q, t, 1, 4)
+                assert ev.covering_log(q, t, 1) <= refined + 1e-12
+                assert refined <= ev.packing_log(q, t, 1) + 1e-12
 
     def test_subadditive_over_pieces(self, biased, full2):
         A = mf.CylinderSet(full2, [(0, 0)])
@@ -325,18 +331,6 @@ class TestTreeMasses:
         monkeypatch.setattr(mf.Mixture, "extend", None)  # nothing may be built
         with pytest.raises(mf.TooLargeError):
             mf.TreeEvaluator(model, K, 1, 6)
-
-
-@pytest.fixture(scope="module")
-def stuck(full2):
-    # every word holding a 1 has mass zero
-    return mf.Bernoulli(full2, [1.0, 0.0])
-
-
-@pytest.fixture(scope="module")
-def sticky(full2):
-    # 1 -> 1 is admissible but has probability zero
-    return mf.Markov(full2, [[0.4, 0.6], [1.0, 0.0]])
 
 
 @pytest.fixture(scope="module")
@@ -474,3 +468,96 @@ class TestSharedDepth:
             ev.outer_log(0.0, 0.1, 1, 2, 6)
         with pytest.raises(ValueError, match=r"cover depth 4 outside \[0, 3\]"):
             ev.outer_log(0.0, 0.1, 1, 4, 3)
+
+
+QS = (-2.0, -0.5, 0.0, 1.0, 2.5)
+
+
+def word_fold(model, K, t, N, k, D, best):
+    """The pre-measure for every q in QS from its definition, word by word
+    over the cylinders meeting K: a word of order n = len(w) - k in [N, D]
+    weighs psi(q, mass) e^{-t n}, and its value is ``best`` of that and its
+    children's sum; below order N it is the sum, at order D the weight."""
+    masses = {}
+
+    def value(w):
+        n = len(w) - k
+        if n < D:
+            acc = np.logaddexp.reduce([value(c) for c in model.space.children(w) if K.intersects(c)])
+        if n < N:
+            return acc
+        if w not in masses:
+            masses[w] = model.log_mass(w)
+        own = np.array([mf.psi_log(q, masses[w]) for q in QS]) - t * n
+        return own if n == D else best(own, acc)
+
+    return value(())
+
+
+class TestOrderedLevels:
+    """A sweep folds the ordered levels D + k ... N + k and closes with one
+    log-sum-exp against per-unit forward weights, cached for the last q."""
+
+    CASES = [("parry", [()]), ("markov3", [(0,), (1, 2)]), ("gibbs3", [(0, 1), (1, 0, 0)]),
+             ("bernoulli_gibbs", [(0, 1), (1, 0, 0)]), ("stuck", [(0, 1), (1, 0, 0)]),
+             ("stuck", [(0, 0, 0)]), ("sticky", [(0, 1), (1, 0, 0)])]
+
+    @pytest.mark.parametrize("name, K_words", CASES,
+                             ids=[f"{name}-{len(K_words)}" for name, K_words in CASES])
+    def test_matches_independent_values(self, request, name, K_words):
+        model = request.getfixturevalue(name)
+        K = mf.CylinderSet(model.space, K_words)
+        for k in (0, 1, 2):
+            ev = mf.TreeEvaluator(model, K, k, 6)
+            for D in range(1, 7):
+                for N in range(1, D + 1):
+                    t = (0.0, 0.4, -0.3)[(N + D + k) % 3]
+                    for mode, best, sweep in (("min", np.minimum, ev.covering_log),
+                                              ("max", np.maximum, ev.packing_log)):
+                        want = word_fold(model, K, t, N, k, D, best)
+                        got = [sweep(q, t, N, D) for q in QS]
+                        assert got == pytest.approx(want.tolist(), rel=1e-12, abs=1e-12)
+                        assert all(v != 0 or math.copysign(1.0, v) > 0 for v in got), got
+                        # the brute force where its enumeration fits under its cap
+                        i = (N + D + k) % len(QS)
+                        try:
+                            oracle = mf.antichain_oracle(model, K, QS[i], t, N, k, D, mode)
+                        except mf.TooLargeError:
+                            continue
+                        assert got[i] == pytest.approx(oracle, rel=1e-12, abs=1e-12)
+
+    def test_unit_mass_sums_to_positive_zero(self, stuck, full2):
+        # the one word 0^n weighs 1 at every level: log 0.0, never -0.0,
+        # for the chain and for the tree fold of a mixture
+        K = mf.CylinderSet(full2, [(0, 0, 0, 0, 0, 0)])
+        for model in (stuck, mf.Mixture(stuck, stuck, 1.0)):
+            ev = mf.TreeEvaluator(model, K, 0, 6)
+            for q, N in itertools.product(QS, range(1, 7)):
+                for sweep in (ev.covering_log, ev.packing_log):
+                    assert math.copysign(1.0, sweep(q, 0.0, N)) == 1.0
+
+    def test_cover_pass_runs_only_above_n_plus_k(self, parry):
+        # a chain builds explicit levels only for the cover pass, down to its depth
+        ev = mf.TreeEvaluator(parry, mf.CylinderSet(parry.space, [()]), 1, 8)
+        assert ev.outer_log(0.5, 0.2, 3, 4) == ev.packing_log(0.5, 0.2, 3)
+        assert len(ev.level_words) == 1
+        assert ev.outer_log(0.5, 0.2, 3, 5) == pytest.approx(ev.packing_log(0.5, 0.2, 3), rel=1e-13)
+        assert len(ev.level_words) == 6
+
+    @pytest.mark.parametrize("name", ["gibbs3", "bernoulli_gibbs"])
+    def test_interleaved_q_match_fresh_evaluators(self, request, name):
+        # q1, q2, q1 on one evaluator, each value against a new evaluator's;
+        # the (N, D) order builds the forward weights in steps and reuses them
+        model = request.getfixturevalue(name)
+        K = mf.CylinderSet(model.space, [(0, 1), (1, 0, 0)])
+        shared = mf.TreeEvaluator(model, K, 1, 6)
+
+        def values(evaluator, q):
+            out = []
+            for t, (N, D) in itertools.product((-0.3, 0.5), ((1, 6), (4, 6), (2, 3), (5, 5))):
+                out += [evaluator().covering_log(q, t, N, D), evaluator().packing_log(q, t, N, D),
+                        evaluator().outer_log(q, t, N, D, D)]
+            return np.array(out).tobytes()
+
+        for q in (1.5, -2.0, 1.5):
+            assert values(lambda: shared, q) == values(lambda: mf.TreeEvaluator(model, K, 1, 6), q)

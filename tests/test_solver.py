@@ -11,6 +11,7 @@ from mfent.solver import default_cover_depth, outer_is_packing
 LOG2 = math.log(2)
 PHI = (1 + math.sqrt(5)) / 2
 FAST = ((4, 4), (8, 8), (10, 10))
+WIDE = ((4, 8), (8, 8))
 
 
 def evaluator(model, K, schedule, k=0):
@@ -149,14 +150,19 @@ class TestSweepRoots:
     @pytest.mark.parametrize("q", QS)
     @pytest.mark.parametrize("sweep", ["covering", "packing", "outer"])
     def test_matches_reference_bisection(self, tree, q, sweep):
+        # cover depth 8 is above N + k = 7: the outer sweep runs its cover pass
         N = 6
         f = {
             "covering": lambda t: tree.covering_log(q, t, N),
             "packing": lambda t: tree.packing_log(q, t, N),
-            "outer": lambda t: tree.outer_log(q, t, N, 3),
+            "outer": lambda t: tree.outer_log(q, t, N, 8),
         }[sweep]
         root = mf.critical_exponent(f, (-1.0, 1.0))
         assert abs(root - reference_root(f, -100.0, 100.0)) <= 1e-8
+        if sweep == "outer":
+            for t in (root - 0.5, root, root + 0.5):
+                assert tree.covering_log(q, t, N) <= f(t) + 1e-12
+                assert f(t) <= tree.packing_log(q, t, N) + 1e-12
 
     def test_sweeps_per_root_on_parry_tree(self, parry, golden):
         # the tree and exponents of the exponent-scan benchmark; bisection
@@ -219,10 +225,11 @@ class TestSubshift:
         assert est.value == pytest.approx(math.log(PHI), abs=2e-2)
 
     def test_packing_variants_agree_on_whole_space(self, parry, golden):
+        # cover depth 5 is above N + k = 4 of the (4, 8) entry: the outer sweep runs
         Y = mf.CylinderSet(golden, [()])
-        ev = evaluator(parry, Y, FAST)
-        delta = mf.packing_entropy_delta(ev, 0.0, FAST)
-        refined = mf.packing_entropy(ev, 0.0, FAST)
+        ev = evaluator(parry, Y, WIDE)
+        delta = mf.packing_entropy_delta(ev, 0.0, WIDE)
+        refined = mf.packing_entropy(ev, 0.0, WIDE, cover_depth=5)
         assert refined.value == pytest.approx(delta.value, abs=1e-9)
 
 
@@ -238,15 +245,13 @@ class TestCoverDepthDefault:
         assert default_cover_depth(((8, 8), (12, 12))) == 6
 
 
-WIDE = ((4, 8), (8, 8))
-
 
 class TestOuterIsPacking:
     """Covering at a depth <= N + k leaves no usable ancestor ball and a
     plain-sum packing fold above the cover: the cover-refined packing is
     the raw packing bit for bit, so `mfent entropy` may reuse that estimate."""
 
-    @pytest.mark.parametrize("name", ["biased", "gibbs3", "bernoulli_gibbs"])
+    @pytest.mark.parametrize("name", ["biased", "sticky", "gibbs3", "bernoulli_gibbs"])
     def test_outer_log_is_packing_log_bitwise(self, request, full2, name):
         model = request.getfixturevalue(name)
         K = mf.CylinderSet(full2, [(0,), (1, 1)])
@@ -305,11 +310,15 @@ class TestRestrictedSets:
             assert b.value <= p.value + 1e-6
 
     def test_refined_packing_below_raw(self, biased, full2):
+        # cover depth 3 is above N + k = 2 of the (2, 6) entry: the outer sweep runs
         K = mf.CylinderSet(full2, [(0,), (1, 0, 1)])
-        ev = evaluator(biased, K, FAST)
+        schedule = ((2, 6), (6, 6))
+        ev = evaluator(biased, K, schedule)
         for q in (0.0, 2.0):
-            raw = mf.packing_entropy_delta(ev, q, FAST)
-            refined = mf.packing_entropy(ev, q, FAST)
+            covering = mf.bowen_entropy(ev, q, schedule)
+            raw = mf.packing_entropy_delta(ev, q, schedule)
+            refined = mf.packing_entropy(ev, q, schedule, cover_depth=3)
+            assert covering.value <= refined.value + 1e-9
             assert refined.value <= raw.value + 1e-9
 
 
