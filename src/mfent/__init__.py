@@ -40,7 +40,6 @@ from .solver import (
     EntropyEstimate,
     bowen_entropy,
     critical_exponent,
-    packing_entropy,
     packing_entropy_delta,
 )
 from .space import (

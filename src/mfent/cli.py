@@ -25,11 +25,8 @@ from .measures import (
     Bernoulli, Chain, Gibbs, Markov, MeasureModel, Mixture, _refuse_long_words, doubling_check,
 )
 from .potential import Potential
-from .premeasure import TreeEvaluator, _refuse_big, _refuse_big_tree
-from .solver import (
-    DEFAULT_SCHEDULE, bowen_entropy, default_cover_depth, outer_is_packing, packing_entropy,
-    packing_entropy_delta,
-)
+from .premeasure import TreeEvaluator, _refuse_big
+from .solver import DEFAULT_SCHEDULE, bowen_entropy, packing_entropy_delta
 from .space import CylinderSet, ShiftSpace, make_shift
 from .spectrum import (
     _MAX_LEVEL_SET_WORDS, domain_endpoints, h_curve, legendre, level_set_spectrum_oracle,
@@ -313,10 +310,9 @@ def cmd_premeasure(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
     if mode not in ("covering", "packing", "outer"):
         raise ConfigError(f"field 'mode' must be covering, packing, or outer; got {mode!r}")
     if mode == "outer":
-        cover_depth = _int(cfg, "cover_depth", default_cover_depth([(N, D)]), lo=0)
+        cover_depth = _int(cfg, "cover_depth", 0, lo=0)
         if cover_depth > D:
             raise ConfigError(f"field 'cover_depth' exceeds D={D}")
-        _within("field 'cover_depth'", _refuse_big_tree, K, cover_depth)
     _within("fields 'D' and 'k'", _refuse_big, model, K, D, k)
 
     ev = TreeEvaluator(model, K, k, D)
@@ -337,21 +333,14 @@ def cmd_entropy(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
     q = _number(cfg, "q", 0.0)
     k = _int(cfg, "k", 0, lo=0)
     schedule = parse_schedule(cfg)
-    cover_depth = _int(cfg, "cover_depth", default_cover_depth(schedule), lo=0)
-    D_min = min(D for _, D in schedule)
-    if cover_depth > D_min:
-        raise ConfigError(f"field 'cover_depth' exceeds the smallest schedule D={D_min}")
     D_max = max(D for _, D in schedule)
     _within("fields 'schedule' and 'k'", _refuse_big, model, K, D_max, k)
-    refine = not outer_is_packing(schedule, k, cover_depth)
-    if refine:
-        _within("field 'cover_depth'", _refuse_big_tree, K, cover_depth)
 
-    ev = TreeEvaluator(model, K, k, D_max)  # every entry of all three estimates folds on it
+    ev = TreeEvaluator(model, K, k, D_max)  # every entry of both estimates folds on it
     bowen = bowen_entropy(ev, q, schedule)
-    delta = packing_entropy_delta(ev, q, schedule)
-    packing = packing_entropy(ev, q, schedule, cover_depth) if refine else delta
-    estimates = (("bowen", bowen), ("packing_delta", delta), ("packing", packing))
+    # refining the packing by cylinder-partition covers gives the packing itself
+    packing = packing_entropy_delta(ev, q, schedule)
+    estimates = (("bowen", bowen), ("packing_delta", packing), ("packing", packing))
     return [(
         "entropy.csv",
         ["method", "q", "N", "D", "k", "value", "error_bar", "degenerate"],

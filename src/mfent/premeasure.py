@@ -1,30 +1,32 @@
 """Finite-depth covering / packing pre-measures on the cylinder tree.
 
-All three constructions (covering infimum, packing supremum, refined
-packing via partition covers) are exact optimizations over antichains of
-cylinders meeting a compact cylinder set, solved by one bottom-up fold:
-over one (chain node, trie state) table per level for a chain measure,
-over an array tree for a mixture.  Restricting to cylinders loses nothing
-for coverings and packings here: centered dyadic dynamical balls *are*
-cylinders, and a disjoint family of cylinders is exactly an antichain.  The refined
-construction's arbitrary covers are restricted to cylinder partitions,
-which over-estimates the infimum.
+The covering infimum and the packing supremum are exact optimizations over
+antichains of cylinders meeting a compact cylinder set, solved by one
+bottom-up fold: over one (chain node, trie state) table per level for a
+chain measure, over an array tree for a mixture.  Restricting to cylinders
+loses nothing here: centered dyadic dynamical balls *are* cylinders, and a
+disjoint family of cylinders is exactly an antichain.
+
+The refined packing takes an infimum of summed packing values over covers
+of K.  Over finite cylinder partitions of K that infimum is the packing
+value itself: the packing pre-measure is subadditive over such a partition,
+since each ball of a packing of K has its centre in one piece, so the
+trivial partition {K} attains it.  Arbitrary countable covers, over which
+the infimum can be smaller, are not computed.
 
 ``TreeEvaluator`` is the one entry point.  It is built once per (model,
 K, k) at the largest D + k; each sweep folds from its own D <= that, and
 a depth-D evaluator holds every shallower one level for level, so the
 values are those of a fresh evaluator of depth D bit for bit.  Its
 constructor refuses k < 0 (and D < 1), and tables or trees past the size
-cap, before building anything, and its three sweeps refuse a minimum order
-N outside [1, D] and a D above the evaluator's own, as the brute-force
+cap, before building anything, and its sweeps refuse a minimum order N
+outside [1, D] and a D above the evaluator's own, as the brute-force
 ``antichain_oracle`` refuses N outside [1, D].
 
 Levels above the minimum order fold once per q into per-unit weights; a
 sweep folds D + k ... N + k and closes with one log-sum-exp.  No ball sits
 above level N + k, so the fold there is a plain log-sum, which depends on
-q but not on t.  The cover-refined sweep runs its cover pass over the
-explicit top levels only when a cover level can hold a ball (a cover depth
-above N + k); below that it is the packing sweep itself.
+q but not on t.
 
 Everything runs in log domain; -inf encodes value 0 and +inf the blowup
 of the power gauge at zero mass with negative exponent.
@@ -74,14 +76,25 @@ def _check_window(N: int, D: int, k: int) -> None:
         raise ValueError("depth offset k must be >= 0")
 
 
-def _refuse_big_tree(K: CylinderSet, depth: int) -> None:
-    """Refuse an explicit cylinder tree of K to ``depth`` past _MAX_TREE_NODES
-    nodes before building it.  Level l of the tree holds the admissible
-    length-l words meeting K, whatever the measure, so the count steps integer
-    word counts per (last symbol, trie state) from level to level."""
+def _refuse_big(model: MeasureModel, K: CylinderSet, D: int, k: int) -> None:
+    """Refuse an evaluator of depth D + k past the cap before any work.  A
+    chain's sweeps step tables of at most (D + k + 1) levels x chain nodes x
+    trie states x alphabet entries.  Any other model's sweeps fold over its
+    cylinder tree, whose level l holds the admissible length-l words meeting
+    K, whatever the measure; the count steps integer word counts per (last
+    symbol, trie state) from level to level."""
+    depth = D + k
+    table, root = K.trie()
+    if isinstance(model, Chain):
+        nodes, m = model._next.shape
+        if (depth + 1) * nodes * len(table) * m > _MAX_TREE_NODES:
+            raise TooLargeError(
+                f"a depth-{depth} chain table of {depth + 1} levels x {nodes} chain nodes x "
+                f"{len(table)} trie states x {m} symbols exceeds {_MAX_TREE_NODES} entries"
+            )
+        return
     if depth + 1 > _MAX_TREE_NODES:  # every level keeps at least one node
         raise TooLargeError(f"a depth-{depth} cylinder tree exceeds {_MAX_TREE_NODES} nodes")
-    table, root = K.trie()
     trie, symbol = np.nonzero(table >= 0)
     allowed = K.space.transitions.astype(np.int64)
     into = np.zeros(table.shape, dtype=np.int64)  # words per (trie state, next symbol)
@@ -94,23 +107,6 @@ def _refuse_big_tree(K: CylinderSet, depth: int) -> None:
         if total > _MAX_TREE_NODES:
             raise TooLargeError(f"cylinder tree exceeds {_MAX_TREE_NODES} nodes at depth {level}")
         into = count.T @ allowed
-
-
-def _refuse_big(model: MeasureModel, K: CylinderSet, D: int, k: int) -> None:
-    """Refuse an evaluator of depth D + k past the cap before any work.  A
-    chain's sweeps step tables of at most (D + k + 1) levels x chain nodes x
-    trie states x alphabet entries; any other model's sweeps fold over its
-    cylinder tree, counted exactly."""
-    if not isinstance(model, Chain):
-        _refuse_big_tree(K, D + k)
-        return
-    nodes, m = model._next.shape
-    width = len(K.trie()[0])
-    if (D + k + 1) * nodes * width * m > _MAX_TREE_NODES:
-        raise TooLargeError(
-            f"a depth-{D + k} chain table of {D + k + 1} levels x {nodes} chain nodes x "
-            f"{width} trie states x {m} symbols exceeds {_MAX_TREE_NODES} entries"
-        )
 
 
 def _logsum(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -132,12 +128,11 @@ class TreeEvaluator:
     for a whole tree level.  Below the block length d a chain node is one
     word, and those levels hold absolute values (offset 0).  For any other
     model (a ``Mixture``, whose masses add) each node is its own unit, with
-    absolute values.
+    absolute values, and the constructor builds the explicit tree.
 
-    ``level_words[l]`` (a row per word, in lexicographic order),
-    ``parents`` and ``log_masses`` hold the explicit tree levels built so
-    far: all D + k of them for a tree model, and for a chain the top levels
-    that ``outer_log`` has needed.  Every unit keeps a child, so sweeps use
+    ``level_words[l]`` holds the explicit level l (a row per word, in
+    lexicographic order): all D + k + 1 levels for a tree model, the root
+    alone for a chain.  Every unit keeps a child, so sweeps use
     ``reduceat``.  Built once per (model, K, k) at the largest D + k; each
     sweep folds from its own D <= that, so root-finding in t and every
     schedule entry re-run only the vectorized sweeps.
@@ -159,25 +154,16 @@ class TreeEvaluator:
         self.k = k
         self.D = D
         self.model = model
-        self._K = K
         self._table, root = K.trie()
         self._chain = isinstance(model, Chain)
-
-        states, lm = model.root()
-        words = np.zeros((1, 0), dtype=np.min_scalar_type(model.space.alphabet_size - 1))
-        self.level_words, self.parents, self.log_masses = [words], [np.zeros(1, np.int64)], [lm]
-        self._tip = states, np.array([root])  # model and trie states of the last explicit level
-        # per explicit level: where each node's children start on the next, each
-        # node's unit, and (chain levels of relative values) its log mass step
-        self._tree_starts, self._units, self._tree_steps = [], [slice(None)], [None]
         self._q = None  # the q whose forward weights and gauge tables are cached
+        _refuse_big(model, K, D, k)
+        symbol = np.min_scalar_type(model.space.alphabet_size - 1)
+        self.level_words = [np.zeros((1, 0), dtype=symbol)]
         if self._chain:
-            _refuse_big(model, K, D, k)
             self._chain_tables(model, root)
         else:
-            self._explicit(D + k)
-            self._lm, self._starts = self.log_masses, self._tree_starts
-            self._child, self._steps = [slice(None)] * (D + k), [None] * (D + k)
+            self._tree(model, root)
 
     def _chain_tables(self, model: Chain, root: int) -> None:
         """Per level, the (chain node, trie state) pairs its words reach, as
@@ -221,40 +207,28 @@ class TreeEvaluator:
                 levels.append(table)
             node, trie = keys // width, keys % width
 
-    def _explicit(self, depth: int) -> None:
-        """Build the explicit tree down to ``depth``, once.  Each level steps the
+    def _tree(self, model: MeasureModel, root: int) -> None:
+        """The explicit tree down to depth D + k.  Each level steps the
         measure's ``extend`` and K's prefix trie together, keeping the
-        children that meet K; a chain's nodes also get their unit and step."""
-        built = len(self.level_words)
-        if depth < built:
-            return
-        _refuse_big_tree(self._K, depth)
-        states, trie = self._tip
-        words, lm = self.level_words[-1], self.log_masses[-1]
-        width = len(self._table)
-        for level in range(built, depth + 1):
-            par, sym, kids, lm = self.model.extend(states, lm)
+        children that meet K; every node is its own unit, holding its log
+        mass."""
+        states, lm = model.root()
+        words, trie = self.level_words[0], np.array([root])
+        self._lm, self._starts = [lm], []
+        for _ in range(self.D + self.k):
+            par, sym, states, lm = model.extend(states, lm)
             trie = self._table[trie[par], sym]
             keep = np.flatnonzero(trie >= 0)
             if len(keep) < len(par):
                 par, sym, trie = par[keep], sym[keep], trie[keep]
-                kids, lm = self.model.select(kids, keep), lm[keep]
-            if self._chain:
-                self._units.append(np.searchsorted(self._keys[level], kids * width + trie))
-                relative = self._steps[level - 1] is not None
-                self._tree_steps.append(self.model._step[states[par], sym] if relative else None)
-            else:
-                self._units.append(slice(None))
-                self._tree_steps.append(None)
+                states, lm = model.select(states, keep), lm[keep]
             words = np.column_stack((words[par], sym.astype(words.dtype, copy=False)))
             self.level_words.append(words)
-            self.parents.append(par)
-            self.log_masses.append(lm)
-            self._tree_starts.append(np.flatnonzero(np.diff(par, prepend=-1)))
-            states = kids
-        self._tip = states, trie
+            self._lm.append(lm)
+            self._starts.append(np.flatnonzero(np.diff(par, prepend=-1)))
+        self._child, self._steps = [slice(None)] * (self.D + self.k), [None] * (self.D + self.k)
 
-    # -- the three sweeps ------------------------------------------------
+    # -- the sweeps ------------------------------------------------------
 
     def _gauge(self, q: float, table: np.ndarray) -> np.ndarray:
         """psi_log(q, table) for the q being swept, computed once per distinct
@@ -284,31 +258,25 @@ class TreeEvaluator:
         """Each unit's own ball weight, relative to its offset."""
         return self._gauge(q, self._lm[level]) - t * (level - self.k)
 
-    def _fold(self, q: float, t: float, N: int, D: int, best, low: int) -> list[np.ndarray]:
-        """Bottom-up optimum per unit over antichains of its subtree, from
-        level D + k up to level ``low``: ``best`` (np.minimum for coverings,
-        np.maximum for packings) of the unit's own weight, where its order
-        is at least N, and its children's sum.  Entry i is level low + i."""
+    def _ordered(self, q: float, t: float, N: int, D: int, best) -> float:
+        """The root's value.  Per unit, from level D + k up to level N + k,
+        the optimum over antichains of its subtree is ``best`` (np.minimum
+        for coverings, np.maximum for packings) of the unit's own weight and
+        its children's sum.  No ball sits above level N + k and the fold
+        there only sums, so it closes with one log-sum-exp against the
+        forward weights of that level."""
         _check_window(N, D, self.k)
         if D > self.D:
             raise ValueError(f"order cap D={D} above the evaluator's depth D={self.D}")
         if q != self._q:  # the cached forward weights and gauges are another q's
             self._q, self._gauged, self._forward_weights = q, {}, [np.zeros(1)]
         top = D + self.k
-        vals = [self._weights(q, t, top)]
-        for level in range(top - 1, low - 1, -1):
-            kids = vals[-1][self._child[level]]
+        vals = self._weights(q, t, top)
+        for level in range(top - 1, N + self.k - 1, -1):
+            kids = vals[self._child[level]]
             if self._steps[level] is not None:  # a child's offset is its parent's plus this
                 kids = kids + self._gauge(q, self._steps[level])
-            acc = _logsum(kids, self._starts[level])
-            vals.append(best(self._weights(q, t, level), acc) if level - self.k >= N else acc)
-        return vals[::-1]
-
-    def _ordered(self, q: float, t: float, N: int, D: int, best) -> float:
-        """The root's value: the fold of the ordered levels D + k ... N + k,
-        closed with one log-sum-exp against the forward weights of level
-        N + k, since no ball sits above it and the fold there only sums."""
-        vals = self._fold(q, t, N, D, best, N + self.k)[0]
+            vals = best(self._weights(q, t, level), _logsum(kids, self._starts[level]))
         if self._chain:
             vals = vals + self._forward(q, N + self.k)
         # never -0.0, as in _logsum, whether or not reduce starts from the identity -inf
@@ -327,46 +295,16 @@ class TreeEvaluator:
         return self._ordered(q, t, N, self.D if D is None else D, np.maximum)
 
     def outer_log(self, q: float, t: float, N: int, cover_depth: int, D: int | None = None) -> float:
-        """Infimum over cylinder-partition covers at depths <= cover_depth of the
-        per-piece packing value with orders N..D (by default the evaluator's
-        own D): an upper bound, not exact at this depth.  At a cover depth
-        <= N + k no cover level holds a usable order, so the refinement is the
-        packing itself and this returns ``packing_log``'s value."""
+        """Infimum over cylinder-partition covers at depths <= cover_depth of
+        the summed per-piece packing value with orders N..D (by default the
+        evaluator's own D).  The trivial cover attains it (see the module
+        docstring), so this is ``packing_log``'s value bit for bit at every
+        cover depth in [0, D]; any other depth is refused."""
         D = self.D if D is None else D
-        if 0 <= cover_depth <= min(N + self.k, D):
-            return self._ordered(q, t, N, D, np.maximum)  # checks the order window
-        packs = self._fold(q, t, N, D, np.maximum, 0)  # checks the order window first
-        if cover_depth < 0 or cover_depth > D:
+        _check_window(N, D, self.k)
+        if not 0 <= cover_depth <= D:
             raise ValueError(f"cover depth {cover_depth} outside [0, {D}]")
-        self._explicit(cover_depth)
-        # Best usable ancestor-ball weight along each path, top-down, relative
-        # to the node's offset as the fold's values are.  ``handed`` keeps it
-        # relative to the parent's offset: a child whose step is infinite (zero
-        # mass at q != 0) has an infinite offset and packs nothing of its own,
-        # so its value there is that weight, or +inf from the offset.
-        anc = np.full(1, -math.inf)
-        ancs, incs, handed = [anc], [None], [None]
-        for level in range(1, cover_depth + 1):
-            if N <= (level - 1) - self.k <= D:  # the parent's order is usable
-                anc = np.maximum(anc, self._weights(q, t, level - 1)[self._units[level - 1]])
-            anc = anc[self.parents[level]]
-            handed.append(anc)
-            inc = self._tree_steps[level]
-            if inc is not None:
-                inc = self._gauge(q, inc)
-                anc = np.subtract(anc, inc, out=np.full_like(anc, -math.inf), where=np.isfinite(inc))
-            incs.append(inc)
-            ancs.append(anc)
-        # restricted packing value of K inside each depth-cover_depth piece
-        outer = np.maximum(packs[cover_depth][self._units[cover_depth]], ancs[cover_depth])
-        for level in range(cover_depth - 1, -1, -1):
-            inc = incs[level + 1]
-            if inc is not None:
-                outer = outer + inc
-                np.maximum(outer, handed[level + 1], out=outer, where=np.isinf(inc))
-            acc = _logsum(outer, self._tree_starts[level])
-            outer = np.minimum(np.maximum(packs[level][self._units[level]], ancs[level]), acc)
-        return float(outer[0])
+        return self._ordered(q, t, N, D, np.maximum)
 
 
 def antichain_oracle(

@@ -140,20 +140,6 @@ def critical_exponent(
     return _critical_exponent_impl(log_value_at, bracket, tol)[0]
 
 
-def default_cover_depth(schedule: Sequence[tuple[int, int]]) -> int:
-    """min(6, smallest N): every entry's cover depth when none is given."""
-    return min(6, min(N for N, _ in schedule))
-
-
-def outer_is_packing(schedule: Sequence[tuple[int, int]], k: int, cover_depth: int) -> bool:
-    """True when every entry covers at a depth in [0, min(N + k, D)]: no
-    ancestor ball is usable above the cover and the packing fold is a plain
-    sum there, so ``outer_log`` equals ``packing_log`` bit for bit.  The
-    identity holds by construction: at such a depth ``outer_log`` returns
-    the packing sweep's own value and runs no cover pass."""
-    return all(0 <= cover_depth <= min(N + k, D) for N, D in schedule)
-
-
 def _default_bracket(model: MeasureModel, q: float) -> tuple[float, float]:
     span = math.log(model.space.alphabet_size) * (2.0 + abs(q)) + 1.0
     return (-span, span)
@@ -172,24 +158,15 @@ def _run_schedule(
     ev: TreeEvaluator,
     q: float,
     schedule: Sequence[tuple[int, int]],
-    sweep: str,
-    cover_depth: int | None = None,
+    sweep: Callable[[float, float, int, int], float],
 ) -> EntropyEstimate:
     if not schedule:
         raise ValueError("schedule is empty: it needs at least one (N, D) entry")
-    if cover_depth is None:
-        cover_depth = default_cover_depth(schedule)
     bracket = _default_bracket(ev.model, q)
     values = []
     degenerate = False
     for N, D in schedule:
-        if sweep == "covering":
-            f = lambda t: ev.covering_log(q, t, N, D)
-        elif sweep == "packing":
-            f = lambda t: ev.packing_log(q, t, N, D)
-        else:
-            f = lambda t: ev.outer_log(q, t, N, cover_depth, D)
-        root, deg = _critical_exponent_impl(f, bracket, _SCHEDULE_TOL)
+        root, deg = _critical_exponent_impl(lambda t: sweep(q, t, N, D), bracket, _SCHEDULE_TOL)
         degenerate = degenerate or deg
         values.append((N, D, root))
     return _schedule_estimate(values, ev.k, degenerate)
@@ -220,24 +197,14 @@ def bowen_entropy(
                     "q > 0 needs the entropy doubling condition; empirical "
                     "doubling ratio is unbounded"
                 )
-    return _run_schedule(ev, q, schedule, "covering")
+    return _run_schedule(ev, q, schedule, ev.covering_log)
 
 
 def packing_entropy_delta(
     ev: TreeEvaluator, q: float, schedule: Sequence[tuple[int, int]]
 ) -> EntropyEstimate:
-    """Critical exponent of the raw packing pre-measure (no cover refinement)
-    over the schedule, on the one evaluator ``ev``."""
-    return _run_schedule(ev, q, schedule, "packing")
-
-
-def packing_entropy(
-    ev: TreeEvaluator,
-    q: float,
-    schedule: Sequence[tuple[int, int]],
-    cover_depth: int | None = None,
-) -> EntropyEstimate:
-    """Critical exponent of the cover-refined packing construction over the
-    schedule, on the one evaluator ``ev``; every entry covers at
-    ``cover_depth``, by default min(6, smallest N)."""
-    return _run_schedule(ev, q, schedule, "outer", cover_depth)
+    """Critical exponent of the packing pre-measure over the schedule, on
+    the one evaluator ``ev``.  The one packing estimator: refining the
+    packing by cylinder-partition covers gives the same pre-measure (see
+    ``mfent.premeasure``), so the refined construction adds no sweep."""
+    return _run_schedule(ev, q, schedule, ev.packing_log)

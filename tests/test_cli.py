@@ -166,6 +166,16 @@ class TestPremeasureCommand:
         }
         assert run("premeasure", cfg, tmp_path) == 0
 
+    def test_deep_outer_mode_is_packing(self, tmp_path):
+        # a cover depth of 25 on the depth-30 tree of the 2-shift builds
+        # nothing: the outer mode writes the packing mode's log value
+        cfg = {"space": FULL2, "measure": FAIR, "K": [[]], "q": 0, "t": 0, "N": 1, "D": 30}
+        rows = {}
+        for mode, extra in (("outer", {"cover_depth": 25}), ("packing", {})):
+            assert run("premeasure", {**cfg, "mode": mode, **extra}, tmp_path / mode) == 0
+            rows[mode] = read_csv(tmp_path / mode / "premeasure.csv")[0]
+        assert rows["outer"]["log_value"] == rows["packing"]["log_value"]
+
     def test_bad_mode_is_config_error(self, tmp_path):
         cfg = {
             "space": FULL2, "measure": FAIR, "K": [[]],
@@ -192,18 +202,13 @@ class TestEntropyCommand:
             assert float(r["value"]) == pytest.approx(math.log(phi), abs=2e-2)
 
     def test_cover_depth_above_n_plus_k(self, tmp_path):
-        # depth 5 is above N + k = 4 of the (4, 8) entry, so the packing row
-        # comes from the cover-refined sweep, not from the packing_delta row
+        # the cover-refined packing is the packing itself, so both rows carry
+        # one estimate; cover_depth is no entropy field and goes unread
         cfg = {"space": FULL2, "measure": BIASED, "K": [[0], [1, 0, 1]], "q": 0.5,
                "schedule": [[4, 8], [8, 8]], "cover_depth": 5}
         assert run("entropy", cfg, tmp_path) == 0
-        rows = {r["method"]: r for r in read_csv(tmp_path / "entropy.csv")}
-        space = mfent.make_shift(2, FULL2["transitions"])
-        K = mfent.CylinderSet(space, [(0,), (1, 0, 1)])
-        ev = mfent.TreeEvaluator(mfent.Bernoulli(space, BIASED["p"]), K, 0, 8)
-        est = mfent.packing_entropy(ev, 0.5, ((4, 8), (8, 8)), cover_depth=5)
-        assert float(rows["packing"]["value"]) == pytest.approx(est.value, abs=1e-11)
-        assert float(rows["packing"]["value"]) <= float(rows["packing_delta"]["value"]) + 1e-9
+        rows = {r.pop("method"): r for r in read_csv(tmp_path / "entropy.csv")}
+        assert rows["packing"] == rows["packing_delta"]
 
     def test_chain_depth_without_trees(self, tmp_path):
         # the golden-mean tree to depth 30 holds 5.7M nodes, past the tree cap;
@@ -220,9 +225,8 @@ class TestEntropyCommand:
     @pytest.mark.parametrize(
         "cfg",
         [
-            # cover depth 4 <= N + k of every entry: the packing row reuses packing_delta
+            # a cover_depth, above N + k of some entry or not, is unread
             {"space": GOLDEN, "measure": PARRY, "K": [[]], "schedule": [[4, 4], [8, 8], [10, 10]]},
-            # cover depth 5 above N + k = 4 of the (4, 8) entry: the outer sweep runs
             {"space": FULL2, "measure": BIASED, "K": [[0], [1, 0, 1]], "q": 0.5,
              "schedule": [[4, 8], [8, 8]], "cover_depth": 5},
             {"space": FULL2, "measure": MIXTURE, "K": [[0, 1], [1, 1, 0]], "q": -1,
@@ -231,7 +235,7 @@ class TestEntropyCommand:
         ids=["outer-is-packing", "refined-chain", "refined-mixture"],
     )
     def test_one_evaluator_per_run(self, tmp_path, monkeypatch, cfg):
-        # every entry of all three estimates folds on one evaluator at the largest D
+        # every entry of both estimates folds on one evaluator at the largest D
         built = []
         init = mfent.TreeEvaluator.__init__
 
@@ -399,7 +403,8 @@ class TestConfigErrors:
             ("entropy", {"K": [[]], "schedule": [[5, 3]]}, "schedule"),
             ("entropy", {"K": [[]], "schedule": [["a", 3]]}, "schedule"),
             ("entropy", {"K": [[]], "schedule": [[0, 3]]}, "schedule"),
-            ("entropy", {"K": [[]], "cover_depth": -1}, "cover_depth"),
+            ("premeasure", {"K": [[]], "q": 0, "t": 0, "N": 1, "D": 2, "mode": "outer",
+                            "cover_depth": -1}, "cover_depth"),
             ("local", {"n": 10, "tail_fraction": 2}, "tail_fraction"),
             ("local", {"n": 0}, "'n'"),
             ("level-spectrum", {"bin_width": 0}, "bin_width"),
@@ -490,10 +495,8 @@ class TestNoWorkOnBadConfig:
             # 700,001 levels x 3 chain nodes x 1 trie state x 2 symbols
             ("entropy", {"space": GOLDEN, "measure": PARRY, "K": [[]],
                          "schedule": [[1, 700000]]}, "'schedule'"),
-            # the chain sweeps need no tree, but the cover-refined one builds
-            # the top cover_depth levels: 2^26 - 1 nodes here
-            ("premeasure", {"K": [[]], "q": 0, "t": 0, "N": 1, "D": 30,
-                            "mode": "outer", "cover_depth": 25}, "'cover_depth'"),
+            ("premeasure", {"K": [[]], "q": 0, "t": 0, "N": 1, "D": 2,
+                            "mode": "outer", "cover_depth": 1e308}, "'cover_depth'"),
         ],
     )
     def test_exits_2_before_any_work(self, tmp_path, command, extra, field):
@@ -592,7 +595,7 @@ FUZZ_VALUES = [0, -1, 0.5, 1e308, -1e308, "x", True, None, [], {}, 10**400, "nan
 OPTIONAL_FIELDS = {
     "spectrum": ["q_grid", "k", "schedule", "beta_grid"],
     "premeasure": ["K", "q", "t", "N", "D", "k", "mode", "cover_depth"],
-    "entropy": ["K", "q", "k", "schedule", "cover_depth"],
+    "entropy": ["K", "q", "k", "schedule"],
     "verify-gibbs": ["q_grid"],
     "doubling": ["k", "n_max"],
     "local": ["k", "tail_fraction", "words", "n", "count"],

@@ -76,6 +76,13 @@ class TestWindowValidation:
         with pytest.raises(ValueError, match="minimum order|order cap"):
             ev.outer_log(1.0, 0.0, N, 1)
 
+    def test_outer_sweep_checks_window_before_cover_depth(self, fair, full2):
+        ev = mf.TreeEvaluator(fair, mf.CylinderSet(full2, [()]), 0, 4)
+        with pytest.raises(ValueError, match="minimum order"):
+            ev.outer_log(1.0, 0.0, 0, 9)
+        with pytest.raises(ValueError, match=r"cover depth -1 outside \[0, 3\]"):
+            ev.outer_log(1.0, 0.0, 1, -1, 3)
+
     def test_negative_radius_offset(self, fair, full2):
         with pytest.raises(ValueError, match="depth offset k"):
             mf.TreeEvaluator(fair, mf.CylinderSet(full2, [()]), -1, 4)
@@ -99,7 +106,7 @@ class TestWindowValidation:
         ],
     )
     @pytest.mark.parametrize(
-        "estimator", [mf.bowen_entropy, mf.packing_entropy_delta, mf.packing_entropy]
+        "estimator", [mf.bowen_entropy, mf.packing_entropy_delta]
     )
     def test_estimators_refuse_bad_window(self, biased, full2, estimator, k, schedule, match):
         Y = mf.CylinderSet(full2, [()])
@@ -227,21 +234,20 @@ class TestOuter:
         assert ev.outer_log(2, 0.1, 1, 0) == pytest.approx(ev.packing_log(2, 0.1, 1), abs=1e-12)
 
     def test_whole_space_counting_is_one_at_any_depth(self, fair, biased, full2):
-        # depths 2..5 are above N + k = 1: the cover pass runs there
         Y = mf.CylinderSet(full2, [()])
         for model in (fair, mf.Mixture(fair, biased, 0.5)):
             for depth in range(6):
                 assert math.exp(outer(model, Y, 0, LOG2, 1, depth, D=5)) == pytest.approx(1.0)
 
     def test_outer_below_packing(self, biased, bernoulli_gibbs, full2):
-        # depth 4 is above N + k = 1: the cover pass runs, between the covering and the packing
+        # depth 4 is above N + k = 1, and the refined value is still the packing's
         K = mf.CylinderSet(full2, [(0,), (1, 0, 1)])
         for model in (biased, bernoulli_gibbs):
             ev = mf.TreeEvaluator(model, K, 0, 6)
             for q, t in itertools.product((-1, 0, 2), (0.0, 0.4)):
                 refined = ev.outer_log(q, t, 1, 4)
                 assert ev.covering_log(q, t, 1) <= refined + 1e-12
-                assert refined <= ev.packing_log(q, t, 1) + 1e-12
+                assert refined == ev.packing_log(q, t, 1)
 
     def test_subadditive_over_pieces(self, biased, full2):
         A = mf.CylinderSet(full2, [(0, 0)])
@@ -250,6 +256,22 @@ class TestOuter:
         ua = outer(biased, A, 2, 0.1, 1, 4, D=6)
         ub = outer(biased, B, 2, 0.1, 1, 4, D=6)
         assert u <= np.logaddexp(ua, ub) + 1e-12
+
+    @pytest.mark.parametrize("name", ["biased", "parry", "bernoulli_gibbs"])
+    def test_cylinder_partition_never_lowers_packing(self, request, name):
+        # why a cover-refined packing is the packing itself: every ball of a
+        # packing of K has its centre in one piece of a cylinder partition,
+        # so the pieces' packing values sum to at least K's
+        model = request.getfixturevalue(name)
+        K = mf.CylinderSet(model.space, [(0, 0), (1, 0, 1)])
+        for k, depth in itertools.product((0, 1), (1, 2, 3)):
+            pieces = [mf.TreeEvaluator(model, K.restrict(w), k, 5)
+                      for w in model.space.words_of_length(depth) if K.intersects(w)]
+            whole = mf.TreeEvaluator(model, K, k, 5)
+            for q, t, (N, D) in itertools.product((-2.0, 0.0, 1.5), (-0.3, 0.5),
+                                                  ((1, 5), (2, 4), (3, 3))):
+                split = np.logaddexp.reduce([ev.packing_log(q, t, N, D) for ev in pieces])
+                assert split >= whole.packing_log(q, t, N, D) - 1e-12, (k, depth, q, t, N, D)
 
     def test_cover_depth_validation(self, biased, full2):
         K = mf.CylinderSet(full2, [(0,)])
@@ -306,14 +328,15 @@ class TestTreeMasses:
         ],
     )
     def test_levels_match_per_word_log_mass(self, fixture, K_words, request):
-        # the trie keeps exactly the words whose cylinder meets K, in order; a
-        # chain builds explicit levels only on demand
-        model = request.getfixturevalue(fixture)
+        # the trie keeps exactly the words whose cylinder meets K, in order;
+        # Mixture(model, model, 1) has the model's masses and builds all its
+        # levels, where a chain keeps only the root (TestChainTables checks
+        # the chain tables against this tree)
+        model = mf.Mixture(*[request.getfixturevalue(fixture)] * 2, 1.0)
         K = mf.CylinderSet(model.space, K_words)
         ev = mf.TreeEvaluator(model, K, 1, 6)
-        ev._explicit(7)
         assert len(ev.level_words) == 8
-        for n, (words, lm) in enumerate(zip(ev.level_words, ev.log_masses)):
+        for n, (words, lm) in enumerate(zip(ev.level_words, ev._lm)):
             expected = [w for w in model.space.words_of_length(n) if K.intersects(w)]
             assert [tuple(w) for w in words.tolist()] == expected
             np.testing.assert_array_equal(lm, [model.log_mass(w) for w in words])
@@ -369,7 +392,7 @@ class TestChainTables:
             K = mf.CylinderSet(model.space, K_words)
             tree = self.sweeps(mf.TreeEvaluator(mf.Mixture(model, model, 1.0), K, k, D), q, False)
             first = self.sweeps(mf.TreeEvaluator(model, K, k, D), q, False)
-            # bit for bit, whichever sweep built the explicit levels
+            # bit for bit, whichever sweep ran first
             assert self.sweeps(mf.TreeEvaluator(model, K, k, D), q, True) == first
             for (sweep, got), (_, want) in zip(first, tree):
                 assert got == pytest.approx(want, rel=1e-13, abs=1e-13), (sweep, K_words, k, D)
@@ -417,8 +440,10 @@ class TestChainTables:
         Y = mf.CylinderSet(parry.space, [()])
         with pytest.raises(mf.TooLargeError, match="chain table"):
             mf.TreeEvaluator(parry, Y, 0, (1 << 22) // 6)
-        with pytest.raises(mf.TooLargeError, match="cylinder tree"):
-            mf.TreeEvaluator(parry, Y, 0, 30).outer_log(0.0, 0.5, 1, 30)
+        # the deepest cover builds nothing: it is the packing sweep
+        ev = mf.TreeEvaluator(parry, Y, 0, 30)
+        assert ev.outer_log(0.0, 0.5, 1, 30) == ev.packing_log(0.0, 0.5, 1)
+        assert len(ev.level_words) == 1
 
 
 @pytest.fixture(scope="module")
@@ -536,13 +561,21 @@ class TestOrderedLevels:
                 for sweep in (ev.covering_log, ev.packing_log):
                     assert math.copysign(1.0, sweep(q, 0.0, N)) == 1.0
 
-    def test_cover_pass_runs_only_above_n_plus_k(self, parry):
-        # a chain builds explicit levels only for the cover pass, down to its depth
-        ev = mf.TreeEvaluator(parry, mf.CylinderSet(parry.space, [()]), 1, 8)
-        assert ev.outer_log(0.5, 0.2, 3, 4) == ev.packing_log(0.5, 0.2, 3)
-        assert len(ev.level_words) == 1
-        assert ev.outer_log(0.5, 0.2, 3, 5) == pytest.approx(ev.packing_log(0.5, 0.2, 3), rel=1e-13)
-        assert len(ev.level_words) == 6
+    @pytest.mark.parametrize("name", ["parry", "bernoulli_gibbs"])
+    def test_outer_log_is_packing_log_bitwise(self, request, name):
+        # a cylinder partition of K never lowers the packing value, so the
+        # refined sweep is the packing one at every cover depth, above N + k
+        # too, and a chain builds no explicit level for it
+        model = request.getfixturevalue(name)
+        K = mf.CylinderSet(model.space, [(0, 0), (1, 0, 1)])
+        for k in (0, 1, 2):
+            ev = mf.TreeEvaluator(model, K, k, 6)
+            for q, t, (N, D) in itertools.product((-2.0, 0.0, 1.5), (-0.3, 0.5),
+                                                  ((1, 6), (3, 5), (2, 2))):
+                for depth in range(D + 1):
+                    assert ev.outer_log(q, t, N, depth, D) == ev.packing_log(q, t, N, D)
+            if name == "parry":
+                assert len(ev.level_words) == 1
 
     @pytest.mark.parametrize("name", ["gibbs3", "bernoulli_gibbs"])
     def test_interleaved_q_match_fresh_evaluators(self, request, name):

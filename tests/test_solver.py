@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import mfent as mf
 from conftest import random_irreducible_markov
-from mfent.solver import default_cover_depth, outer_is_packing
+from mfent.solver import _run_schedule
 
 LOG2 = math.log(2)
 PHI = (1 + math.sqrt(5)) / 2
@@ -17,6 +17,11 @@ WIDE = ((4, 8), (8, 8))
 def evaluator(model, K, schedule, k=0):
     """The one evaluator every entry of ``schedule`` folds on."""
     return mf.TreeEvaluator(model, K, k, max(D for _, D in schedule))
+
+
+def outer_estimate(ev, q, schedule, cover_depth):
+    """The schedule estimate from the cover-refined sweep at ``cover_depth``."""
+    return _run_schedule(ev, q, schedule, lambda q, t, N, D: ev.outer_log(q, t, N, cover_depth, D))
 
 
 def reference_root(f, lo: float, hi: float) -> float:
@@ -150,7 +155,7 @@ class TestSweepRoots:
     @pytest.mark.parametrize("q", QS)
     @pytest.mark.parametrize("sweep", ["covering", "packing", "outer"])
     def test_matches_reference_bisection(self, tree, q, sweep):
-        # cover depth 8 is above N + k = 7: the outer sweep runs its cover pass
+        # cover depth 8 is above N + k = 7
         N = 6
         f = {
             "covering": lambda t: tree.covering_log(q, t, N),
@@ -162,7 +167,7 @@ class TestSweepRoots:
         if sweep == "outer":
             for t in (root - 0.5, root, root + 0.5):
                 assert tree.covering_log(q, t, N) <= f(t) + 1e-12
-                assert f(t) <= tree.packing_log(q, t, N) + 1e-12
+                assert f(t) == tree.packing_log(q, t, N)
 
     def test_sweeps_per_root_on_parry_tree(self, parry, golden):
         # the tree and exponents of the exponent-scan benchmark; bisection
@@ -211,7 +216,7 @@ class TestFullShiftEntropy:
 
 
 @pytest.mark.parametrize(
-    "estimator", [mf.bowen_entropy, mf.packing_entropy_delta, mf.packing_entropy]
+    "estimator", [mf.bowen_entropy, mf.packing_entropy_delta]
 )
 def test_empty_schedule_refused(fair, full2, estimator):
     with pytest.raises(ValueError, match="schedule is empty"):
@@ -225,31 +230,16 @@ class TestSubshift:
         assert est.value == pytest.approx(math.log(PHI), abs=2e-2)
 
     def test_packing_variants_agree_on_whole_space(self, parry, golden):
-        # cover depth 5 is above N + k = 4 of the (4, 8) entry: the outer sweep runs
+        # cover depth 5 is above N + k = 4 of the (4, 8) entry
         Y = mf.CylinderSet(golden, [()])
         ev = evaluator(parry, Y, WIDE)
-        delta = mf.packing_entropy_delta(ev, 0.0, WIDE)
-        refined = mf.packing_entropy(ev, 0.0, WIDE, cover_depth=5)
-        assert refined.value == pytest.approx(delta.value, abs=1e-9)
-
-
-class TestCoverDepthDefault:
-    def test_packing_default_is_min_6_smallest_N(self, biased, full2):
-        # the smallest N is 4, so every entry covers at depth 4, the 8 and 10 ones too
-        K = mf.CylinderSet(full2, [(0,), (1, 1)])
-        assert default_cover_depth(FAST) == 4
-        ev = evaluator(biased, K, FAST)
-        default = mf.packing_entropy(ev, 0.5, FAST)
-        explicit = mf.packing_entropy(ev, 0.5, FAST, cover_depth=4)
-        assert default == explicit
-        assert default_cover_depth(((8, 8), (12, 12))) == 6
-
+        assert outer_estimate(ev, 0.0, WIDE, 5) == mf.packing_entropy_delta(ev, 0.0, WIDE)
 
 
 class TestOuterIsPacking:
-    """Covering at a depth <= N + k leaves no usable ancestor ball and a
-    plain-sum packing fold above the cover: the cover-refined packing is
-    the raw packing bit for bit, so `mfent entropy` may reuse that estimate."""
+    """A cylinder partition of K never lowers the packing value, so the
+    cover-refined packing is the raw packing bit for bit at every cover
+    depth, and `mfent entropy` writes that estimate for both packing rows."""
 
     @pytest.mark.parametrize("name", ["biased", "sticky", "gibbs3", "bernoulli_gibbs"])
     def test_outer_log_is_packing_log_bitwise(self, request, full2, name):
@@ -258,39 +248,30 @@ class TestOuterIsPacking:
         for k in (0, 2):
             ev = mf.TreeEvaluator(model, K, k, 8)
             for N in (1, 4, 8):
-                for depth in range(min(N + k, 8) + 1):
-                    assert outer_is_packing([(N, 8)], k, depth)
+                for depth in range(9):
                     for q, t in ((-2.0, 0.3), (0.0, 0.7), (0.5, -0.1), (3.0, 1.2)):
                         assert ev.outer_log(q, t, N, depth) == ev.packing_log(q, t, N)
-
-    def test_condition(self):
-        assert outer_is_packing(FAST, 0, default_cover_depth(FAST))
-        assert outer_is_packing(WIDE, 1, 5)
-        assert not outer_is_packing(WIDE, 0, 5)  # above N + k of the (4, 8) entry
-        assert not outer_is_packing(((4, 4),), 2, 5)  # below N + k, above D
-        assert not outer_is_packing(FAST, 0, -1)
 
     def test_outer_sweep_gives_delta_estimate(self, biased, full2):
         K = mf.CylinderSet(full2, [(0,), (1, 1)])
         ev = evaluator(biased, K, WIDE, k=1)
         delta = mf.packing_entropy_delta(ev, 0.5, WIDE)
-        assert mf.packing_entropy(ev, 0.5, WIDE) == delta
-        assert mf.packing_entropy(ev, 0.5, WIDE, cover_depth=5) == delta
-        with pytest.raises(ValueError):
-            mf.packing_entropy(evaluator(biased, K, ((4, 4),)), 0.5, ((4, 4),), cover_depth=5)
+        assert outer_estimate(ev, 0.5, WIDE, 0) == delta
+        assert outer_estimate(ev, 0.5, WIDE, 5) == delta
+        with pytest.raises(ValueError, match="cover depth 5"):
+            outer_estimate(evaluator(biased, K, ((4, 4),)), 0.5, ((4, 4),), 5)
 
     @pytest.mark.parametrize("name", ["biased", "gibbs3", "bernoulli_gibbs"])
     def test_refined_below_raw_above_n_plus_k(self, request, full2, name):
-        # depth 5 is above N + k = 4 of the (4, 8) entry: the outer sweep runs
+        # depth 5 is above N + k = 4 of the (4, 8) entry, and the refined
+        # estimate is still the raw one
         model = request.getfixturevalue(name)
         K = mf.CylinderSet(full2, [(0,), (1, 0, 1)])
-        assert not outer_is_packing(WIDE, 0, 5)
         ev = evaluator(model, K, WIDE)
         for q in (-1.0, 0.0, 2.0):
             raw = mf.packing_entropy_delta(ev, q, WIDE)
-            refined = mf.packing_entropy(ev, q, WIDE, cover_depth=5)
-            assert refined.value <= raw.value + 1e-9
-            assert refined.error_bar < math.inf
+            assert outer_estimate(ev, q, WIDE, 5) == raw
+            assert raw.error_bar < math.inf
 
 
 class TestRestrictedSets:
@@ -310,16 +291,16 @@ class TestRestrictedSets:
             assert b.value <= p.value + 1e-6
 
     def test_refined_packing_below_raw(self, biased, full2):
-        # cover depth 3 is above N + k = 2 of the (2, 6) entry: the outer sweep runs
+        # cover depth 3 is above N + k = 2 of the (2, 6) entry
         K = mf.CylinderSet(full2, [(0,), (1, 0, 1)])
         schedule = ((2, 6), (6, 6))
         ev = evaluator(biased, K, schedule)
         for q in (0.0, 2.0):
             covering = mf.bowen_entropy(ev, q, schedule)
             raw = mf.packing_entropy_delta(ev, q, schedule)
-            refined = mf.packing_entropy(ev, q, schedule, cover_depth=3)
+            refined = outer_estimate(ev, q, schedule, 3)
             assert covering.value <= refined.value + 1e-9
-            assert refined.value <= raw.value + 1e-9
+            assert refined == raw
 
 
 class TestDoublingGate:
