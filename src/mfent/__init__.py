@@ -14,7 +14,6 @@ from .local import (
     LocalEntropySample,
     filtration_member,
     local_entropy,
-    mean_local_entropy,
     sample_level_set,
 )
 from .measures import (
@@ -32,7 +31,6 @@ from .potential import Potential
 from .premeasure import (
     TreeEvaluator,
     antichain_oracle,
-    psi,
     psi_log,
 )
 from .solver import (
@@ -46,9 +44,6 @@ from .space import (
     CylinderSet,
     ShiftSpace,
     Word,
-    bowen_cylinder,
-    hausdorff_distance,
-    intersects,
     make_shift,
 )
 from .spectrum import (

@@ -23,6 +23,7 @@ from .errors import BracketError, ConfigError, ConvergenceError, MfentError, Too
 from .local import local_entropy
 from .measures import (
     Bernoulli, Chain, Gibbs, Markov, MeasureModel, Mixture, _refuse_long_words, doubling_check,
+    log_mass_array,
 )
 from .potential import Potential
 from .premeasure import TreeEvaluator, _refuse_big
@@ -307,19 +308,12 @@ def cmd_premeasure(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
     D = _int(cfg, "D", lo=N)
     k = _int(cfg, "k", 0, lo=0)
     mode = cfg.get("mode", "covering")
-    if mode not in ("covering", "packing", "outer"):
-        raise ConfigError(f"field 'mode' must be covering, packing, or outer; got {mode!r}")
-    if mode == "outer":
-        cover_depth = _int(cfg, "cover_depth", 0, lo=0)
-        if cover_depth > D:
-            raise ConfigError(f"field 'cover_depth' exceeds D={D}")
+    if mode not in ("covering", "packing"):
+        raise ConfigError(f"field 'mode' must be covering or packing; got {mode!r}")
     _within("fields 'D' and 'k'", _refuse_big, model, K, D, k)
 
     ev = TreeEvaluator(model, K, k, D)
-    if mode == "outer":
-        log_value = ev.outer_log(q, t, N, cover_depth)
-    else:
-        log_value = (ev.covering_log if mode == "covering" else ev.packing_log)(q, t, N)
+    log_value = (ev.covering_log if mode == "covering" else ev.packing_log)(q, t, N)
     value = math.inf if log_value >= _LOG_FLOAT_MAX else math.exp(log_value)
     return [(
         "premeasure.csv",
@@ -416,6 +410,11 @@ def cmd_level_spectrum(cfg: dict, model: MeasureModel, seed: int) -> list[Table]
             raise ConfigError(f"field '{field}' must be positive, got {width}")
     _within("fields 'n' and 'k'", _refuse_long_words, model.space, n + k, _MAX_LEVEL_SET_WORDS)
     q_grid = parse_grid(cfg, "q_grid", [0.0, 1.0, 2.0])
+    if (q_grid < 0).any() and np.isneginf(log_mass_array(model, n + k)).any():
+        raise ConfigError(
+            "field 'q_grid' has q < 0, where the tangency level is undefined: "
+            f"a word of length n + k = {n + k} has zero mass"
+        )
 
     try:
         bins = level_set_spectrum_oracle(model, n, bin_width, k)

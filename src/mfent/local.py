@@ -80,12 +80,6 @@ def filtration_member(
     return bool(((beta - delta < val) & (val < beta + delta)).all())
 
 
-def mean_local_entropy(samples: list[LocalEntropySample]) -> float:
-    """Monte-Carlo average of the tail estimates over samples.  A sampling
-    estimate, not an exact integral."""
-    return float(np.mean([0.5 * (s.lower + s.upper) for s in samples]))
-
-
 def _compositions(total: int, parts: int):
     if parts == 1:
         yield (total,)

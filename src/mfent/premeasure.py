@@ -46,20 +46,11 @@ _MAX_TREE_NODES = 1 << 22
 _MAX_ORACLE_OPTIONS = 1 << 21
 
 
-def psi(s: float, x: float) -> float:
-    """Power gauge on ball masses: x^s, with psi_0 = 1 and psi_s(0) = inf for s < 0."""
-    if x < 0:
-        raise ValueError(f"psi needs x >= 0, got {x}")
-    if s == 0:
-        return 1.0
-    if x == 0.0:
-        return math.inf if s < 0 else 0.0
-    return x**s
-
 def psi_log(s: float, log_x):
-    """log of psi(s, exp(log_x)), elementwise over an array log_x; log_x =
-    -inf encodes x = 0, where s * log_x is already +inf for s < 0 and -inf
-    for s > 0."""
+    """The power gauge x^s on ball masses in log domain, elementwise over an
+    array log_x: s * log_x, and 0 for s = 0 (x^0 = 1, also at x = 0).
+    log_x = -inf encodes x = 0, where s * log_x is already +inf for s < 0
+    and -inf for s > 0."""
     if s == 0:
         return np.zeros_like(log_x, dtype=float) if np.ndim(log_x) else 0.0
     return s * log_x
@@ -294,16 +285,17 @@ class TreeEvaluator:
         orders, nondecreasing in D."""
         return self._ordered(q, t, N, self.D if D is None else D, np.maximum)
 
-    def outer_log(self, q: float, t: float, N: int, cover_depth: int, D: int | None = None) -> float:
-        """Infimum over cylinder-partition covers at depths <= cover_depth of
-        the summed per-piece packing value with orders N..D (by default the
-        evaluator's own D).  The trivial cover attains it (see the module
-        docstring), so this is ``packing_log``'s value bit for bit at every
-        cover depth in [0, D]; any other depth is refused."""
+    def outer_log(self, q: float, t: float, N: int, depth: int, D: int | None = None) -> float:
+        """The packing refined over cylinder-partition covers at depths <=
+        ``depth``, with orders N..D (by default the evaluator's own D).  The
+        trivial cover attains it (see the module docstring), so this is
+        ``packing_log``'s value bit for bit at every cover depth in [0, D];
+        any other depth is refused.  Kept only for the benchmark's
+        exponent-scan jobs, until the benchmark drops them (ROADMAP item 4)."""
         D = self.D if D is None else D
         _check_window(N, D, self.k)
-        if not 0 <= cover_depth <= D:
-            raise ValueError(f"cover depth {cover_depth} outside [0, {D}]")
+        if not 0 <= depth <= D:
+            raise ValueError(f"cover depth {depth} outside [0, {D}]")
         return self._ordered(q, t, N, D, np.maximum)
 
 

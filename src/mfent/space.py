@@ -130,22 +130,6 @@ def make_shift(alphabet_size: int, transitions: Sequence[Sequence[int]]) -> Shif
     return ShiftSpace(transitions)
 
 
-def bowen_cylinder(x: Word, n: int, k: int) -> Word:
-    """Identifying word of the order-n dynamical ball of radius 2^{-k} at x.
-
-    Under the dyadic metric this is simply the length-(n+k) prefix.
-    """
-    if k < 0:
-        raise ValueError("depth offset k must be >= 0")
-    need = n + k
-    if len(x) < need:
-        raise ValueError(
-            f"center word of length {len(x)} too short: order {n} at depth offset {k} "
-            f"requires length >= {need}"
-        )
-    return x[:need]
-
-
 class CylinderSet:
     """Finite union of cylinders, stored as a canonical antichain of words.
 
@@ -192,10 +176,6 @@ class CylinderSet:
         return not self._members
 
     @property
-    def is_whole_space(self) -> bool:
-        return self._members == frozenset({()})
-
-    @property
     def max_depth(self) -> int:
         return max((len(w) for w in self._members), default=0)
 
@@ -232,29 +212,6 @@ class CylinderSet:
             raise SpaceMismatchError("cannot union cylinder sets over different spaces")
         return CylinderSet(self.space, set(self._members) | set(other._members))
 
-    def issubset(self, other: "CylinderSet") -> bool:
-        return all(
-            any(is_prefix(b, a) for b in other._members) for a in self._members
-        )
-
-    def expand_to_depth(self, depth: int) -> list[Word]:
-        """All admissible depth-``depth`` words whose cylinder lies inside the set.
-
-        Requires depth >= max member length.
-        """
-        if depth < self.max_depth:
-            raise ValueError(f"depth {depth} below max member length {self.max_depth}")
-        out: list[Word] = []
-        for a in sorted(self._members):
-            stack = [a]
-            while stack:
-                w = stack.pop()
-                if len(w) == depth:
-                    out.append(w)
-                else:
-                    stack.extend(reversed(self.space.children(w)))
-        return out
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CylinderSet)
@@ -268,43 +225,3 @@ class CylinderSet:
     def __repr__(self) -> str:
         shown = sorted("".join(map(str, w)) if w else "<root>" for w in self._members)
         return f"CylinderSet({shown})"
-
-
-def intersects(K: CylinderSet, w: Word) -> bool:
-    """True iff the cylinder of ``w`` meets ``K`` (free-function form)."""
-    K.space.require_admissible(tuple(w))
-    return K.intersects(tuple(w))
-
-
-def hausdorff_distance(A: CylinderSet, B: CylinderSet) -> float:
-    """Hausdorff distance between two cylinder sets under the dyadic metric.
-
-    Computed exactly on the tree: 2^{-d} where d is the deepest level of
-    forced agreement.  Empty-set convention: 0 if both empty, 1 if exactly
-    one is empty.
-    """
-    if A.space != B.space:
-        raise SpaceMismatchError("cannot compare cylinder sets over different spaces")
-    if A.is_empty and B.is_empty:
-        return 0.0
-    if A.is_empty or B.is_empty:
-        return 1.0
-    depth = max(A.max_depth, B.max_depth)
-
-    def excess(src: CylinderSet, dst: CylinderSet) -> float:
-        worst = 0.0
-        dst_members = dst.members
-        for w in src.expand_to_depth(depth):
-            if any(is_prefix(b, w) for b in dst_members):
-                continue  # point can be chosen inside dst, distance 0
-            best = 1.0
-            for b in dst_members:
-                div = next(
-                    (i for i, (p, q) in enumerate(zip(w, b)) if p != q), None
-                )
-                assert div is not None  # b not a prefix and never longer than depth
-                best = min(best, 2.0 ** (-div))
-            worst = max(worst, best)
-        return worst
-
-    return max(excess(A, B), excess(B, A))

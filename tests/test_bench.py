@@ -18,7 +18,7 @@ def bench_result(workload, trace, seed=0):
     return proc.stdout, json.loads(proc.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("workload", ["entropy-schedule", "exponent-scan"])
+@pytest.mark.parametrize("workload", ["entropy-schedule", "exponent-scan", "partition-spectrum"])
 def test_traced_benchmark_pass(workload):
     """The benchmark's tracer wraps and reads mfent names from outside the
     package, ``TreeEvaluator.level_words`` after every build and sweep among

@@ -159,22 +159,14 @@ class TestPremeasureCommand:
         if D == 1:
             assert float(row["log_value"]) == pytest.approx(-t, rel=1e-12)
 
-    def test_outer_mode(self, tmp_path):
+    def test_outer_mode(self, tmp_path, capsys):
         cfg = {
             "space": FULL2, "measure": FAIR, "K": [[0], [1, 1]],
-            "q": 0, "t": LOG2, "N": 1, "D": 6, "mode": "outer", "cover_depth": 3,
+            "q": 0, "t": LOG2, "N": 1, "D": 6, "mode": "outer",
         }
-        assert run("premeasure", cfg, tmp_path) == 0
-
-    def test_deep_outer_mode_is_packing(self, tmp_path):
-        # a cover depth of 25 on the depth-30 tree of the 2-shift builds
-        # nothing: the outer mode writes the packing mode's log value
-        cfg = {"space": FULL2, "measure": FAIR, "K": [[]], "q": 0, "t": 0, "N": 1, "D": 30}
-        rows = {}
-        for mode, extra in (("outer", {"cover_depth": 25}), ("packing", {})):
-            assert run("premeasure", {**cfg, "mode": mode, **extra}, tmp_path / mode) == 0
-            rows[mode] = read_csv(tmp_path / mode / "premeasure.csv")[0]
-        assert rows["outer"]["log_value"] == rows["packing"]["log_value"]
+        assert run("premeasure", cfg, tmp_path / "out") == 2
+        assert "'mode'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_mode_is_config_error(self, tmp_path):
         cfg = {
@@ -404,7 +396,7 @@ class TestConfigErrors:
             ("entropy", {"K": [[]], "schedule": [["a", 3]]}, "schedule"),
             ("entropy", {"K": [[]], "schedule": [[0, 3]]}, "schedule"),
             ("premeasure", {"K": [[]], "q": 0, "t": 0, "N": 1, "D": 2, "mode": "outer",
-                            "cover_depth": -1}, "cover_depth"),
+                            "cover_depth": -1}, "'mode'"),
             ("local", {"n": 10, "tail_fraction": 2}, "tail_fraction"),
             ("local", {"n": 0}, "'n'"),
             ("level-spectrum", {"bin_width": 0}, "bin_width"),
@@ -489,14 +481,16 @@ class TestNoWorkOnBadConfig:
             ("spectrum", {"beta_grid": ["x"]}, "'beta_grid'"),
             ("level-spectrum", {"q_grid": ["x"]}, "'q_grid'"),
             ("premeasure", {"K": [[]], "q": 0, "t": 0, "N": 1, "D": 2,
-                            "mode": "outer", "cover_depth": 3}, "'cover_depth'"),
+                            "mode": "outer", "cover_depth": 3}, "'mode'"),
             ("verify-gibbs", {"measure": {"kind": "gibbs", "r": 40, "psi": {"0" * 40: -1.0}}},
              "'measure'"),
             # 700,001 levels x 3 chain nodes x 1 trie state x 2 symbols
             ("entropy", {"space": GOLDEN, "measure": PARRY, "K": [[]],
                          "schedule": [[1, 700000]]}, "'schedule'"),
-            ("premeasure", {"K": [[]], "q": 0, "t": 0, "N": 1, "D": 2,
-                            "mode": "outer", "cover_depth": 1e308}, "'cover_depth'"),
+            ("premeasure", {"K": [[]], "q": 0, "t": 0, "N": 1, "D": 2, "k": 1e308}, "'k'"),
+            # the tangency level at q < 0 is undefined once a word has zero mass
+            ("level-spectrum", {"measure": {"kind": "bernoulli", "p": [1, 0]}, "n": 4,
+                                "q_grid": [-1]}, "'q_grid'"),
         ],
     )
     def test_exits_2_before_any_work(self, tmp_path, command, extra, field):
@@ -562,8 +556,8 @@ def test_golden_bytes(tmp_path, command):
         assert (tmp_path / name).read_bytes() == (expected / name).read_bytes(), name
 
 
-# premeasure.csv of the golden premeasure config in its other two modes,
-# recorded with every other field as in tests/data/cli/premeasure.json
+# premeasure.csv of the golden premeasure config in each mode, recorded with
+# every other field as in tests/data/cli/premeasure.json (itself mode packing)
 PREMEASURE_MODE_BYTES = {
     "covering": "covering,0.5,0.4,2,6,1,-0.649582362261,0.522263848313\n",
     "packing": "packing,0.5,0.4,2,6,1,-0.010179595446,0.989872041274\n",
@@ -572,7 +566,7 @@ PREMEASURE_MODE_BYTES = {
 
 @pytest.mark.parametrize("mode", PREMEASURE_MODE_BYTES)
 def test_premeasure_mode_bytes(tmp_path, mode):
-    """Pins the covering and packing branches next to the golden outer one."""
+    """Pins the covering and packing branches, whatever the golden mode."""
     cfg = {**json.loads((GOLDEN_DIR / "premeasure.json").read_text()), "mode": mode}
     assert run("premeasure", cfg, tmp_path, ["--seed", "7"]) == 0
     header = "mode,q,t,N,D,k,log_value,value\n"
@@ -594,7 +588,7 @@ class TestEntryPoint:
 FUZZ_VALUES = [0, -1, 0.5, 1e308, -1e308, "x", True, None, [], {}, 10**400, "nan"]
 OPTIONAL_FIELDS = {
     "spectrum": ["q_grid", "k", "schedule", "beta_grid"],
-    "premeasure": ["K", "q", "t", "N", "D", "k", "mode", "cover_depth"],
+    "premeasure": ["K", "q", "t", "N", "D", "k", "mode"],
     "entropy": ["K", "q", "k", "schedule"],
     "verify-gibbs": ["q_grid"],
     "doubling": ["k", "n_max"],

@@ -128,10 +128,3 @@ class TestSampleLevelSet:
     def test_markov_not_supported(self, parry):
         with pytest.raises(ValueError):
             mf.sample_level_set(parry, 0.4, 0.05, 10, 2, rng_seed=0)
-
-
-class TestMeanLocalEntropy:
-    def test_average_of_tails(self, fair):
-        rng = np.random.default_rng(2)
-        samples = [mf.local_entropy(fair, fair.sample_word(20, rng)) for _ in range(5)]
-        assert mf.mean_local_entropy(samples) == pytest.approx(LOG2, abs=1e-12)

@@ -1,8 +1,8 @@
 """Randomized invariant suites.
 
 Aggregate example counts across these suites exceed 1000 runs; each case
-is small (depth <= 4 cylinder trees on the full 2-shift, depth <= 8 for
-the metric axioms) so the whole module stays fast.
+is small (depth <= 4 cylinder trees on the full 2-shift) so the whole
+module stays fast.
 """
 
 import math
@@ -39,21 +39,20 @@ class TestGaugeIdentities:
         y=st.floats(1e-6, 10.0),
     )
     def test_multiplicative(self, s, x, y):
-        lhs = mf.psi(s, x * y)
-        rhs = mf.psi(s, x) * mf.psi(s, y)
-        assert lhs == pytest.approx(rhs, rel=1e-9)
+        a, b = math.log(x), math.log(y)
+        lhs = mf.psi_log(s, a + b)
+        rhs = mf.psi_log(s, a) + mf.psi_log(s, b)
+        assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(s=st.floats(-3.0, 3.0), x=st.floats(1e-6, 10.0))
     def test_log_domain_consistent(self, s, x):
-        assert mf.psi_log(s, math.log(x)) == pytest.approx(
-            math.log(mf.psi(s, x)), abs=1e-9
-        )
+        assert mf.psi_log(s, math.log(x)) == pytest.approx(math.log(x**s), abs=1e-9)
 
     @settings(max_examples=50, deadline=None)
     @given(x=st.floats(0.0, 10.0))
     def test_zero_exponent_constant(self, x):
-        assert mf.psi(0.0, x) == 1.0
+        assert mf.psi_log(0.0, math.log(x) if x > 0 else -math.inf) == 0.0
 
 
 class TestPremeasureOrder:
@@ -158,34 +157,6 @@ class TestFiltrationNesting:
         w = model.sample_word(16, np.random.default_rng(seed))
         if mf.filtration_member(model, w, beta, 0.3, M=1, N=3):
             assert mf.filtration_member(model, w, beta, 0.3, M=1, N=5)
-
-
-class TestHausdorffAxioms:
-    deep_words = st.lists(
-        st.lists(st.integers(0, 1), min_size=0, max_size=8).map(tuple),
-        min_size=1,
-        max_size=4,
-    )
-
-    @settings(max_examples=100, deadline=None)
-    @given(wsa=deep_words, wsb=deep_words)
-    def test_symmetry_and_identity(self, wsa, wsb):
-        A = mf.CylinderSet(FULL2, wsa)
-        B = mf.CylinderSet(FULL2, wsb)
-        dAB = mf.hausdorff_distance(A, B)
-        assert dAB == mf.hausdorff_distance(B, A)
-        assert mf.hausdorff_distance(A, A) == 0.0
-        assert (dAB == 0.0) == (A == B)
-
-    @settings(max_examples=100, deadline=None)
-    @given(wsa=deep_words, wsb=deep_words, wsc=deep_words)
-    def test_triangle(self, wsa, wsb, wsc):
-        A = mf.CylinderSet(FULL2, wsa)
-        B = mf.CylinderSet(FULL2, wsb)
-        C = mf.CylinderSet(FULL2, wsc)
-        assert mf.hausdorff_distance(A, C) <= (
-            mf.hausdorff_distance(A, B) + mf.hausdorff_distance(B, C) + 1e-12
-        )
 
 
 class TestSemicontinuityProbes:

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 import mfent as mf
@@ -53,14 +52,6 @@ def test_no_admissible_11_in_golden(golden):
     assert golden.children((0, 1)) == [(0, 1, 0)]
 
 
-def test_bowen_cylinder_is_prefix():
-    x = (0, 1, 1, 0, 1)
-    assert mf.bowen_cylinder(x, 3, 2) == x
-    assert mf.bowen_cylinder(x, 2, 1) == (0, 1, 1)
-    with pytest.raises(ValueError):
-        mf.bowen_cylinder(x, 5, 1)
-
-
 def test_is_prefix():
     assert is_prefix((), (0, 1))
     assert is_prefix((0,), (0, 1))
@@ -77,7 +68,6 @@ def test_cylinder_sibling_merge(full2):
     K = mf.CylinderSet(full2, [(0, 0), (0, 1)])
     assert K.members == frozenset({(0,)})
     whole = mf.CylinderSet(full2, [(0,), (1,)])
-    assert whole.is_whole_space
     assert whole.members == frozenset({()})
 
 
@@ -103,56 +93,17 @@ def test_cylinder_restrict_and_union(full2):
 def test_cylinder_subset_and_intersects(full2):
     K = mf.CylinderSet(full2, [(0, 0)])
     L = mf.CylinderSet(full2, [(0,)])
-    assert K.issubset(L)
-    assert not L.issubset(K)
-    assert mf.intersects(K, (0,))
-    assert mf.intersects(K, (0, 0, 1))
-    assert not mf.intersects(K, (0, 1))
-
-
-def test_expand_to_depth(full2):
-    K = mf.CylinderSet(full2, [(0,)])
-    assert sorted(K.expand_to_depth(2)) == [(0, 0), (0, 1)]
-    assert K.expand_to_depth(1) == [(0,)]
-    with pytest.raises(ValueError):
-        K.expand_to_depth(0)
+    assert K.union(L) == L  # K is a subset of L
+    assert L.union(K) != K  # L is not a subset of K
+    assert K.intersects((0,))
+    assert K.intersects((0, 0, 1))
+    assert not K.intersects((0, 1))
 
 
 def test_empty_cylinder_set(full2):
     K = mf.CylinderSet(full2, [])
     assert K.is_empty
     assert not K.intersects(())
-
-
-def test_hausdorff_identity_and_symmetry(full2):
-    A = mf.CylinderSet(full2, [(0, 0)])
-    B = mf.CylinderSet(full2, [(0, 1)])
-    assert mf.hausdorff_distance(A, A) == 0.0
-    assert mf.hausdorff_distance(A, B) == mf.hausdorff_distance(B, A)
-
-
-def test_hausdorff_values(full2):
-    A = mf.CylinderSet(full2, [(0,)])
-    B = mf.CylinderSet(full2, [(1,)])
-    # every point of A differs from every point of B at index 0
-    assert mf.hausdorff_distance(A, B) == 1.0
-    C = mf.CylinderSet(full2, [(0, 0)])
-    # C subset of A; excess of A over C realized on [01] at index 1
-    assert mf.hausdorff_distance(A, C) == 0.5
-
-
-def test_hausdorff_triangle_inequality(full2):
-    rng = np.random.default_rng(5)
-    words = [tuple(int(s) for s in rng.integers(0, 2, size=rng.integers(1, 4)))
-             for _ in range(12)]
-    sets = [mf.CylinderSet(full2, [w]) for w in words]
-    for A in sets[:4]:
-        for B in sets[4:8]:
-            for C in sets[8:]:
-                dAB = mf.hausdorff_distance(A, B)
-                dBC = mf.hausdorff_distance(B, C)
-                dAC = mf.hausdorff_distance(A, C)
-                assert dAC <= dAB + dBC + 1e-15
 
 
 def test_space_mismatch_rejected(full2, golden):
