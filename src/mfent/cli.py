@@ -2,9 +2,10 @@
 
 One subcommand per experiment, one path from config to result: ``main``
 parses the space and measure, the command validates every other field it
-uses (size caps included) before any computation and returns its tables,
-and only then does ``main`` create the output directory and write them, so
-a failed run leaves no CSV.  Runs are deterministic given config and seed.
+uses before any computation, makes its library call (which refuses
+oversized input before any work) and returns its tables, and only then does
+``main`` create the output directory and write them, so a failed run leaves
+no CSV.  Runs are deterministic given config and seed.
 Exit codes: 0 success, 1 numeric failure (bracket or convergence), 2
 config error (naming the field).
 """
@@ -22,16 +23,15 @@ import numpy as np
 from .errors import BracketError, ConfigError, ConvergenceError, MfentError, TooLargeError
 from .local import local_entropy
 from .measures import (
-    Bernoulli, Chain, Gibbs, Markov, MeasureModel, Mixture, _refuse_long_words, doubling_check,
-    log_mass_array,
+    Bernoulli, Chain, Gibbs, Markov, MeasureModel, Mixture, doubling_check, log_mass_array,
 )
 from .potential import Potential
-from .premeasure import TreeEvaluator, _refuse_big
+from .premeasure import TreeEvaluator
 from .solver import DEFAULT_SCHEDULE, bowen_entropy, packing_entropy_delta
 from .space import CylinderSet, ShiftSpace, make_shift
 from .spectrum import (
-    _MAX_LEVEL_SET_WORDS, domain_endpoints, h_curve, legendre, level_set_spectrum_oracle,
-    level_tangency_residual, one_sided_derivatives, tangency_beta,
+    domain_endpoints, h_curve, legendre, level_set_spectrum_oracle, level_tangency_residual,
+    one_sided_derivatives,
 )
 from .thermo import gibbs_identity_residual
 
@@ -114,10 +114,11 @@ def _int(cfg: dict, field: str, default=None, ctx: str = "config", lo: int | Non
     return v
 
 
-def _within(fields: str, refuse, *args) -> None:
-    """Run a size cap before any work; a refusal names the config fields."""
+def _within(fields: str, run, *args):
+    """``run(*args)``, a library call that refuses oversized input before any
+    work; a refusal becomes a config error naming ``fields``."""
     try:
-        refuse(*args)
+        return run(*args)
     except TooLargeError as e:
         raise ConfigError(f"{fields} too large: {e}") from None
 
@@ -263,17 +264,14 @@ def cmd_spectrum(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
         raise ConfigError("field 'schedule' entries must have D = N for spectrum")
     N_max = max(N for N, _ in schedule)
     _require_irreducible(model.space, "spectrum")
-    _within("fields 'schedule' and 'k'", _refuse_long_words, model.space, N_max + k)
     beta_grid = parse_grid(cfg, "beta_grid", []) if "beta_grid" in cfg else None
 
-    curve = h_curve(model, q_grid, k=k, schedule=schedule)
-    rows = []
-    for i, q in enumerate(curve.q_grid):
-        if 0 < i < len(curve.q_grid) - 1 and np.isfinite(curve.h_values).all():
-            h_minus, h_plus = one_sided_derivatives(curve, float(q))
-        else:
-            h_minus = h_plus = math.nan
-        rows.append((float(q), float(curve.h_values[i]), h_minus, h_plus, N_max, N_max, k))
+    curve = _within("fields 'schedule' and 'k'", h_curve, model, q_grid, k, schedule)
+    rows = [
+        (float(q), float(h), float(h_minus), float(h_plus), N_max, N_max, k)
+        for q, h, h_minus, h_plus in zip(curve.q_grid, curve.h_values,
+                                         *one_sided_derivatives(curve))
+    ]
     tables = [("spectrum.csv", ["q", "h", "h_minus", "h_plus", "N", "D", "k"], rows)]
 
     try:
@@ -310,9 +308,7 @@ def cmd_premeasure(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
     mode = cfg.get("mode", "covering")
     if mode not in ("covering", "packing"):
         raise ConfigError(f"field 'mode' must be covering or packing; got {mode!r}")
-    _within("fields 'D' and 'k'", _refuse_big, model, K, D, k)
-
-    ev = TreeEvaluator(model, K, k, D)
+    ev = _within("fields 'D' and 'k'", TreeEvaluator, model, K, k, D)
     log_value = (ev.covering_log if mode == "covering" else ev.packing_log)(q, t, N)
     value = math.inf if log_value >= _LOG_FLOAT_MAX else math.exp(log_value)
     return [(
@@ -328,9 +324,8 @@ def cmd_entropy(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
     k = _int(cfg, "k", 0, lo=0)
     schedule = parse_schedule(cfg)
     D_max = max(D for _, D in schedule)
-    _within("fields 'schedule' and 'k'", _refuse_big, model, K, D_max, k)
-
-    ev = TreeEvaluator(model, K, k, D_max)  # every entry of both estimates folds on it
+    # every entry of both estimates folds on one evaluator
+    ev = _within("fields 'schedule' and 'k'", TreeEvaluator, model, K, k, D_max)
     bowen = bowen_entropy(ev, q, schedule)
     # refining the packing by cylinder-partition covers gives the packing itself
     packing = packing_entropy_delta(ev, q, schedule)
@@ -356,9 +351,7 @@ def cmd_verify_gibbs(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
 def cmd_doubling(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
     k = _int(cfg, "k", 1, lo=1)
     n_max = _int(cfg, "n_max", 8, lo=1)
-    _within("fields 'n_max' and 'k'", _refuse_long_words, model.space, n_max + k)
-
-    rep = doubling_check(model, k, n_max)
+    rep = _within("fields 'n_max' and 'k'", doubling_check, model, k, n_max)
     bound = rep.analytic_bound if rep.analytic_bound is not None else math.nan
     return [(
         "doubling.csv",
@@ -408,22 +401,21 @@ def cmd_level_spectrum(cfg: dict, model: MeasureModel, seed: int) -> list[Table]
     for field, width in (("bin_width", bin_width), ("half_width", half_width)):
         if not width > 0:
             raise ConfigError(f"field '{field}' must be positive, got {width}")
-    _within("fields 'n' and 'k'", _refuse_long_words, model.space, n + k, _MAX_LEVEL_SET_WORDS)
     q_grid = parse_grid(cfg, "q_grid", [0.0, 1.0, 2.0])
+
+    try:
+        bins = _within("fields 'n' and 'k'", level_set_spectrum_oracle, model, n, bin_width, k)
+    except OverflowError as e:
+        raise ConfigError(f"field 'bin_width' invalid: {e}") from None
+    # the oracle's level is cached, so reading it again here costs nothing
     if (q_grid < 0).any() and np.isneginf(log_mass_array(model, n + k)).any():
         raise ConfigError(
             "field 'q_grid' has q < 0, where the tangency level is undefined: "
             f"a word of length n + k = {n + k} has zero mass"
         )
-
-    try:
-        bins = level_set_spectrum_oracle(model, n, bin_width, k)
-    except OverflowError as e:
-        raise ConfigError(f"field 'bin_width' invalid: {e}") from None
     rows = [(b.beta, b.count, b.entropy_estimate, b.word_length, k) for b in bins]
     res_rows = [
-        (float(q), tangency_beta(model, float(q), n, k),
-         level_tangency_residual(model, float(q), n, k, half_width), n, k)
+        (float(q), *level_tangency_residual(model, float(q), n, k, half_width), n, k)
         for q in q_grid
     ]
     return [

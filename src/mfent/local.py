@@ -29,29 +29,21 @@ class LocalEntropySample:
 
 
 def local_entropy(
-    model: MeasureModel,
-    x: Word,
-    k: int = 0,
-    n_max: int | None = None,
-    tail_fraction: float = 0.25,
+    model: MeasureModel, x: Word, k: int = 0, tail_fraction: float = 0.25
 ) -> LocalEntropySample:
-    """Local-entropy estimate sequence along the prefixes of ``x``.
+    """Local-entropy estimate sequence along the prefixes of ``x``, at every
+    order n = 1 .. len(x) - k.
 
     lower/upper are min/max over the final tail_fraction of indices, a
     finite proxy for liminf/limsup; a zero-mass prefix makes the tail
     infinite and is flagged.
     """
-    if n_max is None:
-        n_max = len(x) - k
+    n_max = len(x) - k
     if n_max < 1:
-        raise ValueError(f"n_max={n_max} must be >= 1")
-    if len(x) < n_max + k:
-        raise ValueError(
-            f"word of length {len(x)} too short for n_max={n_max} at offset k={k}"
-        )
+        raise ValueError(f"word of length {len(x)} too short for offset k={k}")
     if not 0 < tail_fraction <= 1:
         raise ValueError("tail_fraction must be in (0, 1]")
-    lm = model.log_mass_prefixes(x[: n_max + k])[k + 1 :]
+    lm = model.log_mass_prefixes(x)[k + 1 :]
     est = -lm / np.arange(1, n_max + 1)  # inf from the first zero-mass prefix on
     tail_start = min(n_max - 1, int(math.floor(n_max * (1 - tail_fraction))))
     tail = est[tail_start:]

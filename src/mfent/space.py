@@ -175,10 +175,6 @@ class CylinderSet:
     def is_empty(self) -> bool:
         return not self._members
 
-    @property
-    def max_depth(self) -> int:
-        return max((len(w) for w in self._members), default=0)
-
     def intersects(self, w: Word) -> bool:
         """True iff the cylinder of ``w`` contains a point of this set."""
         return any(is_prefix(w, a) or is_prefix(a, w) for a in self._members)

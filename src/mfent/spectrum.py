@@ -110,12 +110,14 @@ def h_curve(
 
     For each q, log Z_N is computed at every schedule depth and h(q) is
     the least-squares slope of log Z_N against N.  Depths are the outer
-    loop, so each word length's masses are enumerated once.
+    loop, so each word length's masses are enumerated once; the deepest
+    length, max N + k, is refused past the enumeration cap before any.
     """
     if not model.space.irreducible:
         raise ValueError("h-curve estimation needs an irreducible shift space")
     if len({N for N, _ in schedule}) < 2:
         raise ValueError("h-curve estimation needs a schedule with at least 2 distinct N")
+    _refuse_long_words(model.space, max(N for N, _ in schedule) + k)
     q_grid = np.unique(np.asarray(q_grid, dtype=float))
     Ns = np.asarray([N for N, _ in schedule], dtype=float)
     logZ = np.array([log_partition(model, q_grid, int(N) + k) for N in Ns])
@@ -203,27 +205,26 @@ def domain_endpoints(curve: SpectrumCurve) -> EndpointEstimate:
     return EndpointEstimate(lower, upper, lower_ex, upper_ex)
 
 
-def one_sided_derivatives(curve: SpectrumCurve, q: float) -> tuple[float, float]:
-    """Backward/forward difference quotients at a grid point, Richardson
-    refined when a third point is available."""
-    grid = curve.q_grid
-    idx = np.where(np.isclose(grid, q, rtol=0, atol=1e-12))[0]
-    if idx.size == 0:
-        raise ValueError(f"q={q} is not a grid point")
-    i = int(idx[0])
-    if i == 0 or i == len(grid) - 1:
-        raise ValueError(f"q={q} is on the grid boundary; one side is missing")
-    h = curve.h_values
+def one_sided_derivatives(curve: SpectrumCurve) -> tuple[np.ndarray, np.ndarray]:
+    """Backward and forward difference quotients at each grid point, Richardson
+    refined where a third point is available: nan at both ends, where one side
+    is missing, and everywhere once some h is infinite."""
+    q, h = curve.q_grid, curve.h_values
+    n = len(q)
+    out = np.full((2, n), math.nan)
+    if not np.isfinite(h).all():
+        return out[0], out[1]
 
-    def one_side(step_sign: int) -> float:
-        d1 = (h[i + step_sign] - h[i]) / (grid[i + step_sign] - grid[i])
-        j = i + 2 * step_sign
-        if 0 <= j < len(grid):
-            d2 = (h[j] - h[i]) / (grid[j] - grid[i])
-            return float(2.0 * d1 - d2)
-        return float(d1)
+    def one_side(i: int, step: int) -> float:
+        d1 = (h[i + step] - h[i]) / (q[i + step] - q[i])
+        j = i + 2 * step
+        if 0 <= j < n:
+            return 2.0 * d1 - (h[j] - h[i]) / (q[j] - q[i])
+        return d1
 
-    return one_side(-1), one_side(+1)
+    for i in range(1, n - 1):
+        out[:, i] = one_side(i, -1), one_side(i, +1)
+    return out[0], out[1]
 
 
 @dataclass(frozen=True)
@@ -286,8 +287,9 @@ def tangency_beta(model: MeasureModel, q: float, n: int, k: int = 0) -> float:
 
 def level_tangency_residual(
     model: MeasureModel, q: float, n: int, k: int = 0, half_width: float = 0.08
-) -> float:
-    """Gap between the level-set counting entropy at beta = -h'(q) and the
+) -> tuple[float, float]:
+    """(beta, residual): the tangency level beta = -h'(q) of ``tangency_beta``,
+    and the gap between the level-set counting entropy at beta and the
     tangent value q beta + t*, where t* is the critical discount of the
     partition sum restricted to the beta window."""
     beta = tangency_beta(model, q, n, k)
@@ -298,4 +300,4 @@ def level_tangency_residual(
         )
     lhs = math.log(count) / n
     t_star = logsumexp(psi_log(q, masses)) / n
-    return abs(lhs - (q * beta + t_star))
+    return beta, abs(lhs - (q * beta + t_star))

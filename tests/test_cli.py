@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -113,6 +114,22 @@ class TestSpectrumCommand:
         assert "numeric failure" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
+
+    def test_point_next_to_boundary_has_derivatives(self, tmp_path):
+        # 1e-13 is within 1e-12 of the end point 0, but still an inner grid point
+        cfg = {"space": FULL2, "measure": BIASED, "schedule": [[4, 4], [8, 8]],
+               "q_grid": [0, 1e-13, 1]}
+        assert run("spectrum", cfg, tmp_path) == 0
+        mid = read_csv(tmp_path / "spectrum.csv")[1]
+        assert math.isfinite(float(mid["h_minus"])) and math.isfinite(float(mid["h_plus"]))
+
+    def test_close_points_get_their_own_derivatives(self, tmp_path):
+        # two grid points within 1e-12 of each other each keep their own row
+        cfg = {"space": FULL2, "measure": BIASED, "schedule": [[4, 4], [8, 8]],
+               "q_grid": [0, 0.5, 0.5 + 1e-13, 1]}
+        assert run("spectrum", cfg, tmp_path) == 0
+        rows = read_csv(tmp_path / "spectrum.csv")
+        assert rows[1]["h_minus"] != rows[2]["h_minus"]
 
 
 class TestPremeasureCommand:
@@ -581,6 +598,20 @@ class TestEntryPoint:
         proc = run_subprocess(["doubling", "--config", str(cfg), "--out", str(tmp_path)])
         assert proc.returncode == 0
         assert (tmp_path / "doubling.csv").exists()
+
+
+def test_cli_imports_no_private_library_names():
+    # the CLI calls the library's public routines, which run their own size caps
+    tree = ast.parse((Path(mfent.__file__).parent / "cli.py").read_text())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "mfent")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 # One-field mutation fuzz of the golden configs: any field at any depth (or an

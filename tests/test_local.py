@@ -48,10 +48,10 @@ class TestLocalEntropy:
         assert s.upper == math.inf
 
     def test_word_too_short(self, fair):
-        with pytest.raises(ValueError):
-            mf.local_entropy(fair, (0, 1), k=0, n_max=5)
-        with pytest.raises(ValueError, match="n_max"):
-            mf.local_entropy(fair, (0, 1), k=5)  # n_max = len - k < 1
+        # a word of length <= k has no order n >= 1
+        for k in (2, 5):
+            with pytest.raises(ValueError, match="too short"):
+                mf.local_entropy(fair, (0, 1), k=k)
 
     def test_lower_never_exceeds_upper(self, biased):
         rng = np.random.default_rng(3)

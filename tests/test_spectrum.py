@@ -138,6 +138,13 @@ class TestHCurve:
         assert info.misses == len(FAST)
         assert info.hits == 0
 
+    def test_deepest_level_refused_before_any(self, fair, monkeypatch):
+        # 2^25 words at N = 25; the level at N = 4 would be built first
+        mf.log_mass_array.cache_clear()
+        monkeypatch.setattr(mf.Bernoulli, "extend", None)
+        with pytest.raises(mf.TooLargeError):
+            mf.h_curve(fair, QG, schedule=((4, 4), (25, 25)))
+
 
 class TestLegendre:
     def test_fair_coin_spectrum_is_a_point(self, fair):
@@ -197,22 +204,26 @@ class TestEndpoints:
             mf.domain_endpoints(curve)
 
 
+Q0 = list(QG).index(0.0)  # the index of q = 0 in QG
+
+
 class TestDerivatives:
     def test_fair_coin_constant_slope(self, fair):
         curve = mf.h_curve(fair, QG, schedule=FAST)
-        lo, hi = mf.one_sided_derivatives(curve, 0.0)
-        assert lo == pytest.approx(-LOG2, abs=1e-6)
-        assert hi == pytest.approx(-LOG2, abs=1e-6)
+        lo, hi = mf.one_sided_derivatives(curve)
+        assert lo[Q0] == pytest.approx(-LOG2, abs=1e-6)
+        assert hi[Q0] == pytest.approx(-LOG2, abs=1e-6)
 
     def test_slopes_ordered_by_convexity(self, biased):
         curve = mf.h_curve(biased, QG, schedule=FAST)
-        lo, hi = mf.one_sided_derivatives(curve, 0.0)
-        assert lo <= hi + 1e-9
+        lo, hi = mf.one_sided_derivatives(curve)
+        assert lo[Q0] <= hi[Q0] + 1e-9
 
-    def test_boundary_rejected(self, fair):
+    def test_boundary_is_nan(self, fair):
         curve = mf.h_curve(fair, QG, schedule=FAST)
-        with pytest.raises(ValueError):
-            mf.one_sided_derivatives(curve, -3.0)
+        for side in mf.one_sided_derivatives(curve):
+            assert np.isnan(side[[0, -1]]).all()
+            assert np.isfinite(side[1:-1]).all()
 
 
 class TestLevelSets:
@@ -248,7 +259,7 @@ class TestLevelSets:
 
     def test_residual_small_for_moderate_q(self, biased):
         for q in (0.0, 1.0):
-            assert mf.level_tangency_residual(biased, q, 14) < 2e-2
+            assert mf.level_tangency_residual(biased, q, 14)[1] < 2e-2
 
     def test_oracle_refuses_huge_enumerations(self, fair):
         with pytest.raises(mf.TooLargeError):
