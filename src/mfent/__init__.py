@@ -63,7 +63,6 @@ from .thermo import (
     closed_form_h,
     correlation_entropy,
     gibbs_identity_residual,
-    log_potential_of,
     partition_growth_by_squaring,
     pressure,
 )

@@ -97,9 +97,9 @@ def sample_level_set(
     """
     if not isinstance(model, Bernoulli):
         raise ValueError("level-set sampling is implemented for Bernoulli models")
-    if (model.p == 0).any():
+    if (model.init == 0).any():
         raise ValueError("level-set sampling needs strictly positive symbol masses")
-    neg_logp = -np.log(model.p)
+    neg_logp = -np.log(model.init)
     lo, hi = float(neg_logp.min()), float(neg_logp.max())
     if beta < lo - tol or beta > hi + tol:
         raise UnreachableBetaError(

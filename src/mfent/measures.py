@@ -92,7 +92,10 @@ class MeasureModel:
 class Chain(MeasureModel):
     """Block chain: ``states`` are the admissible words of one length d,
     ``init`` their initial law and ``T`` the block-to-block transition
-    matrix; ``log_init`` and ``log_T`` are derived from them.
+    matrix.  These two arrays are the chain's whole law, held once: a
+    Bernoulli model's p is ``init`` (and every row of ``T``), a Markov
+    model's pi and P are ``init`` and ``T``, and a Gibbs model's mu and Q
+    are too.
 
     Internally every admissible word shorter than d, and every block, is a
     node (node 0 is the empty word).  ``_next[node, a]`` is the node reached
@@ -108,8 +111,7 @@ class Chain(MeasureModel):
         self.init = init
         self.T = T
         with np.errstate(divide="ignore"):
-            self.log_init = np.log(init)
-            self.log_T = np.log(T)
+            log_init, log_T = np.log(init), np.log(T)
         d = len(states[0])
         index = {u: i for i, u in enumerate(states)}
         prefixes = sorted({u[:j] for u in states for j in range(d)})
@@ -129,10 +131,10 @@ class Chain(MeasureModel):
                     step[s, a] = math.log(total) if total > 0 else -math.inf
                 elif len(c) == d:
                     nxt[s, a] = node[c]
-                    step[s, a] = self.log_init[index[c]]
+                    step[s, a] = log_init[index[c]]
                 else:
                     nxt[s, a] = node[c[1:]]
-                    step[s, a] = self.log_T[index[u], index[c[1:]]]
+                    step[s, a] = log_T[index[u], index[c[1:]]]
                     self.adjacency[index[u], index[c[1:]]] = True
         self._index = index
         self._n_prefix = len(prefixes)
@@ -218,8 +220,10 @@ class Chain(MeasureModel):
     def log_potential(self) -> Potential:
         """The locally constant potential log T on words of length d + 1."""
         d = len(self.states[0])
+        with np.errstate(divide="ignore"):
+            log_T = np.log(self.T)
         table = {
-            w: float(self.log_T[self._index[w[:-1]], self._index[w[1:]]])
+            w: float(log_T[self._index[w[:-1]], self._index[w[1:]]])
             for w in self.space.words_of_length(d + 1)
         }
         return Potential(self.space, d + 1, table)
@@ -239,15 +243,14 @@ class Bernoulli(Chain):
             raise ValueError(
                 f"need {space.alphabet_size} probabilities, got shape {p.shape}"
             )
-        if (p < 0).any() or abs(p.sum() - 1.0) > _TOL:
+        if not (p >= 0).all() or abs(p.sum() - 1.0) > _TOL:
             raise ValueError("probabilities must be nonnegative and sum to 1")
-        self.p = p
         m = space.alphabet_size
         super().__init__(space, [(a,) for a in range(m)], p, np.tile(p, (m, 1)))
 
     def sample_word(self, n: int, rng: np.random.Generator) -> Word:
         # symbols are independent, so one draw gives the whole word
-        return tuple(int(s) for s in rng.choice(self.space.alphabet_size, size=n, p=self.p))
+        return tuple(int(s) for s in rng.choice(self.space.alphabet_size, size=n, p=self.init))
 
 
 class Markov(Chain):
@@ -258,7 +261,7 @@ class Markov(Chain):
         m = space.alphabet_size
         if P.shape != (m, m):
             raise ValueError(f"transition probabilities must be {m}x{m}, got {P.shape}")
-        if (P < 0).any():
+        if not (P >= 0).all():
             raise ValueError("transition probabilities must be nonnegative")
         rowsums = P.sum(axis=1)
         bad = np.where(np.abs(rowsums - 1.0) > _TOL)[0]
@@ -275,12 +278,10 @@ class Markov(Chain):
             pi = left / left.sum()
         else:
             pi = np.asarray(pi, dtype=float)
-            if pi.shape != (m,) or (pi < 0).any() or abs(pi.sum() - 1.0) > _TOL:
+            if pi.shape != (m,) or not (pi >= 0).all() or abs(pi.sum() - 1.0) > _TOL:
                 raise ValueError("pi must be a probability vector over the alphabet")
             if np.max(np.abs(pi @ P - pi)) > 1e-10:
                 raise ValueError("pi is not stationary for P")
-        self.P = P
-        self.pi = pi
         super().__init__(space, [(a,) for a in range(m)], pi, P)
 
 
@@ -298,13 +299,9 @@ class Gibbs(Chain):
         self.potential = potential
         M, states = potential.transfer_matrix(1.0)
         lam, h, l = perron_triple(M)
-        self.pressure_value = math.log(lam)
         Q = M * h[None, :] / (lam * h[:, None])
         mu = l * h
-        mu = mu / mu.sum()
-        self.Q = Q
-        self.mu = mu
-        super().__init__(potential.space, states, mu, Q)
+        super().__init__(potential.space, states, mu / mu.sum(), Q)
 
     def log_potential(self) -> Potential:
         # the defining potential, not log Q, so the pressure identity is a real check
@@ -363,9 +360,10 @@ class Mixture(MeasureModel):
 
 def _refuse_long_words(space: ShiftSpace, length: int, cap: int = 1 << 24) -> None:
     """Refuse a level of more than ``cap`` words, counted as alphabet_size^length;
-    alphabets have at least 2 symbols, so a length >= cap.bit_length() is refused at once."""
+    alphabets have at least 2 symbols, so a length >= cap.bit_length() is refused at once.
+    The message states the cap, not the length, which may have hundreds of digits."""
     if length >= cap.bit_length() or space.alphabet_size**length > cap:
-        raise TooLargeError(f"refusing to enumerate ~{space.alphabet_size}^{length} words")
+        raise TooLargeError(f"refusing to enumerate more than {cap} words of one length")
 
 
 @lru_cache(maxsize=1)

@@ -3,7 +3,8 @@
 The covering infimum and the packing supremum are exact optimizations over
 antichains of cylinders meeting a compact cylinder set, solved by one
 bottom-up fold: over one (chain node, trie state) table per level for a
-chain measure, over an array tree for a mixture.  Restricting to cylinders
+chain measure, over an array tree for a mixture, both built by one loop
+through the measure's ``extend``.  Restricting to cylinders
 loses nothing here: centered dyadic dynamical balls *are* cylinders, and a
 disjoint family of cylinders is exactly an antichain.
 
@@ -73,19 +74,20 @@ def _refuse_big(model: MeasureModel, K: CylinderSet, D: int, k: int) -> None:
     trie states x alphabet entries.  Any other model's sweeps fold over its
     cylinder tree, whose level l holds the admissible length-l words meeting
     K, whatever the measure; the count steps integer word counts per (last
-    symbol, trie state) from level to level."""
+    symbol, trie state) from level to level.  The messages state the cap and
+    never the depth, which may have hundreds of digits."""
     depth = D + k
     table, root = K.trie()
     if isinstance(model, Chain):
         nodes, m = model._next.shape
         if (depth + 1) * nodes * len(table) * m > _MAX_TREE_NODES:
             raise TooLargeError(
-                f"a depth-{depth} chain table of {depth + 1} levels x {nodes} chain nodes x "
+                f"a chain table of D + k + 1 levels x {nodes} chain nodes x "
                 f"{len(table)} trie states x {m} symbols exceeds {_MAX_TREE_NODES} entries"
             )
         return
     if depth + 1 > _MAX_TREE_NODES:  # every level keeps at least one node
-        raise TooLargeError(f"a depth-{depth} cylinder tree exceeds {_MAX_TREE_NODES} nodes")
+        raise TooLargeError(f"a cylinder tree of D + k + 1 levels exceeds {_MAX_TREE_NODES} nodes")
     trie, symbol = np.nonzero(table >= 0)
     allowed = K.space.transitions.astype(np.int64)
     into = np.zeros(table.shape, dtype=np.int64)  # words per (trie state, next symbol)
@@ -151,73 +153,61 @@ class TreeEvaluator:
         _refuse_big(model, K, D, k)
         symbol = np.min_scalar_type(model.space.alphabet_size - 1)
         self.level_words = [np.zeros((1, 0), dtype=symbol)]
-        if self._chain:
-            self._chain_tables(model, root)
-        else:
-            self._tree(model, root)
+        self._levels(model, root)
 
-    def _chain_tables(self, model: Chain, root: int) -> None:
-        """Per level, the (chain node, trie state) pairs its words reach, as
-        sorted keys node * trie states + trie state, and the edges to the
-        next level: one per admissible symbol that meets K, in (pair, symbol)
-        order, with the child pair and the log mass step; for the forward
-        weights the same edges again, grouped by child pair, with their
-        parent pairs.  From a level >= d whose pairs are the level before's,
-        every later level repeats its tables, so those levels share its
-        arrays, made read-only."""
+    def _levels(self, model: MeasureModel, root: int) -> None:
+        """Every level down to depth D + k.  Each level steps the measure's
+        ``extend`` from the units' own entries and K's prefix trie together,
+        keeping the children that meet K.  A tree model's words are each
+        their own unit, holding its log mass.  A chain's children merge into
+        (chain node, trie state) pairs, as sorted keys node * trie states +
+        trie state.  Below the block length d each pair is one word and
+        holds its log mass; from d on a pair holds 0, so ``extend`` gives
+        each edge its log mass step, kept in (pair, symbol) order with the
+        child pair, and again grouped by child pair, with the parent pairs,
+        for the forward weights.  From a level >= d whose pairs are the
+        level before's, every later level repeats its tables, so those
+        levels share its arrays, made read-only."""
         width = len(self._table)
-        d = len(model.states[0])
+        d = len(model.states[0]) if self._chain else None
         top = self.D + self.k
-        node, trie = np.zeros(1, np.int64), np.array([root])
-        self._keys = [node * width + trie]
-        self._lm, self._child, self._steps, self._starts = [np.zeros(1)], [], [], []
+        states, lm = model.root()
+        words, trie = self.level_words[0], np.array([root])
+        self._keys, self._lm = [trie], [lm]  # the root's pair: chain node 0, trie root
+        self._child, self._steps, self._starts = [], [], []
         self._into_par, self._into_steps, self._into_starts = [], [], []
         per_level = (self._keys, self._lm, self._child, self._steps, self._starts,
                      self._into_par, self._into_steps, self._into_starts)
         for level in range(1, top + 1):
-            nxt, kid_trie = model._next[node], self._table[trie]
-            par, sym = np.nonzero((nxt >= 0) & (kid_trie >= 0))
-            keys, child = np.unique(nxt[par, sym] * width + kid_trie[par, sym], return_inverse=True)
-            step = model._step[node[par], sym]
-            if level < d:  # each pair is one word: the unit holds its log mass
-                lm = np.empty(len(keys))
-                lm[child] = step
-                step = None
-            else:
-                lm = np.zeros(len(keys))
-            into = np.argsort(child, kind="stable")
-            tables = (keys, lm, child, step, np.flatnonzero(np.diff(par, prepend=-1)),
-                      par[into], None if step is None else step[into],
-                      np.flatnonzero(np.diff(child[into], prepend=-1)))
-            if level >= d and np.array_equal(keys, self._keys[-1]):
-                for levels, table in zip(per_level, tables):
-                    table.flags.writeable = False
-                    levels.extend([table] * (top + 1 - level))
-                break
-            for levels, table in zip(per_level, tables):
-                levels.append(table)
-            node, trie = keys // width, keys % width
-
-    def _tree(self, model: MeasureModel, root: int) -> None:
-        """The explicit tree down to depth D + k.  Each level steps the
-        measure's ``extend`` and K's prefix trie together, keeping the
-        children that meet K; every node is its own unit, holding its log
-        mass."""
-        states, lm = model.root()
-        words, trie = self.level_words[0], np.array([root])
-        self._lm, self._starts = [lm], []
-        for _ in range(self.D + self.k):
             par, sym, states, lm = model.extend(states, lm)
             trie = self._table[trie[par], sym]
             keep = np.flatnonzero(trie >= 0)
             if len(keep) < len(par):
                 par, sym, trie = par[keep], sym[keep], trie[keep]
                 states, lm = model.select(states, keep), lm[keep]
-            words = np.column_stack((words[par], sym.astype(words.dtype, copy=False)))
-            self.level_words.append(words)
-            self._lm.append(lm)
-            self._starts.append(np.flatnonzero(np.diff(par, prepend=-1)))
-        self._child, self._steps = [slice(None)] * (self.D + self.k), [None] * (self.D + self.k)
+            starts = np.flatnonzero(np.diff(par, prepend=-1))
+            if self._chain:
+                keys, child = np.unique(states * width + trie, return_inverse=True)
+                step, lm = lm, np.zeros(len(keys))
+                if level < d:  # each pair is one word: the unit holds its log mass
+                    lm[child] = step
+                    step = None
+                into = np.argsort(child, kind="stable")
+                tables = (keys, lm, child, step, starts, par[into],
+                          None if step is None else step[into],
+                          np.flatnonzero(np.diff(child[into], prepend=-1)))
+                if level >= d and np.array_equal(keys, self._keys[-1]):
+                    for levels, table in zip(per_level, tables):
+                        table.flags.writeable = False
+                        levels.extend([table] * (top + 1 - level))
+                    break
+                states, trie = keys // width, keys % width
+            else:
+                words = np.column_stack((words[par], sym.astype(words.dtype, copy=False)))
+                self.level_words.append(words)
+                tables = (None, lm, slice(None), None, starts, None, None, None)
+            for levels, table in zip(per_level, tables):
+                levels.append(table)
 
     # -- the sweeps ------------------------------------------------------
 

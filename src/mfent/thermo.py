@@ -51,19 +51,14 @@ def closed_form_h(model: MeasureModel, q: float) -> float:
     return math.log(perron_root(chain.q_power(q)[1]))
 
 
-def log_potential_of(model: MeasureModel) -> Potential:
-    """Defining log-potential of a chain model: a Gibbs model's own
-    potential, log T for Bernoulli and Markov."""
-    return _chain(model).log_potential()
-
-
 def gibbs_identity_residual(model: MeasureModel, q: float) -> float:
     """|g(q) - (P(q psi) - q P(psi))| for the model's defining potential,
     where g is the partition growth rate from the stochastic representation
     over positive-mass words: the potential drops its structural zeros at
     every q, so zero-mass cylinders drop out of g too."""
-    g = math.log(perron_root(_chain(model).q_power(q)[1]))
-    psi = log_potential_of(model)
+    chain = _chain(model)
+    g = math.log(perron_root(chain.q_power(q)[1]))
+    psi = chain.log_potential()
     rhs = pressure(psi, q) - q * pressure(psi, 1.0)
     if math.isinf(g) or math.isinf(rhs):
         return 0.0 if g == rhs else math.inf

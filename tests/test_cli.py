@@ -508,6 +508,8 @@ class TestNoWorkOnBadConfig:
             # the tangency level at q < 0 is undefined once a word has zero mass
             ("level-spectrum", {"measure": {"kind": "bernoulli", "p": [1, 0]}, "n": 4,
                                 "q_grid": [-1]}, "'q_grid'"),
+            # a 301-digit word length: the message states the cap, not the length
+            ("doubling", {"k": 1e300, "n_max": 20}, "'k'"),
         ],
     )
     def test_exits_2_before_any_work(self, tmp_path, command, extra, field):
@@ -517,6 +519,7 @@ class TestNoWorkOnBadConfig:
         assert proc.returncode == 2
         assert field in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert len(proc.stderr) < 250, proc.stderr
         assert not out.exists()
 
 

@@ -120,6 +120,10 @@ class TestSampleLevelSet:
         with pytest.raises(ValueError):
             mf.sample_level_set(biased, 0.6, 1e-6, 2, 3, rng_seed=0)
 
+    def test_zero_symbol_mass_raises(self, stuck):
+        with pytest.raises(ValueError, match="strictly positive"):
+            mf.sample_level_set(stuck, 0.0, 0.05, 12, 3, rng_seed=0)
+
     def test_deterministic_given_seed(self, biased):
         a = mf.sample_level_set(biased, 0.6, 0.05, 20, 5, rng_seed=9)
         b = mf.sample_level_set(biased, 0.6, 0.05, 20, 5, rng_seed=9)

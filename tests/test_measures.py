@@ -31,6 +31,8 @@ class TestBernoulli:
             mf.Bernoulli(full2, [0.5, 0.6])
         with pytest.raises(ValueError):
             mf.Bernoulli(full2, [0.5, -0.5, 1.0])
+        with pytest.raises(ValueError):
+            mf.Bernoulli(full2, [math.nan, math.nan])
 
     def test_rejected_on_proper_subshift(self, golden):
         with pytest.raises(ValueError):
@@ -50,7 +52,7 @@ class TestBernoulli:
 class TestMarkov:
     def test_stationarity(self, parry):
         # stationary start: mass of [a] = pi_a and one-shift invariance
-        pi = parry.pi
+        pi = parry.init
         for a in range(2):
             assert parry.mass((a,)) == pytest.approx(pi[a])
         shifted = sum(
@@ -65,6 +67,8 @@ class TestMarkov:
     def test_row_sum_validation(self, full2):
         with pytest.raises(ValueError, match="row 0"):
             mf.Markov(full2, [[0.5, 0.6], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="nonnegative"):
+            mf.Markov(full2, [[math.nan, math.nan], [0.5, 0.5]])
 
     def test_support_must_match_space(self, golden):
         # positive probability on the forbidden transition 1->1
@@ -77,6 +81,8 @@ class TestMarkov:
         assert mk.mass((0,)) == 0.5
         with pytest.raises(ValueError):
             mf.Markov(full2, P, pi=[0.9, 0.1])  # not stationary
+        with pytest.raises(ValueError):
+            mf.Markov(full2, P, pi=[math.nan, math.nan])
 
     def test_inadmissible_word_rejected(self, parry):
         with pytest.raises(mf.AdmissibilityError):
@@ -91,7 +97,7 @@ class TestGibbs:
     def test_mass_comparison_with_potential_sums(self, gibbs2):
         # cylinder masses uniformly comparable to exp(sum of potential - n * pressure)
         pot = gibbs2.potential
-        P = gibbs2.pressure_value
+        P = mf.pressure(gibbs2.potential)
         ratios = []
         for w in gibbs2.space.words_of_length(6):
             s = sum(pot.table[w[i : i + 2]] for i in range(5))
@@ -115,11 +121,11 @@ class TestGibbs:
         # summed left to right; shorter words sum mu over the blocks they start
         index = {u: i for i, u in enumerate(gibbs3.states)}
         with np.errstate(divide="ignore"):  # Q is zero between non-overlapping blocks
-            logmu, logQ = np.log(gibbs3.mu), np.log(gibbs3.Q)
+            logmu, logQ = np.log(gibbs3.init), np.log(gibbs3.T)
         for n in range(1, 7):
             for w in gibbs3.space.words_of_length(n):
                 if n < 2:
-                    starts = [gibbs3.mu[i] for u, i in index.items() if u[:n] == w]
+                    starts = [gibbs3.init[i] for u, i in index.items() if u[:n] == w]
                     expect = math.log(float(np.sum(starts)))
                 else:
                     expect = float(logmu[index[w[:2]]])

@@ -108,13 +108,13 @@ class TestGibbsIdentity:
 
 class TestLogPotential:
     def test_bernoulli_potential_reproduces_masses(self, biased, full2):
-        pot = mf.log_potential_of(biased)
+        pot = biased.log_potential()
         g = mf.Gibbs(pot)
         for w in full2.words_of_length(4):
             assert g.mass(w) == pytest.approx(biased.mass(w), rel=1e-10)
 
     def test_markov_potential_reproduces_masses(self, parry, golden):
-        pot = mf.log_potential_of(parry)
+        pot = parry.log_potential()
         g = mf.Gibbs(pot)
         for w in golden.words_of_length(4):
             assert g.mass(w) == pytest.approx(parry.mass(w), rel=1e-10)
