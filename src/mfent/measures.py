@@ -16,12 +16,16 @@ transition.  Mass consumers go through one of two steps: ``extend`` takes
 a whole level of the word tree to the next (children in lexicographic
 order, each child's log mass from its parent's), and
 ``log_mass_prefixes`` walks one word.  ``Mixture`` extends both of its
-components and joins their masses.
+components and joins their masses.  ``extend`` allocates per child only
+its log mass and, below the last level walked, its state; callers that
+need a child's parent or last symbol take them from the (parent, symbol)
+grid it returns.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,10 +65,15 @@ class MeasureModel:
         """The level holding only the empty word."""
         raise NotImplementedError
 
-    def extend(self, states, log_masses: np.ndarray) -> tuple:
+    def extend(self, states, log_masses: np.ndarray, last: bool = False) -> tuple:
         """All admissible one-symbol extensions of a level, in lexicographic
-        order: (each child's parent index, last symbol, states, log masses).
-        Zero-mass children are included, with log mass -inf."""
+        order: (grid, states, log masses).  ``grid`` is the boolean (parent,
+        symbol) grid whose True cells, in row-major order, are the
+        children, so ``np.nonzero(grid)`` gives each child's parent index
+        and last symbol; it is a read-only broadcast of True when every
+        cell is a child.  Zero-mass children are included, with log mass
+        -inf.  On the ``last`` level walked the children's states are not
+        built, and None stands for them."""
         raise NotImplementedError
 
     def select(self, states, idx):
@@ -140,9 +149,15 @@ class Chain(MeasureModel):
         self._n_prefix = len(prefixes)
         self._next = nxt
         self._step = step
+        self._ok = nxt >= 0
+        self._full = bool(self._ok.all())  # every node has every symbol as a child
         # plain lists: per-symbol lookups in Python are faster than numpy scalars
         self._next_rows = nxt.tolist()
         self._step_rows = step.tolist()
+        # the row CDFs of init and T, as Generator.choice builds them
+        cdf = np.cumsum(np.vstack((init, T)), axis=1)
+        cdf /= cdf[:, -1:]
+        self._cdf_rows = cdf.tolist()
 
     def root(self) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(1, dtype=np.int32), np.zeros(1)
@@ -150,18 +165,16 @@ class Chain(MeasureModel):
     def select(self, states: np.ndarray, idx) -> np.ndarray:
         return states[idx]
 
-    def extend(self, states: np.ndarray, log_masses: np.ndarray):
-        nxt = self._next[states]
+    def extend(self, states: np.ndarray, log_masses: np.ndarray, last: bool = False):
         lm = self._step[states]
         if states.size and states[0] >= self._n_prefix:  # one level is one word length
             lm += log_masses[:, None]
-        ok = nxt >= 0
-        if ok.all():  # full shift: views, not masked copies, of the big child arrays
-            n, m = ok.shape  # symbols in the smallest dtype: this level can be huge
-            symbol = np.tile(np.arange(m, dtype=np.min_scalar_type(m - 1)), n)
-            return np.repeat(np.arange(n), m), symbol, nxt.ravel(), lm.ravel()
-        parent, symbol = np.nonzero(ok)
-        return parent, symbol, nxt[ok], lm[ok]
+        if self._full:  # every cell is a child: views, not masked copies, of the grid
+            grid = np.broadcast_to(True, lm.shape)
+            return grid, None if last else self._next[states].ravel(), lm.ravel()
+        grid = self._ok[states]
+        lm = lm[grid]  # before the states' gather, so the two grids never coexist
+        return grid, None if last else self._next[states][grid], lm
 
     def log_mass_prefixes(self, w: Word) -> np.ndarray:
         self.space.require_admissible(w)
@@ -174,12 +187,18 @@ class Chain(MeasureModel):
         return np.asarray(out)
 
     def sample_word(self, n: int, rng: np.random.Generator) -> Word:
+        """A word drawn from the chain: a block from ``init``, then one
+        transition per further symbol.  One uniform per draw, each placed in
+        its row's CDF as ``Generator.choice(p=row)`` places it, so the words
+        and the generator's state are choice's."""
         if n == 0:
             return ()
-        i = int(rng.choice(len(self.states), p=self.init))
+        u = rng.random(1 + max(0, n - len(self.states[0]))).tolist()
+        cdf = self._cdf_rows  # row 0 is init's, row 1 + i is T[i]'s
+        i = bisect_right(cdf[0], u[0])
         word = list(self.states[i])
-        while len(word) < n:
-            i = int(rng.choice(len(self.states), p=self.T[i]))
+        for x in u[1:]:
+            i = bisect_right(cdf[1 + i], x)
             word.append(self.states[i][-1])
         return tuple(word[:n])
 
@@ -207,9 +226,10 @@ class Chain(MeasureModel):
         # +inf below a zero-mass child, nan (no ratio) below a zero-mass parent
         states, lm = self.root()
         for _ in range(1, len(self.states[0])):
-            parent, _, states, kids = self.extend(states, lm)
+            grid, states, kids = self.extend(states, lm)
             with np.errstate(invalid="ignore"):
-                worst = float(np.fmax.reduce(lm[parent] - kids, initial=worst))
+                worst = float(np.fmax.reduce(np.repeat(lm, grid.sum(axis=1)) - kids,
+                                             initial=worst))
             lm = kids
         # at and beyond the block length the conditionals are entries of T
         mask = self.T > 0
@@ -247,10 +267,6 @@ class Bernoulli(Chain):
             raise ValueError("probabilities must be nonnegative and sum to 1")
         m = space.alphabet_size
         super().__init__(space, [(a,) for a in range(m)], p, np.tile(p, (m, 1)))
-
-    def sample_word(self, n: int, rng: np.random.Generator) -> Word:
-        # symbols are independent, so one draw gives the whole word
-        return tuple(int(s) for s in rng.choice(self.space.alphabet_size, size=n, p=self.init))
 
 
 class Markov(Chain):
@@ -332,7 +348,8 @@ class Mixture(MeasureModel):
             return la
         if self.lam == 0.0:
             return lb
-        return np.logaddexp(la + math.log(self.lam), lb + math.log1p(-self.lam))
+        out = la + math.log(self.lam)
+        return np.logaddexp(out, lb + math.log1p(-self.lam), out=out)
 
     def root(self):
         sa, la = self.a.root()
@@ -343,12 +360,12 @@ class Mixture(MeasureModel):
         sa, la, sb, lb = states
         return self.a.select(sa, idx), la[idx], self.b.select(sb, idx), lb[idx]
 
-    def extend(self, states, log_masses: np.ndarray):
+    def extend(self, states, log_masses: np.ndarray, last: bool = False):
         # the children's masses are joined from the components' own
         sa, la, sb, lb = states
-        parent, symbol, sa, la = self.a.extend(sa, la)
-        _, _, sb, lb = self.b.extend(sb, lb)
-        return parent, symbol, (sa, la, sb, lb), self._join(la, lb)
+        grid, sa, la = self.a.extend(sa, la, last)
+        _, sb, lb = self.b.extend(sb, lb, last)
+        return grid, None if last else (sa, la, sb, lb), self._join(la, lb)
 
     def log_mass_prefixes(self, w: Word) -> np.ndarray:
         return self._join(self.a.log_mass_prefixes(w), self.b.log_mass_prefixes(w))
@@ -356,6 +373,16 @@ class Mixture(MeasureModel):
     def sample_word(self, n: int, rng: np.random.Generator) -> Word:
         pick_a = rng.random() < self.lam
         return (self.a if pick_a else self.b).sample_word(n, rng)
+
+
+def _grid_cells(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each child's parent index and last symbol from an ``extend`` grid, as
+    ``np.nonzero(grid)``; a broadcast of True (zero strides) is spelled out
+    directly, several times faster, with symbols in the smallest dtype."""
+    if grid.strides == (0, 0):
+        n, m = grid.shape
+        return np.repeat(np.arange(n), m), np.tile(np.arange(m, dtype=np.min_scalar_type(m - 1)), n)
+    return np.nonzero(grid)
 
 
 def _refuse_long_words(space: ShiftSpace, length: int, cap: int = 1 << 24) -> None:
@@ -371,14 +398,18 @@ def log_mass_array(model: MeasureModel, length: int) -> np.ndarray:
     """Log masses of all admissible length-``length`` cylinders, in
     lexicographic order (that of ``ShiftSpace.words_of_length``).
 
-    The last (model, length) is cached, at most 2^24 floats (128 MiB);
-    models are immutable so the cache is pure.  Callers walk one length
-    at a time.
+    The last (model, length) is cached, 8 bytes per word; models are
+    immutable so the cache is pure.  Callers walk one length at a time.
+    Building the level allocates per child only its log mass and, below
+    the last level, its state: the peak is about 8 + 12/m bytes per word
+    on a full m-shift (the level and the level before it), about 28 on the
+    golden mean, whose masked grid is copied, and about 48 for a mixture of
+    two chains.  ``log_partition`` adds one buffer of the level's size.
     """
     _refuse_long_words(model.space, length)
     states, arr = model.root()
-    for _ in range(length):
-        _, _, states, arr = model.extend(states, arr)
+    for level in range(1, length + 1):
+        _, states, arr = model.extend(states, arr, last=level == length)
     arr.setflags(write=False)
     return arr
 
@@ -417,13 +448,13 @@ def doubling_check(model: MeasureModel, k: int, n_max: int) -> DoublingReport:
     # every parent on a level has positive mass: zero-mass children are dropped
     states, lm = model.root()
     for length in range(1, n_max + k + 1):
-        parent, _, states, kids = model.extend(states, lm)
+        grid, states, kids = model.extend(states, lm)
         live = ~np.isneginf(kids)
         if length >= k + 1:
             if not live.all():
                 worst_log = math.inf
                 break
-            worst_log = max(worst_log, float((lm[parent] - kids).max()))
+            worst_log = max(worst_log, float((np.repeat(lm, grid.sum(axis=1)) - kids).max()))
         keep = np.flatnonzero(live)  # zero-mass subtrees contribute no ratios below
         states, lm = model.select(states, keep), kids[keep]
 

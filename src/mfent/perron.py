@@ -31,6 +31,8 @@ def perron_triple(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"need a square matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValueError("matrix entries must be finite")
     if (M < 0).any():
         raise ValueError("matrix must be nonnegative")
     n = M.shape[0]

@@ -26,9 +26,11 @@ class Potential:
         self.space = space
         self.r = r
         tab = {tuple(w): float(v) for w, v in table.items()}
-        for w in tab:
+        for w, v in tab.items():
             if len(w) != r or not space.is_admissible(w):
                 raise ValueError(f"potential table contains inadmissible word {w}")
+            if math.isnan(v) or v == math.inf:
+                raise ValueError(f"potential value {v} on word {w}: need a real number or -inf")
         # the first missing word in lexicographic order, found without listing all words
         missing = next((w for w in space.words_of_length(r) if w not in tab), None)
         if missing is not None:

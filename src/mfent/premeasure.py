@@ -40,7 +40,7 @@ import math
 import numpy as np
 
 from .errors import TooLargeError
-from .measures import Chain, MeasureModel, _refuse_long_words
+from .measures import Chain, MeasureModel, _grid_cells, _refuse_long_words
 from .space import CylinderSet, Word
 
 _MAX_TREE_NODES = 1 << 22
@@ -179,7 +179,8 @@ class TreeEvaluator:
         per_level = (self._keys, self._lm, self._child, self._steps, self._starts,
                      self._into_par, self._into_steps, self._into_starts)
         for level in range(1, top + 1):
-            par, sym, states, lm = model.extend(states, lm)
+            grid, states, lm = model.extend(states, lm)
+            par, sym = _grid_cells(grid)
             trie = self._table[trie[par], sym]
             keep = np.flatnonzero(trie >= 0)
             if len(keep) < len(par):

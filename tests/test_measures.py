@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import random_irreducible_markov
 
 import mfent as mf
 
@@ -142,6 +144,21 @@ class TestGibbs:
         with pytest.raises(ValueError, match=r"missing admissible word \(0, (0, ){38}1\)"):
             mf.Potential(full2, 40, {(0,) * 40: 0.0})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_potential_refused_by_word(self, full2, bad):
+        # refused at once, not after the power iteration's step cap
+        table = dict.fromkeys(full2.words_of_length(2), 0.0)
+        table[(1, 0)] = bad
+        with pytest.raises(ValueError, match=r"on word \(1, 0\)"):
+            mf.Potential(full2, 2, table)
+
+    def test_minus_inf_potential_is_a_structural_zero(self, full2):
+        table = dict.fromkeys(full2.words_of_length(2), 0.0)
+        table[(1, 1)] = -math.inf
+        g = mf.Gibbs(mf.Potential(full2, 2, table))
+        assert g.mass((1, 1)) == 0.0
+        assert g.mass((0, 1)) > 0.0
+
 
 class TestMixture:
     def test_convex_combination(self, fair, biased):
@@ -185,6 +202,25 @@ class TestLogMassArray:
         arr = mf.log_mass_array(mx, 4)
         expected = [mx.log_mass(w) for w in mx.space.words_of_length(4)]
         np.testing.assert_array_equal(arr, expected)
+
+    @pytest.mark.parametrize("shift, length, bound", [("full3", 11, 2.0), ("golden", 18, 4.0)])
+    def test_level_built_in_few_times_its_bytes(self, shift, length, bound, parry):
+        # the walk keeps per child only its log mass and, below the last
+        # level, its chain state: on a full shift the peak is the level plus
+        # the level before (1.5x here), on the golden mean the masked grid
+        # copies add about 2x more
+        model = random_irreducible_markov(np.random.default_rng(0)) if shift == "full3" else parry
+        mf.log_mass_array.cache_clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            arr = mf.log_mass_array(model, length)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert arr.size == model.space.count_words(length)
+        assert peak <= bound * arr.nbytes
 
     def test_prefix_walk_matches_per_word(self, gibbs3, bernoulli_gibbs):
         w = (1, 0, 0, 1, 1, 1, 0)
@@ -274,7 +310,30 @@ class TestQPower:
         np.testing.assert_array_equal(parry.T, T)
 
 
+def choice_walk(chain, n, rng):
+    """The reference sampler: one ``Generator.choice`` per drawn block."""
+    if n == 0:
+        return ()
+    i = int(rng.choice(len(chain.states), p=chain.init))
+    word = list(chain.states[i])
+    while len(word) < n:
+        i = int(rng.choice(len(chain.states), p=chain.T[i]))
+        word.append(chain.states[i][-1])
+    return tuple(word[:n])
+
+
 class TestSampling:
+    @pytest.mark.parametrize("fixture", ["parry", "gibbs3", "biased"])
+    def test_matches_the_choice_walk(self, fixture, request):
+        # same words, and the generator left in the same state
+        chain = request.getfixturevalue(fixture)
+        d = len(chain.states[0])
+        for seed in range(10):
+            for n in (0, 1, d, 200):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert chain.sample_word(n, rng) == choice_walk(chain, n, ref)
+                assert rng.random() == ref.random()
+
     def test_words_admissible_and_deterministic(self, parry):
         rng = np.random.default_rng(42)
         ws = [parry.sample_word(10, rng) for _ in range(20)]

@@ -10,6 +10,17 @@ LOG2 = math.log(2)
 PHI = (1 + math.sqrt(5)) / 2
 
 
+class TestPerron:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_refused_before_iterating(self, bad):
+        from mfent.perron import perron_triple
+
+        M = np.ones((2, 2))
+        M[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            perron_triple(M)
+
+
 class TestPressure:
     def test_zero_potential_gives_topological_entropy(self, golden):
         pot = mf.Potential(golden, 2, {(0, 0): 0.0, (0, 1): 0.0, (1, 0): 0.0})
