@@ -37,6 +37,7 @@ from .potential import Potential
 from .space import ShiftSpace, Word
 
 _TOL = 1e-12
+_BLOCK_WORDS = 1 << 16  # the most words one block of a level walk holds
 
 
 def logsumexp(a: np.ndarray) -> float:
@@ -393,6 +394,41 @@ def _refuse_long_words(space: ShiftSpace, length: int, cap: int = 1 << 24) -> No
         raise TooLargeError(f"refusing to enumerate more than {cap} words of one length")
 
 
+def _log_mass_blocks(model: MeasureModel, length: int):
+    """Log masses of the admissible length-``length`` words, in lexicographic
+    order, as an iterator of blocks of at most ``_BLOCK_WORDS`` words.
+
+    With r levels left on an m-letter alphabet, a run of consecutive
+    parents whose subtrees hold at most run * m^r <= _BLOCK_WORDS words is
+    extended r levels in one piece, which is one block; a single parent
+    with a bigger subtree steps one level, and a longer run is split into
+    runs of max(1, _BLOCK_WORDS // m^r) parents.  So a level of at most
+    _BLOCK_WORDS words (counted as m^length) is one block, and the walk
+    holds one block plus at most m parents per level above it.  Every
+    child's log mass comes from its parent's as in a whole-level walk, so
+    the blocks joined are that level bit for bit.  The level is refused
+    past the enumeration cap before any work.
+    """
+    _refuse_long_words(model.space, length)
+    return _walk(model, *model.root(), length)
+
+
+def _walk(model: MeasureModel, states, log_masses: np.ndarray, left: int):
+    subtree = model.space.alphabet_size**left  # words below one parent, at most
+    if len(log_masses) * subtree <= _BLOCK_WORDS:
+        for level in range(1, left + 1):
+            _, states, log_masses = model.extend(states, log_masses, last=level == left)
+        yield log_masses
+    elif len(log_masses) == 1:
+        _, states, log_masses = model.extend(states, log_masses)
+        yield from _walk(model, states, log_masses, left - 1)
+    else:
+        run = max(1, _BLOCK_WORDS // subtree)
+        for start in range(0, len(log_masses), run):
+            part = slice(start, start + run)
+            yield from _walk(model, model.select(states, part), log_masses[part], left)
+
+
 @lru_cache(maxsize=1)
 def log_mass_array(model: MeasureModel, length: int) -> np.ndarray:
     """Log masses of all admissible length-``length`` cylinders, in
@@ -400,16 +436,24 @@ def log_mass_array(model: MeasureModel, length: int) -> np.ndarray:
 
     The last (model, length) is cached, 8 bytes per word; models are
     immutable so the cache is pure.  Callers walk one length at a time.
-    Building the level allocates per child only its log mass and, below
-    the last level, its state: the peak is about 8 + 12/m bytes per word
-    on a full m-shift (the level and the level before it), about 28 on the
-    golden mean, whose masked grid is copied, and about 48 for a mixture of
-    two chains.  ``log_partition`` adds one buffer of the level's size.
+    The level is the blocks of ``_log_mass_blocks``: one block is returned
+    as it is, more are copied into one array, so the peak is the level
+    plus what building one block of at most ``_BLOCK_WORDS`` words takes.
+    A one-block level peaks at about 8 + 12/m bytes per word on a full
+    m-shift (the level and the level before it), about 28 on the golden
+    mean, whose masked grid is copied, and about 48 for a mixture of two
+    chains.  ``log_partition`` walks the blocks itself and never holds
+    the level.
     """
-    _refuse_long_words(model.space, length)
-    states, arr = model.root()
-    for level in range(1, length + 1):
-        _, states, arr = model.extend(states, arr, last=level == length)
+    blocks = _log_mass_blocks(model, length)
+    if model.space.alphabet_size**length <= _BLOCK_WORDS:  # one block: the level itself
+        arr = next(blocks)
+    else:
+        arr, pos = np.empty(model.space.count_words(length)), 0
+        for block in blocks:
+            arr[pos : pos + block.size] = block
+            pos += block.size
+            del block  # the walk builds the next block without this one
     arr.setflags(write=False)
     return arr
 

@@ -4,8 +4,11 @@ level-set spectrum oracles built from exhaustive word enumeration.
 h(q) is estimated as the growth rate in N of log Z_N(q), where Z_N is
 the gauge-weighted partition sum over admissible length-(N+k) words; the
 slope regression over a schedule of depths removes additive transients.
-``log_partition`` takes a scalar q or an array of q, so ``h_curve`` loads
-each word length once and sums it for the whole grid.
+``log_partition`` takes a scalar q or an array of q, so ``h_curve`` walks
+each word length once and sums it for the whole grid; the walk streams
+the level in blocks of at most 2^16 words, so its memory does not grow
+with the length.  The level-set oracles read whole levels through the
+``log_mass_array`` cache instead.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BracketError
-from .measures import MeasureModel, _refuse_long_words, log_mass_array, logsumexp
+from .measures import (
+    MeasureModel, _log_mass_blocks, _refuse_long_words, log_mass_array, logsumexp,
+)
 from .premeasure import psi_log
 from .solver import DEFAULT_SCHEDULE
 
@@ -30,34 +35,58 @@ def log_partition(model: MeasureModel, q, length: int):
     """log sum over admissible length-``length`` words of psi_q(mass), for a
     scalar q (a float back) or an array of q (an array of its shape back).
 
-    The level is loaded once, with its min, max and (if it has zero
-    masses) zero-filtered copy.  Every q but 0 and 1 then runs in one
-    buffer reused over the whole level, and bit for bit equals
-    ``logsumexp(psi_log(q, masses))``: rounding is monotone, so the largest
-    term is q*max (q > 0) or q*min (q < 0), and the sum runs over the same
-    contiguous array in the same pairwise order.
+    The level streams through in the blocks of ``_log_mass_blocks``, so the
+    memory is about one block and one buffer of its size, never the level.
+    Each block is loaded once, with its min, max and (if it has zero
+    masses) zero-filtered copy; every q but 0 and 1 then sums the block in the
+    reused buffer against the block's own largest term, q*max (q > 0) or
+    q*min (q < 0), and the blocks' sums join in an online log-sum-exp.  On
+    a one-block level this is bit for bit ``logsumexp(psi_log(q, masses))``:
+    rounding is monotone, so the largest term is the same, and the sum runs
+    over the same contiguous array in the same pairwise order.  q = 0 gives
+    the log of the word count, zero masses included; q = 1 gives 0; q < 0
+    gives +inf once any mass is zero, and q > 0 gives -inf only if every
+    mass is zero.
     """
-    arr = log_mass_array(model, length)
     qs = np.asarray(q, dtype=float)
-    lo, hi_mass = float(arr.min()), float(arr.max())
-    # zero masses: dropped at q > 0 (keeps numpy's summation order), +inf at q < 0
-    live = arr[~np.isneginf(arr)] if lo == -math.inf else arr
-    buf = np.empty_like(live)
+    top = np.full(qs.shape, -math.inf)  # the largest term so far, per q
+    total = np.zeros(qs.shape)  # the sum so far of exp(term - top)
+    words, buf = 0, np.empty(0)
+    for block in _log_mass_blocks(model, length):
+        words += block.size
+        lo, hi_mass = float(block.min()), float(block.max())
+        # zero masses: dropped at q > 0 (keeps numpy's summation order), +inf at q < 0
+        live = block[~np.isneginf(block)] if lo == -math.inf else block
+        if buf.size < live.size:
+            buf = np.empty(live.size)
+        view = buf[: live.size]
+        for i, qi in np.ndenumerate(qs):
+            qi = float(qi)
+            hi = qi * (hi_mass if qi > 0 else lo)
+            if qi == 0 or qi == 1 or top[i] == math.inf or hi == -math.inf:
+                continue
+            if hi == math.inf:
+                top[i] = hi
+                continue
+            np.multiply(live, qi, out=view)
+            np.subtract(view, hi, out=view)
+            np.exp(view, out=view)
+            s = float(view.sum())
+            if hi > top[i]:
+                total[i] = total[i] * math.exp(top[i] - hi) + s
+                top[i] = hi
+            else:
+                total[i] += s * math.exp(hi - top[i])
     out = np.empty(qs.shape)
     for i, qi in np.ndenumerate(qs):
-        qi = float(qi)
-        hi = qi * (hi_mass if qi > 0 else lo)
         if qi == 0:
-            out[i] = math.log(arr.size)
+            out[i] = math.log(words)
         elif qi == 1:
             out[i] = 0.0  # the masses of a level sum to one
-        elif math.isinf(hi):
-            out[i] = hi
+        elif math.isinf(top[i]):
+            out[i] = top[i]
         else:
-            np.multiply(live, qi, out=buf)
-            np.subtract(buf, hi, out=buf)
-            np.exp(buf, out=buf)
-            out[i] = hi + math.log(float(buf.sum()))
+            out[i] = top[i] + math.log(total[i])
     return float(out) if out.ndim == 0 else out
 
 
@@ -110,8 +139,9 @@ def h_curve(
 
     For each q, log Z_N is computed at every schedule depth and h(q) is
     the least-squares slope of log Z_N against N.  Depths are the outer
-    loop, so each word length's masses are enumerated once; the deepest
-    length, max N + k, is refused past the enumeration cap before any.
+    loop, so each word length's masses are walked once, block by block,
+    through ``log_partition`` and never held whole; the deepest length,
+    max N + k, is refused past the enumeration cap before any.
     """
     if not model.space.irreducible:
         raise ValueError("h-curve estimation needs an irreducible shift space")

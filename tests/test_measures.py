@@ -229,6 +229,55 @@ class TestLogMassArray:
             np.testing.assert_array_equal(model.log_mass_prefixes(w), expected)
 
 
+def whole_level(model, length):
+    """The level walked whole, one extend per length: the reference the
+    block walk must match bit for bit."""
+    states, arr = model.root()
+    for level in range(1, length + 1):
+        _, states, arr = model.extend(states, arr, last=level == length)
+    return arr
+
+
+FULL3 = np.ones((3, 3), dtype=int)
+ZERO_STEP_P = [[0.2, 0.3, 0.5], [0.3, 0.3, 0.4], [0.5, 0.5, 0.0]]
+
+
+class TestLogMassBlocks:
+    @pytest.fixture(params=["full3", "golden", "gibbs3", "mixture", "zero-step"])
+    def case(self, request, parry, gibbs3, bernoulli_gibbs):
+        """(model, lengths): each list holds a multi-block length."""
+        return {
+            "full3": lambda: (random_irreducible_markov(np.random.default_rng(0)), [11, 13]),
+            "golden": lambda: (parry, [18, 20]),
+            # lengths 0 and 1 lie below the block length d = 2
+            "gibbs3": lambda: (gibbs3, [0, 1, 2, 17]),
+            "mixture": lambda: (bernoulli_gibbs, [1, 17]),
+            "zero-step": lambda: (mf.Markov(mf.make_shift(3, FULL3), ZERO_STEP_P), [12]),
+        }[request.param]()
+
+    def test_blocks_are_the_level_in_order(self, case):
+        from mfent.measures import _BLOCK_WORDS, _log_mass_blocks
+
+        model, lengths = case
+        for length in lengths:
+            blocks = list(_log_mass_blocks(model, length))
+            assert all(b.size <= _BLOCK_WORDS for b in blocks)
+            assert (len(blocks) > 1) == (model.space.alphabet_size**length > _BLOCK_WORDS)
+            want = whole_level(model, length)
+            np.testing.assert_array_equal(np.concatenate(blocks), want)
+            mf.log_mass_array.cache_clear()
+            arr = mf.log_mass_array(model, length)
+            assert not arr.flags.writeable
+            np.testing.assert_array_equal(arr, want)
+
+    def test_refused_before_any_work(self, fair, monkeypatch):
+        from mfent.measures import _log_mass_blocks
+
+        monkeypatch.setattr(mf.Bernoulli, "root", None)
+        with pytest.raises(mf.TooLargeError):
+            _log_mass_blocks(fair, 25)
+
+
 class TestDoubling:
     def test_fair_coin_exactly_two(self, fair):
         rep = mf.doubling_check(fair, 1, 6)

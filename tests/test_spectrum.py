@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import mfent as mf
+from mfent import spectrum
 
 LOG2 = math.log(2)
 PHI = (1 + math.sqrt(5)) / 2
@@ -57,7 +58,9 @@ class TestPartitionBuffer:
         }[request.param]()
 
     def test_matches_old_expression_bitwise(self, model):
-        for length in range(11):
+        # every level here is one block: 2^16 words on the full 2-shift
+        lengths = [*range(11), 16] if model.space.alphabet_size == 2 else range(11)
+        for length in lengths:
             got = mf.log_partition(model, EDGE_Q, length)
             want = np.array([old_log_partition(model, q, length) for q in EDGE_Q])
             assert got.shape == EDGE_Q.shape
@@ -66,6 +69,16 @@ class TestPartitionBuffer:
                 one = mf.log_partition(model, q, length)
                 assert type(one) is float
                 assert np.array_equal(one, w), (length, q, one, w)
+
+    def test_multi_block_level_matches_old_expression(self, model):
+        # blocks mixing zero and positive masses (markov-zero-step, whose
+        # 2 -> 2 step has probability 0; Bernoulli(1, 0)'s first block) and
+        # blocks of zero masses only (markov-zero-step's prefix 22; every
+        # other block of Bernoulli(1, 0))
+        length = 12 if model.space.alphabet_size == 3 else 17
+        got = mf.log_partition(model, EDGE_Q, length)
+        want = np.array([old_log_partition(model, q, length) for q in EDGE_Q])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     def test_array_shape_kept(self, model):
         qs = EDGE_Q.reshape(2, 4)
@@ -77,8 +90,8 @@ class TestPartitionBuffer:
         "P", [np.full((3, 3), 1 / 3), ZERO_STEP_P], ids=["positive", "zero-step"]
     )
     def test_grid_peak_memory(self, P):
-        """A 25-point grid on a cached 3^12 level allocates one q-buffer, plus
-        the zero-filtered copy when the level has zero masses: never the
+        """A 25-point grid on a 3^12 level, also cached, allocates one q-buffer,
+        plus the zero-filtered copy of a block with zero masses: never the
         fresh arrays per q of the one-q-at-a-time expression (about 3x)."""
         model = mf.Markov(mf.make_shift(3, FULL3), P)
         level = mf.log_mass_array(model, 12)
@@ -90,6 +103,19 @@ class TestPartitionBuffer:
             tracemalloc.stop()
         assert mf.log_mass_array.cache_info().currsize == 1
         assert peak <= 2 * level.nbytes + (1 << 20), (peak, level.nbytes)
+
+    def test_grid_peak_memory_bounded_by_a_block(self):
+        """3^13 words stream through in blocks: no level of 12.8 MB is held."""
+        model = mf.Markov(mf.make_shift(3, FULL3), np.full((3, 3), 1 / 3))
+        mf.log_mass_array.cache_clear()
+        tracemalloc.start()
+        try:
+            mf.log_partition(model, np.linspace(-3, 3, 25), 13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mf.log_mass_array.cache_info().currsize == 0
+        assert peak <= 4 << 20, peak
 
 
 class TestHCurve:
@@ -129,14 +155,20 @@ class TestHCurve:
         curve = mf.h_curve(fair, QG, schedule=FAST)
         assert curve.value(0.125) == pytest.approx((1 - 0.125) * LOG2, abs=2e-2)
 
-    def test_one_word_length_cached_at_a_time(self, biased):
-        # depths are the outer loop: one lookup per schedule length, whole grid at once
+    def test_each_word_length_walked_once(self, biased, monkeypatch):
+        # depths are the outer loop: one walk per schedule length, whole grid
+        # at once, streamed in blocks past the level cache
+        walked, walk = [], spectrum._log_mass_blocks
+
+        def blocks(model, length):
+            walked.append(length)
+            return walk(model, length)
+
+        monkeypatch.setattr(spectrum, "_log_mass_blocks", blocks)
         mf.log_mass_array.cache_clear()
         mf.h_curve(biased, QG, schedule=FAST)
-        info = mf.log_mass_array.cache_info()
-        assert info.currsize <= 1
-        assert info.misses == len(FAST)
-        assert info.hits == 0
+        assert walked == [N for N, _ in FAST]
+        assert mf.log_mass_array.cache_info().currsize == 0
 
     def test_deepest_level_refused_before_any(self, fair, monkeypatch):
         # 2^25 words at N = 25; the level at N = 4 would be built first
