@@ -241,6 +241,8 @@ def load_config(raw: str) -> dict:
         cfg = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from None
+    except RecursionError:
+        raise ConfigError("config is nested too deeply to parse") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     return cfg
@@ -445,6 +447,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default=".", help="output directory for CSV files")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+    if args.seed < 0:  # numpy's generators take only non-negative seeds
+        parser.error(f"argument --seed: must be >= 0, got {args.seed}")
 
     try:
         cfg = load_config(args.config)

@@ -11,6 +11,39 @@ from .errors import ConvergenceError
 from .space import ShiftSpace, Word
 
 
+def _name(w: Word) -> str:
+    """A word as a tuple, or a long one by its length and first symbols."""
+    return str(w) if len(w) <= 64 else f"of length {len(w)} beginning {w[:16]}"
+
+
+def _first_missing(space: ShiftSpace, r: int, table: Mapping[Word, float]) -> Word | None:
+    """The lexicographically first admissible word of length r missing from
+    ``table``, or None.  One word, held in a list, steps to its
+    lexicographic successor: the last symbol with a larger admissible one
+    is raised to it, and the rest is filled with smallest children (no
+    symbol is dead, so the fill never stalls).  Time and memory are linear
+    in r times the table's size."""
+    kids = [np.flatnonzero(row).tolist() for row in space.transitions]
+    word = [0]
+    for _ in range(1, r):
+        word.append(kids[word[-1]][0])
+
+    def options(i: int):  # the admissible symbols at position i of the word
+        return kids[word[i - 1]] if i else range(len(kids))
+
+    while tuple(word) in table:
+        i = r - 1
+        while i >= 0 and options(i)[-1] == word[i]:  # no larger symbol at i
+            i -= 1
+        if i < 0:  # the last word
+            return None
+        up = options(i)
+        word[i] = up[up.index(word[i]) + 1]
+        for j in range(i + 1, r):
+            word[j] = kids[word[j - 1]][0]
+    return tuple(word)
+
+
 class Potential:
     """A real value per admissible word of length r (r >= 2).
 
@@ -28,13 +61,14 @@ class Potential:
         tab = {tuple(w): float(v) for w, v in table.items()}
         for w, v in tab.items():
             if len(w) != r or not space.is_admissible(w):
-                raise ValueError(f"potential table contains inadmissible word {w}")
+                raise ValueError(f"potential table contains inadmissible word {_name(w)}")
             if math.isnan(v) or v == math.inf:
-                raise ValueError(f"potential value {v} on word {w}: need a real number or -inf")
-        # the first missing word in lexicographic order, found without listing all words
-        missing = next((w for w in space.words_of_length(r) if w not in tab), None)
+                raise ValueError(
+                    f"potential value {v} on word {_name(w)}: need a real number or -inf"
+                )
+        missing = _first_missing(space, r, tab)
         if missing is not None:
-            raise ValueError(f"potential table missing admissible word {missing}")
+            raise ValueError(f"potential table missing admissible word {_name(missing)}")
         self.table = tab
 
     def states(self) -> list[Word]:

@@ -2,11 +2,14 @@
 
 The covering infimum and the packing supremum are exact optimizations over
 antichains of cylinders meeting a compact cylinder set, solved by one
-bottom-up fold: over one (chain node, trie state) table per level for a
-chain measure, over an array tree for a mixture, both built by one loop
-through the measure's ``extend``.  Restricting to cylinders
-loses nothing here: centered dyadic dynamical balls *are* cylinders, and a
-disjoint family of cylinders is exactly an antichain.
+bottom-up fold over levels of units built by one loop through the
+measure's ``extend``.  One rule makes the units of every measure: below a
+depth d each word is its own unit, and from d on a chain's words merge
+into (chain node, trie state) pairs, one small table per level; a
+mixture's d lies below the tree, so it folds over its explicit words.
+Restricting to cylinders loses nothing here: centered dyadic dynamical
+balls *are* cylinders, and a disjoint family of cylinders is exactly an
+antichain.
 
 The refined packing takes an infimum of summed packing values over covers
 of K.  Over finite cylinder partitions of K that infimum is the packing
@@ -23,11 +26,6 @@ constructor refuses k < 0 (and D < 1), and tables or trees past the size
 cap, before building anything, and its sweeps refuse a minimum order N
 outside [1, D] and a D above the evaluator's own, as the brute-force
 ``antichain_oracle`` refuses N outside [1, D].
-
-Levels above the minimum order fold once per q into per-unit weights; a
-sweep folds D + k ... N + k and closes with one log-sum-exp.  No ball sits
-above level N + k, so the fold there is a plain log-sum, which depends on
-q but not on t.
 
 Everything runs in log domain; -inf encodes value 0 and +inf the blowup
 of the power gauge at zero mass with negative exponent.
@@ -114,28 +112,27 @@ class TreeEvaluator:
 
     A sweep folds bottom-up over levels of units.  A unit stands for the
     tree nodes of one level whose fold values agree up to an offset: a
-    node's value is its offset plus its unit's entry.  For a ``Chain`` a
-    unit is a (chain node, K-trie state) pair.  Every mass below a word is
-    the word's own times steps that depend only on its pair, so the offset
-    is psi_log of the word's log mass, and one small table per level stands
-    for a whole tree level.  Below the block length d a chain node is one
-    word, and those levels hold absolute values (offset 0).  For any other
-    model (a ``Mixture``, whose masses add) each node is its own unit, with
-    absolute values, and the constructor builds the explicit tree.
+    node's value is its offset plus its unit's entry.  One rule makes the
+    units of every model.  Below a depth d each word is its own unit and
+    holds its absolute log mass (offset 0).  For a ``Chain`` d is the block
+    length; from d on every mass below a word is the word's own times steps
+    that depend only on its (chain node, K-trie state) pair, so the words
+    merge into those pairs, each offset is psi_log of the word's log mass,
+    and one small table per level stands for a whole tree level.  A
+    ``Mixture``, whose masses add, never merges: its d lies below the tree.
 
-    ``level_words[l]`` holds the explicit level l (a row per word, in
-    lexicographic order): all D + k + 1 levels for a tree model, the root
-    alone for a chain.  Every unit keeps a child, so sweeps use
-    ``reduceat``.  Built once per (model, K, k) at the largest D + k; each
-    sweep folds from its own D <= that, so root-finding in t and every
-    schedule entry re-run only the vectorized sweeps.
+    ``level_words[l]`` holds the explicit level l below d (a row per word,
+    in lexicographic order): all D + k + 1 levels for a mixture.  Every
+    unit keeps a child, so sweeps use ``reduceat``; root-finding in t and
+    every schedule entry re-run only these vectorized sweeps.
 
     Levels above the minimum order fold once per q into per-unit weights;
-    a sweep folds D + k ... N + k and closes with one log-sum-exp.  A
-    unit's forward weight is the log-sum of its nodes' offsets (0 for a
-    tree model's nodes, so no array is kept for them); it and psi_log of
-    every distinct mass table are cached for the last q swept, and serve
-    every t, N and D at that q.
+    a sweep folds D + k ... N + k and closes with one log-sum-exp (no ball
+    sits above level N + k, so the fold there is a plain log-sum, which
+    does not depend on t).  A unit's forward weight is the log-sum of its
+    nodes' offsets (0 on a word level); it and psi_log of every distinct
+    mass table are cached for the last q swept, and serve every t, N and D
+    at that q.
     """
 
     def __init__(self, model: MeasureModel, K: CylinderSet, k: int, D: int):
@@ -148,7 +145,6 @@ class TreeEvaluator:
         self.D = D
         self.model = model
         self._table, root = K.trie()
-        self._chain = isinstance(model, Chain)
         self._q = None  # the q whose forward weights and gauge tables are cached
         _refuse_big(model, K, D, k)
         symbol = np.min_scalar_type(model.space.alphabet_size - 1)
@@ -158,26 +154,22 @@ class TreeEvaluator:
     def _levels(self, model: MeasureModel, root: int) -> None:
         """Every level down to depth D + k.  Each level steps the measure's
         ``extend`` from the units' own entries and K's prefix trie together,
-        keeping the children that meet K.  A tree model's words are each
-        their own unit, holding its log mass.  A chain's children merge into
-        (chain node, trie state) pairs, as sorted keys node * trie states +
-        trie state.  Below the block length d each pair is one word and
-        holds its log mass; from d on a pair holds 0, so ``extend`` gives
-        each edge its log mass step, kept in (pair, symbol) order with the
-        child pair, and again grouped by child pair, with the parent pairs,
-        for the forward weights.  From a level >= d whose pairs are the
-        level before's, every later level repeats its tables, so those
-        levels share its arrays, made read-only."""
+        keeping the children that meet K.  Below d each word is a unit
+        holding its log mass.  From d on the children merge into (chain
+        node, trie state) pairs, as sorted keys node * trie states + trie
+        state, each holding 0, so ``extend`` gives each edge its log mass
+        step.  A merged level keeps one edge table in (parent, symbol)
+        order: the child pair, the step and the parent pair, which the fold
+        and the forward weights both read.  From a merged level whose pairs
+        are the level before's, every later level repeats its tables, so
+        those levels share its arrays, made read-only."""
         width = len(self._table)
-        d = len(model.states[0]) if self._chain else None
         top = self.D + self.k
+        d = len(model.states[0]) if isinstance(model, Chain) else top + 1
         states, lm = model.root()
-        words, trie = self.level_words[0], np.array([root])
-        self._keys, self._lm = [trie], [lm]  # the root's pair: chain node 0, trie root
-        self._child, self._steps, self._starts = [], [], []
-        self._into_par, self._into_steps, self._into_starts = [], [], []
-        per_level = (self._keys, self._lm, self._child, self._steps, self._starts,
-                     self._into_par, self._into_steps, self._into_starts)
+        words, trie, keys = self.level_words[0], np.array([root]), None
+        self._lm, self._child, self._steps, self._starts, self._par = [lm], [], [], [], []
+        per_level = (self._lm, self._child, self._steps, self._starts, self._par)
         for level in range(1, top + 1):
             grid, states, lm = model.extend(states, lm)
             par, sym = _grid_cells(grid)
@@ -187,26 +179,21 @@ class TreeEvaluator:
                 par, sym, trie = par[keep], sym[keep], trie[keep]
                 states, lm = model.select(states, keep), lm[keep]
             starts = np.flatnonzero(np.diff(par, prepend=-1))
-            if self._chain:
+            if level < d:
+                words = np.column_stack((words[par], sym.astype(words.dtype, copy=False)))
+                self.level_words.append(words)
+                tables = (lm, slice(None), None, starts, None)
+            else:
+                last = keys
                 keys, child = np.unique(states * width + trie, return_inverse=True)
                 step, lm = lm, np.zeros(len(keys))
-                if level < d:  # each pair is one word: the unit holds its log mass
-                    lm[child] = step
-                    step = None
-                into = np.argsort(child, kind="stable")
-                tables = (keys, lm, child, step, starts, par[into],
-                          None if step is None else step[into],
-                          np.flatnonzero(np.diff(child[into], prepend=-1)))
-                if level >= d and np.array_equal(keys, self._keys[-1]):
+                tables = (lm, child, step, starts, par)
+                if last is not None and np.array_equal(keys, last):
                     for levels, table in zip(per_level, tables):
                         table.flags.writeable = False
                         levels.extend([table] * (top + 1 - level))
                     break
                 states, trie = keys // width, keys % width
-            else:
-                words = np.column_stack((words[par], sym.astype(words.dtype, copy=False)))
-                self.level_words.append(words)
-                tables = (None, lm, slice(None), None, starts, None, None, None)
             for levels, table in zip(per_level, tables):
                 levels.append(table)
 
@@ -223,17 +210,21 @@ class TreeEvaluator:
         return gauged
 
     def _forward(self, q: float, level: int) -> np.ndarray:
-        """Each chain unit's forward weight at ``level``: the log-sum of its
-        nodes' offsets.  The root's is 0, and a unit's at the next level is
-        the log-sum over its in-edges of the parent's weight plus the step
-        gauge the fold adds along the edge.  Built to the deepest level
-        asked for and kept for the q being swept."""
+        """Each unit's forward weight at ``level``: the log-sum of its nodes'
+        offsets.  On a word level it is 0; on a merged level it is the
+        log-sum over the unit's in-edges, in edge order, of the parent's
+        weight plus the step gauge the fold adds along the edge.  Built to
+        the deepest level asked for and kept for the q being swept."""
         weights = self._forward_weights
         for l in range(len(weights) - 1, level):
-            edges = weights[l][self._into_par[l]]
-            if self._into_steps[l] is not None:
-                edges = edges + self._gauge(q, self._into_steps[l])
-            weights.append(_logsum(edges, self._into_starts[l]))
+            n = len(self._lm[l + 1])
+            if self._par[l] is None:
+                weights.append(np.broadcast_to(0.0, n))
+                continue
+            out = np.full(n, -np.inf)
+            edges = weights[l][self._par[l]] + self._gauge(q, self._steps[l])
+            np.logaddexp.at(out, self._child[l], edges)
+            weights.append(out)
         return weights[level]
 
     def _weights(self, q: float, t: float, level: int) -> np.ndarray:
@@ -259,8 +250,7 @@ class TreeEvaluator:
             if self._steps[level] is not None:  # a child's offset is its parent's plus this
                 kids = kids + self._gauge(q, self._steps[level])
             vals = best(self._weights(q, t, level), _logsum(kids, self._starts[level]))
-        if self._chain:
-            vals = vals + self._forward(q, N + self.k)
+        vals = vals + self._forward(q, N + self.k)
         # never -0.0, as in _logsum, whether or not reduce starts from the identity -inf
         return float(np.logaddexp.reduce(vals) + 0.0)
 
@@ -282,7 +272,7 @@ class TreeEvaluator:
         trivial cover attains it (see the module docstring), so this is
         ``packing_log``'s value bit for bit at every cover depth in [0, D];
         any other depth is refused.  Kept only for the benchmark's
-        exponent-scan jobs, until the benchmark drops them (ROADMAP item 4)."""
+        exponent-scan jobs, until the benchmark drops them (ROADMAP item 7)."""
         D = self.D if D is None else D
         _check_window(N, D, self.k)
         if not 0 <= depth <= D:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import resource
 import signal
 import subprocess
 import sys
@@ -41,16 +42,16 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
-def run_subprocess(args, timeout=20):
+def run_subprocess(args, timeout=20, **kwargs):
     """``python -m mfent.cli`` in a child process importing the same mfent as
-    this one, installed or not."""
+    this one, installed or not; ``kwargs`` go to ``subprocess.run``."""
     src = str(Path(mfent.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
     return subprocess.run(
         [sys.executable, "-m", "mfent.cli", *args],
-        capture_output=True, text=True, env=env, timeout=timeout,
+        capture_output=True, text=True, env=env, timeout=timeout, **kwargs,
     )
 
 
@@ -357,6 +358,17 @@ class TestLocalCommand:
         assert run("local", cfg, b, extra=["--seed", "11"]) == 0
         assert (a / "local.csv").read_bytes() == (b / "local.csv").read_bytes()
 
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_negative_seed_refused(self, tmp_path, capsys, command):
+        # numpy's generators take only non-negative seeds: refused as an argument
+        cfg = {"space": FULL2, "measure": BIASED}
+        with pytest.raises(SystemExit) as exit_info:
+            run(command, cfg, tmp_path / "out", extra=["--seed", "-1"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestLevelSpectrumCommand:
     def test_bins_and_residuals(self, tmp_path):
@@ -510,14 +522,37 @@ class TestNoWorkOnBadConfig:
                                 "q_grid": [-1]}, "'q_grid'"),
             # a 301-digit word length: the message states the cap, not the length
             ("doubling", {"k": 1e300, "n_max": 20}, "'k'"),
+            # nested past the JSON parser's recursion limit; given as raw text,
+            # which json.dumps cannot write either
+            pytest.param("spectrum", '{"space": ' + "[" * 5000 + "]" * 5000 + "}",
+                         "nested too deeply", id="spectrum-nested-config"),
         ],
     )
     def test_exits_2_before_any_work(self, tmp_path, command, extra, field):
-        cfg = {"space": FULL2, "measure": FAIR, **extra}
+        if not isinstance(extra, str):
+            extra = json.dumps({"space": FULL2, "measure": FAIR, **extra})
         out = tmp_path / "out"
-        proc = run_subprocess([command, "--config", json.dumps(cfg), "--out", str(out)])
+        proc = run_subprocess([command, "--config", extra, "--out", str(out)])
         assert proc.returncode == 2
         assert field in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr) < 250, proc.stderr
+        assert not out.exists()
+
+    def test_long_potential_refused_at_once(self, tmp_path):
+        # r = 100,000 with no table: the first missing word is found in time
+        # and memory linear in r, and named by its length and first symbols;
+        # listing the words would need memory quadratic in r, so the child
+        # gets 1 GiB of address space
+        cfg = {"space": FULL2, "measure": {"kind": "gibbs", "r": 100_000, "psi": {}}}
+        out = tmp_path / "out"
+        cap = (1 << 30, 1 << 30)
+        proc = run_subprocess(
+            ["verify-gibbs", "--config", json.dumps(cfg), "--out", str(out)],
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, cap),
+        )
+        assert proc.returncode == 2, proc.stderr[-500:]
+        assert "'measure'" in proc.stderr and "of length 100000" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr) < 250, proc.stderr
         assert not out.exists()

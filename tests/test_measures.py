@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -143,6 +144,22 @@ class TestGibbs:
         # 2^40 words of length 40; the lexicographically first missing one is named
         with pytest.raises(ValueError, match=r"missing admissible word \(0, (0, ){38}1\)"):
             mf.Potential(full2, 40, {(0,) * 40: 0.0})
+
+    @pytest.mark.parametrize("r", [2, 3, 5])
+    @pytest.mark.parametrize("name", ["full2", "golden"])
+    def test_missing_word_is_lexicographically_first(self, request, name, r):
+        # against the words in lexicographic order, for random partial tables
+        space = request.getfixturevalue(name)
+        rng = np.random.default_rng(r)
+        words = list(space.words_of_length(r))
+        for _ in range(20):
+            table = {w: 0.0 for w in words if rng.random() < 0.8}
+            missing = next((w for w in words if w not in table), None)
+            if missing is None:
+                mf.Potential(space, r, table)
+                continue
+            with pytest.raises(ValueError, match=re.escape(f"missing admissible word {missing}")):
+                mf.Potential(space, r, table)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_potential_refused_by_word(self, full2, bad):

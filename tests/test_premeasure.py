@@ -315,22 +315,28 @@ TREE_KS = {
 
 class TestTreeMasses:
     @pytest.mark.parametrize(
-        "fixture, K_words",
+        "fixture, K_words, mixture",
         [
-            pytest.param(f, ws, id="-".join(filter(None, (f, name))))
+            pytest.param(f, ws, True, id="-".join(filter(None, (f, name))))
             for f in ("biased", "parry", "gibbs2", "gibbs3", "bernoulli_gibbs")
+            for name, ws in TREE_KS.items()
+        ] + [
+            pytest.param("gibbs3", ws, False, id="-".join(filter(None, ("gibbs3-chain", name))))
             for name, ws in TREE_KS.items()
         ],
     )
-    def test_levels_match_per_word_log_mass(self, fixture, K_words, request):
+    def test_levels_match_per_word_log_mass(self, fixture, K_words, mixture, request):
         # the trie keeps exactly the words whose cylinder meets K, in order;
         # Mixture(model, model, 1) has the model's masses and builds all its
-        # levels, where a chain keeps only the root (TestChainTables checks
-        # the chain tables against this tree)
-        model = mf.Mixture(*[request.getfixturevalue(fixture)] * 2, 1.0)
+        # levels, where a chain builds only those below its block length:
+        # for gibbs3 (2-blocks) the root and the length-1 words
+        # (TestChainTables checks the merged chain levels against this tree)
+        model = request.getfixturevalue(fixture)
+        if mixture:
+            model = mf.Mixture(model, model, 1.0)
         K = mf.CylinderSet(model.space, K_words)
         ev = mf.TreeEvaluator(model, K, 1, 6)
-        assert len(ev.level_words) == 8
+        assert len(ev.level_words) == (8 if mixture else 2)
         for n, (words, lm) in enumerate(zip(ev.level_words, ev._lm)):
             expected = [w for w in model.space.words_of_length(n) if K.intersects(w)]
             assert [tuple(w) for w in words.tolist()] == expected
@@ -410,10 +416,10 @@ class TestChainTables:
         # repeat level 2's tables: one read-only array each
         Y = mf.CylinderSet(parry.space, [()])
         ev = mf.TreeEvaluator(parry, Y, 1, 18)
-        assert [len(keys) for keys in ev._keys] == [1] + [2] * 19
-        for levels, first in ((ev._keys, 2), (ev._lm, 2), (ev._child, 1), (ev._steps, 1),
-                              (ev._starts, 1)):
-            assert len(levels) == len(ev._keys) - (first == 1)
+        assert [len(lm) for lm in ev._lm] == [1] + [2] * 19
+        for levels, first in ((ev._lm, 2), (ev._child, 1), (ev._steps, 1), (ev._starts, 1),
+                              (ev._par, 1)):
+            assert len(levels) == len(ev._lm) - (first == 1)
             assert all(table is levels[first] for table in levels[first:])
             assert not levels[first].flags.writeable
         tree = mf.TreeEvaluator(mf.Mixture(parry, parry, 1.0), Y, 1, 18)
@@ -421,6 +427,22 @@ class TestChainTables:
             for (sweep, got), (_, want) in zip(self.sweeps(ev, q, False, D),
                                                self.sweeps(tree, q, False, D)):
                 assert got == pytest.approx(want, rel=1e-13, abs=1e-13), (sweep, D)
+
+    @pytest.mark.parametrize("K_words", [[()], [(0,), (1, 2)]])
+    def test_forward_weights_sum_in_edges_in_edge_order(self, markov3, K_words):
+        # a merged unit's forward weight sums its in-edges in edge order, as
+        # one reduceat over the edges grouped stably by child pair would, bit
+        # for bit; on 3 symbols a unit has up to 3 in-edges, so the order shows
+        ev = mf.TreeEvaluator(markov3, mf.CylinderSet(markov3.space, K_words), 0, 8)
+        for q in (-2.0, 0.7, 1.5, 3.1):
+            ev.packing_log(q, 0.3, 8)  # builds the forward weights down to level 8
+            for level in range(8):  # markov3 is a 1-block chain: every level is merged
+                child, par = ev._child[level], ev._par[level]
+                into = np.argsort(child, kind="stable")
+                edges = ev._forward(q, level)[par] + mf.psi_log(q, ev._steps[level])
+                starts = np.flatnonzero(np.diff(child[into], prepend=-1))
+                want = np.logaddexp.reduceat(edges[into], starts) + 0.0
+                assert ev._forward(q, level + 1).tobytes() == want.tobytes(), (q, level)
 
     def test_chain_depth_needs_no_tree(self, parry):
         # 5.7M nodes to depth 30, past the tree cap; the tables hold 31 x 2 pairs
