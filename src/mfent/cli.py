@@ -1,13 +1,16 @@
 """Command-line front end: JSON config in, CSV out.
 
 One subcommand per experiment, one path from config to result: ``main``
-parses the space and measure, the command validates every other field it
-uses before any computation, makes its library call (which refuses
-oversized input before any work) and returns its tables, and only then does
-``main`` create the output directory and write them, so a failed run leaves
-no CSV.  Runs are deterministic given config and seed.
+refuses an ``--out`` that is a file or lies below one, parses the space and
+measure, the command validates every other field it uses before any
+computation, makes its library call (which refuses oversized input before
+any work) and returns its tables, and only then does ``main`` create the
+output directory and write them, so a failed run leaves no CSV.  Each value
+is read at its fixed shape, a list one level deep by ``_list``, and a
+message shows a value only through ``_shown``, cut to about 40 characters.
+Runs are deterministic given config and seed.
 Exit codes: 0 success, 1 numeric failure (bracket or convergence), 2
-config error (naming the field).
+config error (naming the field) or a bad ``--out``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import reprlib
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +67,13 @@ def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     path.write_text("".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows]))
 
 
+def _shown(v) -> str:
+    """The one rule for showing a config value in a message: its repr, cut
+    in the middle to about 40 characters, never walked past 6 list levels."""
+    s = reprlib.repr(v)
+    return s if len(s) <= 40 else s[:20] + "..." + s[-17:]
+
+
 def _require(cfg: dict, field: str, ctx: str = "config"):
     if field not in cfg:
         raise ConfigError(f"{ctx} is missing required field '{field}'")
@@ -74,43 +87,42 @@ def _to_number(v, field: str, log_weight: bool = False) -> float:
         try:
             v = float(v)
         except ValueError:
-            raise ConfigError(f"field '{field}' is not a number: {v!r}") from None
+            raise ConfigError(f"field '{field}' is not a number: {_shown(v)}") from None
     if isinstance(v, bool) or not isinstance(v, (int, float)):  # JSON true/false are bools
-        raise ConfigError(f"field '{field}' is not a number: {v!r}")
+        raise ConfigError(f"field '{field}' is not a number: {_shown(v)}")
     try:
         x = float(v)
     except OverflowError:  # an integer beyond the float range; its digits are not echoed
         raise ConfigError(f"field '{field}' is beyond the float range") from None
     if not (math.isfinite(x) or (log_weight and x == -math.inf)):
-        raise ConfigError(f"field '{field}' must be finite, got {v}")
+        raise ConfigError(f"field '{field}' must be finite, got {_shown(x)}")
     return x
 
 
-def _number(cfg: dict, field: str, default=None, ctx: str = "config") -> float:
-    if field not in cfg and default is not None:
-        return default
-    return _to_number(_require(cfg, field, ctx), field)
-
-
 def _integer(v, field: str) -> int:
-    """An integer under the one number rule: 4, 4.0 and "4" alike."""
+    """An integer under the one number rule: 4, 4.0 and "4" alike, and exact
+    as a float (no size, symbol or count of a run comes near 2^53)."""
     x = _to_number(v, field)
-    if x != int(x):
-        raise ConfigError(f"field '{field}' must be an integer, got {x}")
+    if x != int(x) or abs(x) > 2**53:
+        raise ConfigError(f"field '{field}' must be an integer with |x| <= 2^53, got {_shown(x)}")
     return int(x)
 
 
-def _numbers(raw, field: str, read=_to_number):
-    """A number, or nested lists of numbers, each read by ``read``."""
-    if isinstance(raw, list):
-        return [_numbers(v, field, read) for v in raw]
-    return read(raw, field)
+def _list(raw, field: str, read, nonempty: bool = True) -> list:
+    """The one list rule: ``raw`` is a list, nonempty unless told otherwise,
+    and ``read(item, field)`` reads each item, one level deep."""
+    if not isinstance(raw, list) or (nonempty and not raw):
+        raise ConfigError(f"field '{field}' must be a {'nonempty ' if nonempty else ''}list")
+    return [read(v, field) for v in raw]
 
 
-def _int(cfg: dict, field: str, default=None, ctx: str = "config", lo: int | None = None) -> int:
-    v = _integer(_number(cfg, field, default, ctx), field)
+def _field(cfg: dict, name: str, read=_to_number, default=None, ctx="config", lo=None):
+    """``cfg[name]`` read by ``read``, at least ``lo``; ``default`` if given and absent."""
+    if name not in cfg and default is not None:
+        return default
+    v = read(_require(cfg, name, ctx), name)
     if lo is not None and v < lo:
-        raise ConfigError(f"field '{field}' must be >= {lo}, got {v}")
+        raise ConfigError(f"field '{name}' must be >= {_shown(lo)}, got {_shown(v)}")
     return v
 
 
@@ -137,8 +149,9 @@ def parse_space(cfg: dict) -> ShiftSpace:
     sp = _require(cfg, "space")
     if not isinstance(sp, dict):
         raise ConfigError("field 'space' must be an object")
-    m = _int(sp, "alphabet", ctx="space")
-    transitions = _numbers(_require(sp, "transitions", "space"), "space.transitions", _integer)
+    m = _field(sp, "alphabet", _integer, ctx="space")
+    rows = partial(_list, read=_integer)
+    transitions = _list(_require(sp, "transitions", "space"), "space.transitions", rows)
     try:
         return make_shift(m, transitions)
     except (ValueError, TypeError) as e:
@@ -157,16 +170,16 @@ def parse_measure(
     kind = _require(ms, "kind", field)
     try:
         if kind == "bernoulli":
-            return Bernoulli(space, _numbers(_require(ms, "p", field), f"{field}.p"))
+            return Bernoulli(space, _list(_require(ms, "p", field), f"{field}.p", _to_number))
         if kind == "markov":
             pi = ms.get("pi")
             return Markov(
                 space,
-                _numbers(_require(ms, "P", field), f"{field}.P"),
-                None if pi is None else _numbers(pi, f"{field}.pi"),
+                _list(_require(ms, "P", field), f"{field}.P", partial(_list, read=_to_number)),
+                None if pi is None else _list(pi, f"{field}.pi", _to_number),
             )
         if kind == "gibbs":
-            r = _int(ms, "r", ctx=field)
+            r = _field(ms, "r", _integer, ctx=field)
             raw = _require(ms, "psi", field)
             if not isinstance(raw, dict):
                 raise ConfigError(f"field '{field}.psi' must map words to values")
@@ -176,7 +189,7 @@ def parse_measure(
             }
             return Gibbs(Potential(space, r, table))
         if kind == "mixture":
-            lam = _number(ms, "lam", ctx=field)
+            lam = _field(ms, "lam", ctx=field)
             a = parse_measure(ms, space, field, "a")
             b = parse_measure(ms, space, field, "b")
             return Mixture(a, b, lam)
@@ -185,44 +198,29 @@ def parse_measure(
     except (ValueError, TypeError) as e:
         raise ConfigError(f"field '{field}' invalid: {e}") from None
     raise ConfigError(
-        f"field '{field}.kind' must be bernoulli, markov, gibbs, or mixture; got {kind!r}"
+        f"field '{field}.kind' must be bernoulli, markov, gibbs, or mixture; got {_shown(kind)}"
     )
 
 
 def parse_grid(cfg: dict, field: str, default: list[float]) -> np.ndarray:
     if field not in cfg:
         return np.asarray(default, dtype=float)
-    raw = cfg[field]
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"field '{field}' must be a nonempty list of numbers")
-    return np.unique([_to_number(v, field) for v in raw])
+    return np.unique(_list(cfg[field], field, _to_number))
 
 
 def parse_schedule(cfg: dict) -> tuple[tuple[int, int], ...]:
     if "schedule" not in cfg:
         return DEFAULT_SCHEDULE
-    raw = cfg["schedule"]
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError("field 'schedule' must be a nonempty list of [N, D] pairs")
-    out = []
-    for entry in raw:
-        pair = isinstance(entry, list) and len(entry) == 2
-        # a non-pair becomes (0, 0), which the range check below refuses
-        N, D = (_integer(v, "schedule") for v in entry) if pair else (0, 0)
-        if not 1 <= N <= D:
-            raise ConfigError(
-                f"field 'schedule' entry {entry!r} is not an [N, D] pair of integers "
-                "with 1 <= N <= D"
-            )
-        out.append((N, D))
-    return tuple(out)
+    pairs = _list(cfg["schedule"], "schedule", partial(_list, read=_integer))
+    for pair in pairs:
+        if len(pair) != 2 or not 1 <= pair[0] <= pair[1]:
+            raise ConfigError(f"field 'schedule' entry {_shown(pair)} is not an [N, D] pair "
+                              "of integers with 1 <= N <= D")
+    return tuple(map(tuple, pairs))
 
 
 def parse_cylinder_set(cfg: dict, space: ShiftSpace) -> CylinderSet:
-    raw = _require(cfg, "K")
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError("field 'K' must be a nonempty list of words")
-    words = [parse_word(w, "K") for w in raw]
+    words = _list(_require(cfg, "K"), "K", parse_word)
     try:
         return CylinderSet(space, words)
     except (ValueError, MfentError) as e:
@@ -233,13 +231,14 @@ def load_config(raw: str) -> dict:
     """Accepts a file path or an inline JSON object string."""
     text = raw
     if not raw.lstrip().startswith("{"):
-        path = Path(raw)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {raw}")
-        text = path.read_text()
+        try:
+            text = Path(raw).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as e:
+            why = "not UTF-8 text" if isinstance(e, UnicodeDecodeError) else e.strerror
+            raise ConfigError(f"config file {_shown(raw)} cannot be read: {why}") from None
     try:
         cfg = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer past 4300 digits
         raise ConfigError(f"config is not valid JSON: {e}") from None
     except RecursionError:
         raise ConfigError("config is nested too deeply to parse") from None
@@ -257,7 +256,7 @@ def cmd_spectrum(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
     q_grid = parse_grid(cfg, "q_grid", DEFAULT_Q_GRID)
     if len(q_grid) < 3:
         raise ConfigError("field 'q_grid' needs at least 3 distinct points for a conjugate")
-    k = _int(cfg, "k", 0, lo=0)
+    k = _field(cfg, "k", _integer, 0, lo=0)
     schedule = parse_schedule(cfg)
     if len({N for N, _ in schedule}) < 2:
         raise ConfigError("field 'schedule' needs at least 2 distinct N for a slope")
@@ -302,14 +301,14 @@ def cmd_spectrum(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
 
 def cmd_premeasure(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
     K = parse_cylinder_set(cfg, model.space)
-    q = _number(cfg, "q")
-    t = _number(cfg, "t")
-    N = _int(cfg, "N", lo=1)
-    D = _int(cfg, "D", lo=N)
-    k = _int(cfg, "k", 0, lo=0)
+    q = _field(cfg, "q")
+    t = _field(cfg, "t")
+    N = _field(cfg, "N", _integer, lo=1)
+    D = _field(cfg, "D", _integer, lo=N)
+    k = _field(cfg, "k", _integer, 0, lo=0)
     mode = cfg.get("mode", "covering")
     if mode not in ("covering", "packing"):
-        raise ConfigError(f"field 'mode' must be covering or packing; got {mode!r}")
+        raise ConfigError(f"field 'mode' must be covering or packing; got {_shown(mode)}")
     ev = _within("fields 'D' and 'k'", TreeEvaluator, model, K, k, D)
     log_value = (ev.covering_log if mode == "covering" else ev.packing_log)(q, t, N)
     value = math.inf if log_value >= _LOG_FLOAT_MAX else math.exp(log_value)
@@ -322,8 +321,8 @@ def cmd_premeasure(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
 
 def cmd_entropy(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
     K = parse_cylinder_set(cfg, model.space)
-    q = _number(cfg, "q", 0.0)
-    k = _int(cfg, "k", 0, lo=0)
+    q = _field(cfg, "q", default=0.0)
+    k = _field(cfg, "k", _integer, 0, lo=0)
     schedule = parse_schedule(cfg)
     D_max = max(D for _, D in schedule)
     # every entry of both estimates folds on one evaluator
@@ -351,8 +350,8 @@ def cmd_verify_gibbs(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
 
 
 def cmd_doubling(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
-    k = _int(cfg, "k", 1, lo=1)
-    n_max = _int(cfg, "n_max", 8, lo=1)
+    k = _field(cfg, "k", _integer, 1, lo=1)
+    n_max = _field(cfg, "n_max", _integer, 8, lo=1)
     rep = _within("fields 'n_max' and 'k'", doubling_check, model, k, n_max)
     bound = rep.analytic_bound if rep.analytic_bound is not None else math.nan
     return [(
@@ -363,23 +362,19 @@ def cmd_doubling(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
 
 
 def cmd_local(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
-    k = _int(cfg, "k", 0, lo=0)
-    tail_fraction = _number(cfg, "tail_fraction", 0.25)
+    k = _field(cfg, "k", _integer, 0, lo=0)
+    tail_fraction = _field(cfg, "tail_fraction", default=0.25)
     if not 0 < tail_fraction <= 1:
-        raise ConfigError(f"field 'tail_fraction' must be in (0, 1], got {tail_fraction}")
+        raise ConfigError(f"field 'tail_fraction' must be in (0, 1], got {_shown(tail_fraction)}")
     if "words" in cfg:
-        raw = cfg["words"]
-        if not isinstance(raw, list):
-            raise ConfigError("field 'words' must be a list of words")
-        words = [parse_word(w, "words") for w in raw]
+        words = _list(cfg["words"], "words", parse_word, nonempty=False)
         for w in words:
             if len(w) < k + 1 or not model.space.is_admissible(w):
-                raise ConfigError(
-                    f"field 'words' entry {w} must be an admissible word of length >= {k + 1}"
-                )
+                raise ConfigError(f"field 'words' entry {_shown(w)} must be an admissible "
+                                  f"word of length >= {k + 1}")
     else:
-        n = _int(cfg, "n", ctx="config (needed when 'words' is absent)", lo=1)
-        count = _int(cfg, "count", 100, lo=0)
+        n = _field(cfg, "n", _integer, ctx="config (needed when 'words' is absent)", lo=1)
+        count = _field(cfg, "count", _integer, 100, lo=0)
         if count * (n + k) > _MAX_LOCAL_SYMBOLS:
             raise ConfigError(
                 f"fields 'count', 'n' and 'k' too large: count * (n + k) exceeds "
@@ -396,13 +391,13 @@ def cmd_local(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
 
 
 def cmd_level_spectrum(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
-    n = _int(cfg, "n", 14, lo=1)
-    k = _int(cfg, "k", 0, lo=0)
-    bin_width = _number(cfg, "bin_width", 0.05)
-    half_width = _number(cfg, "half_width", 0.08)
+    n = _field(cfg, "n", _integer, 14, lo=1)
+    k = _field(cfg, "k", _integer, 0, lo=0)
+    bin_width = _field(cfg, "bin_width", default=0.05)
+    half_width = _field(cfg, "half_width", default=0.08)
     for field, width in (("bin_width", bin_width), ("half_width", half_width)):
         if not width > 0:
-            raise ConfigError(f"field '{field}' must be positive, got {width}")
+            raise ConfigError(f"field '{field}' must be positive, got {_shown(width)}")
     q_grid = parse_grid(cfg, "q_grid", [0.0, 1.0, 2.0])
 
     try:
@@ -449,13 +444,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.seed < 0:  # numpy's generators take only non-negative seeds
         parser.error(f"argument --seed: must be >= 0, got {args.seed}")
+    out = Path(args.out)
+    # mkdir would fail only after the work: a file at --out or on its path
+    if not os.path.isdir(next(p for p in (out, *out.parents) if os.path.exists(p))):
+        parser.error(f"argument --out: {_shown(args.out)} is a file or lies below one")
 
     try:
         cfg = load_config(args.config)
         space = parse_space(cfg)
         model = parse_measure(cfg, space)
         tables = COMMANDS[args.command](cfg, model, args.seed)
-        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         for name, header, rows in tables:
             write_csv(out / name, header, rows)

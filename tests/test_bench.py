@@ -27,10 +27,13 @@ def test_traced_benchmark_pass(workload):
     assert result["correct"] is True, stdout[-2000:]
 
 
-@pytest.mark.parametrize("workload", ["partition-spectrum", "exponent-scan"])
+@pytest.mark.parametrize(
+    "workload", ["partition-spectrum", "exponent-scan", "pointwise-oracles", "entropy-schedule"]
+)
 def test_benchmark_pass_matches_reference(workload):
-    """Partition sums, level histograms and critical exponents against the
-    outcomes recorded in bench/reference.json."""
+    """Every workload's outcomes against bench/reference.json: partition sums,
+    level histograms, critical exponents and entropy estimates, the recorded
+    failures (exit codes and error types) included."""
     stdout, result = bench_result(workload, "0")
     assert result["correct"] is True, stdout[-2000:]
 

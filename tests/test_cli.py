@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -31,6 +33,13 @@ CYCLE2 = {"alphabet": 2, "transitions": [[0, 1], [1, 0]]}
 FLIP = {"kind": "markov", "P": [[0, 1], [1, 0]], "pi": [0.5, 0.5]}
 MIXTURE = {"kind": "mixture", "lam": 0.5, "a": FAIR, "b": BIASED}
 GOLDEN_DIR = Path(__file__).parent / "data" / "cli"
+
+
+def nested(depth, leaf=0.5):
+    """``leaf`` inside ``depth`` one-item lists."""
+    for _ in range(depth):
+        leaf = [leaf]
+    return leaf
 
 
 def run(command, cfg, out, extra=()):
@@ -526,6 +535,27 @@ class TestNoWorkOnBadConfig:
             # which json.dumps cannot write either
             pytest.param("spectrum", '{"space": ' + "[" * 5000 + "]" * 5000 + "}",
                          "nested too deeply", id="spectrum-nested-config"),
+            # every list is read one level deep, and a message shows at most
+            # about 40 characters of a value
+            ("spectrum", {"measure": {"kind": "bernoulli", "p": nested(500)}}, "'measure.p'"),
+            ("spectrum", {"space": {"alphabet": 2, "transitions": nested(500, 1)}},
+             "'space.transitions'"),
+            ("spectrum", {"measure": {"kind": "bernoulli", "p": nested(300)}}, "'measure.p'"),
+            ("entropy", {"K": nested(300, 0)}, "'K'"),
+            ("spectrum", {"q_grid": nested(300)}, "'q_grid'"),
+            ("entropy", {"K": [[]], "schedule": [nested(300, 4)]}, "'schedule'"),
+            ("spectrum", {"measure": {"kind": nested(300, "bernoulli")}}, "'measure.kind'"),
+            ("premeasure", {"K": [[]], "q": 0, "t": 0, "N": 1, "D": 2,
+                            "mode": nested(300, "covering")}, "'mode'"),
+            ("premeasure", {"K": [[]], "q": 0, "t": 0, "N": -1e308, "D": 2}, "'N'"),
+            ("entropy", {"K": [[]], "q": "x" * 100_000}, "'q'"),
+            ("local", {"space": GOLDEN, "measure": PARRY, "words": ["1" * 100_000]}, "'words'"),
+            # an integer past 2^53 would reach library messages as 309 digits
+            ("premeasure", {"K": [[1e308]], "q": 0, "t": 0, "N": 1, "D": 2}, "'K'"),
+            ("spectrum", {"space": {**FULL2, "alphabet": 1e308}}, "'alphabet'"),
+            # json.loads refuses integers past 4300 digits with a plain ValueError
+            pytest.param("spectrum", '{"k": ' + "1" * 5000 + "}", "not valid JSON",
+                         id="spectrum-5000-digit-integer"),
         ],
     )
     def test_exits_2_before_any_work(self, tmp_path, command, extra, field):
@@ -556,6 +586,42 @@ class TestNoWorkOnBadConfig:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr) < 250, proc.stderr
         assert not out.exists()
+
+
+class TestRunArguments:
+    @pytest.mark.parametrize("name, data", [
+        ("utf16.json", b"\xff\xfe{}"),  # a UTF-16 byte order mark
+        ("dir.json", None),  # a directory
+        ("n" * 300 + ".json", None),  # a name past the file system's limit
+    ], ids=["not-utf8", "directory", "name-too-long"])
+    def test_unreadable_config_file(self, tmp_path, name, data):
+        path = tmp_path / name
+        if data is not None:
+            path.write_bytes(data)
+        elif len(name) < 255:
+            path.mkdir()
+        out = tmp_path / "out"
+        proc = run_subprocess(["doubling", "--config", str(path), "--out", str(out)])
+        assert proc.returncode == 2
+        assert "config file" in proc.stderr and name[-8:] in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr) < 250, proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "below-file"])
+    def test_out_on_a_file_refused_before_any_work(self, tmp_path, capsys, monkeypatch, below):
+        def no_work(raw):
+            raise AssertionError("the config was read")
+
+        monkeypatch.setattr(mfent.cli, "load_config", no_work)
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        with pytest.raises(SystemExit) as exit_info:
+            run("doubling", {"space": FULL2, "measure": FAIR}, taken.joinpath(*below))
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and "Traceback" not in err
+        assert taken.read_text() == "kept"
 
 
 class TestNumericEdges:
@@ -654,7 +720,8 @@ def test_cli_imports_no_private_library_names():
 
 # One-field mutation fuzz of the golden configs: any field at any depth (or an
 # optional field the config leaves out) is set to one value of a fixed pool.
-FUZZ_VALUES = [0, -1, 0.5, 1e308, -1e308, "x", True, None, [], {}, 10**400, "nan"]
+FUZZ_VALUES = [0, -1, 0.5, 1e308, -1e308, "x", True, None, [], {}, 10**400, "nan",
+               nested(600), "x" * 10_000]
 OPTIONAL_FIELDS = {
     "spectrum": ["q_grid", "k", "schedule", "beta_grid"],
     "premeasure": ["K", "q", "t", "N", "D", "k", "mode"],
@@ -710,7 +777,8 @@ def test_config_fuzz_exits_cleanly(data):
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
-    with tempfile.TemporaryDirectory() as out:
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
         try:
             rc = main_within([command, "--config", json.dumps(cfg), "--out", out])
         except ValueError as e:
@@ -718,6 +786,8 @@ def test_config_fuzz_exits_cleanly(data):
                 return  # pinned by test_empty_tangency_window_is_a_numeric_failure
             raise
     assert rc in (0, 1, 2)
+    if rc == 2:
+        assert len(err.getvalue()) < 250, err.getvalue()
 
 
 @pytest.mark.xfail(strict=True, raises=ValueError,
