@@ -454,9 +454,6 @@ def main(argv: list[str] | None = None) -> int:
         space = parse_space(cfg)
         model = parse_measure(cfg, space)
         tables = COMMANDS[args.command](cfg, model, args.seed)
-        out.mkdir(parents=True, exist_ok=True)
-        for name, header, rows in tables:
-            write_csv(out / name, header, rows)
     except (ConfigError, TooLargeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
@@ -466,6 +463,12 @@ def main(argv: list[str] | None = None) -> int:
     except MfentError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    try:  # after the work: a name past the file system's limit, no write permission
+        out.mkdir(parents=True, exist_ok=True)
+        for name, header, rows in tables:
+            write_csv(out / name, header, rows)
+    except OSError as e:
+        parser.error(f"argument --out: {_shown(args.out)}: {e.strerror}")
     return 0
 
 

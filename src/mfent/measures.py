@@ -28,6 +28,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -222,17 +223,8 @@ class Chain(MeasureModel):
         return power(self.init), T_q
 
     def one_step_log_bound(self) -> float:
-        worst = 0.0
-        # conditionals below the block length are marginal ratios of init:
-        # +inf below a zero-mass child, nan (no ratio) below a zero-mass parent
-        states, lm = self.root()
-        for _ in range(1, len(self.states[0])):
-            grid, states, kids = self.extend(states, lm)
-            with np.errstate(invalid="ignore"):
-                worst = float(np.fmax.reduce(np.repeat(lm, grid.sum(axis=1)) - kids,
-                                             initial=worst))
-            lm = kids
-        # at and beyond the block length the conditionals are entries of T
+        """Conditionals are marginal ratios of init below the block length, then T's entries."""
+        worst = max(0.0, _worst_step(self, 1, len(self.states[0]) - 1))
         mask = self.T > 0
         if (self.adjacency & ~mask).any():
             return math.inf
@@ -395,8 +387,19 @@ def _refuse_long_words(space: ShiftSpace, length: int, cap: int = 1 << 24) -> No
 
 
 def _log_mass_blocks(model: MeasureModel, length: int):
-    """Log masses of the admissible length-``length`` words, in lexicographic
-    order, as an iterator of blocks of at most ``_BLOCK_WORDS`` words.
+    """Log masses of the admissible length-``length`` words in lexicographic
+    order, in blocks of at most ``_BLOCK_WORDS`` words: the last level of
+    ``_walk`` (the root's at length 0), refused past the cap before any work.
+    Map and filter, unlike a generator, hold no block while the next is built."""
+    _refuse_long_words(model.space, length)
+    if length == 0:
+        return iter([model.root()[1]])
+    return map(itemgetter(3), filter(lambda step: not step[0], _walk(model, *model.root(), length)))
+
+
+def _walk(model: MeasureModel, states, log_masses: np.ndarray, left: int):
+    """The one level walk over ``extend``: each step down ``left`` levels below
+    the parents, as (levels left, grid, parents' and children's log masses).
 
     With r levels left on an m-letter alphabet, a run of consecutive
     parents whose subtrees hold at most run * m^r <= _BLOCK_WORDS words is
@@ -406,27 +409,37 @@ def _log_mass_blocks(model: MeasureModel, length: int):
     _BLOCK_WORDS words (counted as m^length) is one block, and the walk
     holds one block plus at most m parents per level above it.  Every
     child's log mass comes from its parent's as in a whole-level walk, so
-    the blocks joined are that level bit for bit.  The level is refused
-    past the enumeration cap before any work.
+    the blocks of the last level joined are that level bit for bit.
     """
-    _refuse_long_words(model.space, length)
-    return _walk(model, *model.root(), length)
-
-
-def _walk(model: MeasureModel, states, log_masses: np.ndarray, left: int):
     subtree = model.space.alphabet_size**left  # words below one parent, at most
     if len(log_masses) * subtree <= _BLOCK_WORDS:
-        for level in range(1, left + 1):
-            _, states, log_masses = model.extend(states, log_masses, last=level == left)
-        yield log_masses
+        for left in range(left - 1, -1, -1):
+            grid, states, kids = model.extend(states, log_masses, last=not left)
+            yield left, grid, log_masses, kids
+            log_masses = kids
     elif len(log_masses) == 1:
-        _, states, log_masses = model.extend(states, log_masses)
-        yield from _walk(model, states, log_masses, left - 1)
+        grid, states, kids = model.extend(states, log_masses)
+        yield left - 1, grid, log_masses, kids
+        yield from _walk(model, states, kids, left - 1)
     else:
         run = max(1, _BLOCK_WORDS // subtree)
         for start in range(0, len(log_masses), run):
             part = slice(start, start + run)
             yield from _walk(model, model.select(states, part), log_masses[part], left)
+
+
+def _worst_step(model: MeasureModel, first: int, last: int) -> float:
+    """The largest parent-minus-child log mass over the children of lengths
+    first..last in ``_walk``: +inf, at once, for a zero-mass child of a positive-mass
+    parent, -inf for none; a zero-mass parent's children give nan and are skipped."""
+    worst = -math.inf
+    for left, grid, lm, kids in _walk(model, *model.root(), last):
+        if last - left >= first:
+            with np.errstate(invalid="ignore"):
+                worst = float(np.fmax.reduce(np.repeat(lm, grid.sum(axis=1)) - kids, initial=worst))
+            if worst == math.inf:
+                return worst
+    return worst
 
 
 @lru_cache(maxsize=1)
@@ -479,34 +492,18 @@ def doubling_check(model: MeasureModel, k: int, n_max: int) -> DoublingReport:
 
     Under the dyadic metric this is the ratio of the order-n ball at radius
     2^{-(k-1)} to the one at 2^{-k}, maximized over all admissible words
-    with order up to n_max.  A zero-mass admissible child below a
-    positive-mass parent makes the supremum infinite.
+    with order up to n_max.  A zero-mass child makes the supremum infinite
+    below a positive-mass parent and is skipped below a zero-mass one.
     """
     if k < 1:
         raise ValueError("doubling needs k >= 1 so that the doubled radius exists")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     _refuse_long_words(model.space, n_max + k)
-    worst_log = -math.inf
-
-    # every parent on a level has positive mass: zero-mass children are dropped
-    states, lm = model.root()
-    for length in range(1, n_max + k + 1):
-        grid, states, kids = model.extend(states, lm)
-        live = ~np.isneginf(kids)
-        if length >= k + 1:
-            if not live.all():
-                worst_log = math.inf
-                break
-            worst_log = max(worst_log, float((np.repeat(lm, grid.sum(axis=1)) - kids).max()))
-        keep = np.flatnonzero(live)  # zero-mass subtrees contribute no ratios below
-        states, lm = model.select(states, keep), kids[keep]
-
-    empirical = math.exp(worst_log)
+    empirical = math.exp(_worst_step(model, k + 1, n_max + k))
     bound_log = model.one_step_log_bound()
     bound = None if bound_log is None else math.exp(bound_log)
-    if bound is not None and math.isfinite(bound) and math.isfinite(empirical):
-        # log accumulation drifts by ~1 ulp; the sup can never exceed the bound
-        if empirical > bound and empirical < bound * (1 + 1e-9):
-            empirical = bound
+    # log accumulation drifts by ~1 ulp; the sup can never exceed the bound
+    if bound is not None and bound < empirical < bound * (1 + 1e-9):
+        empirical = bound
     return DoublingReport(k=k, n_max=n_max, empirical_sup=empirical, analytic_bound=bound)

@@ -8,12 +8,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConvergenceError
-from .space import ShiftSpace, Word
-
-
-def _name(w: Word) -> str:
-    """A word as a tuple, or a long one by its length and first symbols."""
-    return str(w) if len(w) <= 64 else f"of length {len(w)} beginning {w[:16]}"
+from .space import ShiftSpace, Word, _name
 
 
 def _first_missing(space: ShiftSpace, r: int, table: Mapping[Word, float]) -> Word | None:

@@ -18,6 +18,11 @@ from .errors import AdmissibilityError, SpaceMismatchError
 Word = tuple[int, ...]
 
 
+def _name(w: Word) -> str:
+    """The one rule for naming a word in a message: past 64 symbols, its length and first 16."""
+    return str(w) if len(w) <= 64 else f"of length {len(w)} beginning {w[:16]}"
+
+
 def is_prefix(a: Word, b: Word) -> bool:
     """True iff ``a`` is a (non-strict) prefix of ``b``."""
     return len(a) <= len(b) and b[: len(a)] == a
@@ -80,7 +85,7 @@ class ShiftSpace:
 
     def require_admissible(self, w: Word) -> None:
         if not self.is_admissible(w):
-            raise AdmissibilityError(f"word {w} is not admissible in this shift space")
+            raise AdmissibilityError(f"word {_name(w)} is not admissible in this shift space")
 
     def children(self, w: Word) -> list[Word]:
         """Admissible one-symbol extensions of ``w``, in symbol order."""

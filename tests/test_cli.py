@@ -556,6 +556,8 @@ class TestNoWorkOnBadConfig:
             # json.loads refuses integers past 4300 digits with a plain ValueError
             pytest.param("spectrum", '{"k": ' + "1" * 5000 + "}", "not valid JSON",
                          id="spectrum-5000-digit-integer"),
+            # a library message names a long word by its length and first symbols
+            ("entropy", {"space": GOLDEN, "measure": PARRY, "K": ["1" * 20000]}, "'K'"),
         ],
     )
     def test_exits_2_before_any_work(self, tmp_path, command, extra, field):
@@ -622,6 +624,18 @@ class TestRunArguments:
         err = capsys.readouterr().err
         assert "--out" in err and "Traceback" not in err
         assert taken.read_text() == "kept"
+
+    def test_out_the_os_refuses_exits_2(self, tmp_path, capsys):
+        # a name past the file system's limit fails only at mkdir, after the
+        # work; a directory without write permission would too, but the
+        # tests may run as root, which the permission check lets through
+        out = tmp_path / ("n" * 300)
+        with pytest.raises(SystemExit) as exit_info:
+            run("doubling", {"space": FULL2, "measure": FAIR}, out)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and "too long" in err and "Traceback" not in err
+        assert len(err) < 250, err
 
 
 class TestNumericEdges:

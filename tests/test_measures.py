@@ -332,6 +332,67 @@ class TestDoubling:
         with pytest.raises(mf.TooLargeError):
             mf.doubling_check(fair, 1, 30)
 
+    @pytest.fixture(params=["stuck", "biased", "parry", "sticky", "zero-step", "gibbs3",
+                            "gibbs3-forbidden", "mixture", "stuck-mixture", "absorbed"])
+    def model(self, request, full2, stuck, biased, parry, sticky, gibbs3, bernoulli_gibbs):
+        weights = dict(zip(full2.words_of_length(3), (-0.9, 0.3, -0.2, 0.7, 0.1, -1.1, 0.4)))
+        return {
+            "stuck": lambda: stuck,
+            "biased": lambda: biased,
+            "parry": lambda: parry,
+            "sticky": lambda: sticky,
+            "zero-step": lambda: mf.Markov(mf.make_shift(3, FULL3), ZERO_STEP_P),
+            "gibbs3": lambda: gibbs3,
+            # r = 3 with the step 1 1 -> 1 weighted -inf
+            "gibbs3-forbidden": lambda: mf.Gibbs(mf.Potential(
+                full2, 3, {**weights, (1, 1, 1): -math.inf})),
+            "mixture": lambda: bernoulli_gibbs,
+            "stuck-mixture": lambda: mf.Mixture(stuck, sticky, 0.5),
+            # the word 1 has mass zero and every word below it too, while the
+            # words 0...0 keep mass 1: no zero-mass child of a positive parent
+            "absorbed": lambda: mf.Markov(mf.make_shift(2, [[1, 0], [1, 1]]),
+                                          [[1.0, 0.0], [0.5, 0.5]], pi=[1.0, 0.0]),
+        }[request.param]()
+
+    def test_matches_the_word_by_word_maximum(self, model):
+        """Each length's largest log m(w[:-1]) - log m(w) over admissible w,
+        word by word: +inf for a zero-mass w below a positive-mass parent,
+        and w skipped below a zero-mass parent.  A zero-mass word before the
+        range therefore adds nothing, and one inside it makes the sup inf."""
+        worst = [-math.inf]
+        for length in range(1, 10):
+            drops = [model.log_mass(w[:-1]) - model.log_mass(w)
+                     for w in model.space.words_of_length(length)
+                     if model.log_mass(w[:-1]) > -math.inf]
+            worst.append(max(drops, default=-math.inf))
+        for k in (1, 2, 3):
+            for n_max in (1, 2, 4, 6):
+                want = math.exp(max(worst[k + 1 : k + n_max + 1]))
+                rep = mf.doubling_check(model, k, n_max)
+                # the report lowers a sup within 1e-9 above the bound to the bound
+                assert rep.empirical_sup in (want, rep.analytic_bound), (k, n_max)
+                assert rep.empirical_sup == pytest.approx(want, rel=1e-9)
+        if isinstance(model, mf.Mixture):
+            assert model.one_step_log_bound() is None
+            return
+        # below the block length d the worst word ratio, beyond it T's worst entry
+        d = len(model.states[0])
+        zero_step = (model.adjacency & (model.T == 0)).any()
+        t_part = math.inf if zero_step else float(-np.log(model.T[model.T > 0].min()))
+        assert model.one_step_log_bound() == max(0.0, *worst[1:d], t_part)
+
+    def test_level_streams_in_blocks(self, fair):
+        # 2^20 words of 8 bytes are 8 MiB; the walk holds one block of 2^16
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert mf.doubling_check(fair, 1, 19).empirical_sup == 2.0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, peak
+
 
 class TestRefuseLongWords:
     def test_matches_the_power_count(self):
