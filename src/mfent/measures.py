@@ -125,7 +125,11 @@ class Chain(MeasureModel):
             log_init, log_T = np.log(init), np.log(T)
         d = len(states[0])
         index = {u: i for i, u in enumerate(states)}
-        prefixes = sorted({u[:j] for u in states for j in range(d)})
+        starts: dict[Word, list] = {}  # the init of the blocks each prefix starts, in block order
+        for u, i in index.items():
+            for j in range(d):
+                starts.setdefault(u[:j], []).append(init[i])
+        prefixes = sorted(starts)
         node = {u: i for i, u in enumerate(prefixes)}
         node.update((u, len(prefixes) + i) for i, u in enumerate(states))
         nxt = np.full((len(node), space.alphabet_size), -1, dtype=np.int32)
@@ -137,7 +141,7 @@ class Chain(MeasureModel):
             for c in space.children(u):
                 a = c[-1]
                 if len(c) < d:
-                    total = float(np.sum([init[i] for v, i in index.items() if v[: len(c)] == c]))
+                    total = float(np.sum(starts[c]))
                     nxt[s, a] = node[c]
                     step[s, a] = math.log(total) if total > 0 else -math.inf
                 elif len(c) == d:
@@ -447,26 +451,12 @@ def log_mass_array(model: MeasureModel, length: int) -> np.ndarray:
     """Log masses of all admissible length-``length`` cylinders, in
     lexicographic order (that of ``ShiftSpace.words_of_length``).
 
-    The last (model, length) is cached, 8 bytes per word; models are
-    immutable so the cache is pure.  Callers walk one length at a time.
-    The level is the blocks of ``_log_mass_blocks``: one block is returned
-    as it is, more are copied into one array, so the peak is the level
-    plus what building one block of at most ``_BLOCK_WORDS`` words takes.
-    A one-block level peaks at about 8 + 12/m bytes per word on a full
-    m-shift (the level and the level before it), about 28 on the golden
-    mean, whose masked grid is copied, and about 48 for a mixture of two
-    chains.  ``log_partition`` walks the blocks itself and never holds
-    the level.
+    A held level is one block of ``_log_mass_blocks``, at most ``_BLOCK_WORDS``
+    words (512 KiB), counted as alphabet_size^length; a longer level is refused
+    before any work.  The last (model, length) is cached; models are immutable.
     """
-    blocks = _log_mass_blocks(model, length)
-    if model.space.alphabet_size**length <= _BLOCK_WORDS:  # one block: the level itself
-        arr = next(blocks)
-    else:
-        arr, pos = np.empty(model.space.count_words(length)), 0
-        for block in blocks:
-            arr[pos : pos + block.size] = block
-            pos += block.size
-            del block  # the walk builds the next block without this one
+    _refuse_long_words(model.space, length, _BLOCK_WORDS)
+    arr = next(_log_mass_blocks(model, length))
     arr.setflags(write=False)
     return arr
 

@@ -7,8 +7,8 @@ slope regression over a schedule of depths removes additive transients.
 ``log_partition`` takes a scalar q or an array of q, so ``h_curve`` walks
 each word length once and sums it for the whole grid; the walk streams
 the level in blocks of at most 2^16 words, so its memory does not grow
-with the length.  The level-set oracles read whole levels through the
-``log_mass_array`` cache instead.
+with the length.  The level-set oracles read one held level, at most one
+block, through the ``log_mass_array`` cache instead.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BracketError
+from .errors import BracketError, ConvergenceError
 from .measures import (
     MeasureModel, _log_mass_blocks, _refuse_long_words, log_mass_array, logsumexp,
 )
@@ -27,7 +27,6 @@ from .premeasure import psi_log
 from .solver import DEFAULT_SCHEDULE
 
 _CONVEXITY_SLACK = 2e-2  # second differences of a schedule-regressed curve
-_MAX_LEVEL_SET_WORDS = 1 << 16
 _MIN_ABS_Q = 10.0  # the grid reach both tails need for stable endpoints
 
 
@@ -46,7 +45,8 @@ def log_partition(model: MeasureModel, q, length: int):
     over the same contiguous array in the same pairwise order.  q = 0 gives
     the log of the word count, zero masses included; q = 1 gives 0; q < 0
     gives +inf once any mass is zero, and q > 0 gives -inf only if every
-    mass is zero.
+    mass is zero.  Raises ConvergenceError when q log m overflows for a positive
+    mass m, checked per block at its smallest one, the first term to overflow.
     """
     qs = np.asarray(q, dtype=float)
     top = np.full(qs.shape, -math.inf)  # the largest term so far, per q
@@ -57,11 +57,14 @@ def log_partition(model: MeasureModel, q, length: int):
         lo, hi_mass = float(block.min()), float(block.max())
         # zero masses: dropped at q > 0 (keeps numpy's summation order), +inf at q < 0
         live = block[~np.isneginf(block)] if lo == -math.inf else block
+        lo_pos = lo if live is block else float(live.min(initial=0.0))
         if buf.size < live.size:
             buf = np.empty(live.size)
         view = buf[: live.size]
         for i, qi in np.ndenumerate(qs):
             qi = float(qi)
+            if not math.isfinite(qi * lo_pos):
+                raise ConvergenceError(f"the gauge q log m overflows at q = {qi}, length {length}")
             hi = qi * (hi_mass if qi > 0 else lo)
             if qi == 0 or qi == 1 or top[i] == math.inf or hi == -math.inf:
                 continue
@@ -275,7 +278,6 @@ def level_set_spectrum_oracle(
     entropy estimate.  Zero-mass words (beta = inf) are dropped.  Raises
     OverflowError when bin_width is too small for a bin index to be finite.
     """
-    _refuse_long_words(model.space, n + k, _MAX_LEVEL_SET_WORDS)
     if bin_width <= 0:
         raise ValueError("bin width must be positive")
     arr = log_mass_array(model, n + k)
@@ -304,14 +306,18 @@ def level_set_window(
 
 
 def tangency_beta(model: MeasureModel, q: float, n: int, k: int = 0) -> float:
-    """Finite-n slope -d/dq (1/n) log Z_n(q): the level at which the
-    q-weighted partition concentrates."""
+    """Finite-n slope -d/dq (1/n) log Z_n(q): the level at which the q-weighted
+    partition concentrates; ConvergenceError if its largest weight q log m overflows."""
     arr = log_mass_array(model, n + k)
     finite = arr[~np.isneginf(arr)]
     if q < 0 and finite.size != arr.size:
         raise ValueError("partition derivative undefined: zero-mass word at q < 0")
-    w = psi_log(q, finite)
-    w = np.exp(w - w.max())
+    with np.errstate(over="ignore"):
+        w = psi_log(q, finite)
+    top = float(w.max())
+    if not math.isfinite(top):
+        raise ConvergenceError(f"the gauge q log m overflows at q = {q}, length {n + k}")
+    w = np.exp(w - top)
     return float(-(w @ finite) / (w.sum() * n))
 
 

@@ -83,3 +83,12 @@ def random_irreducible_markov(rng: np.random.Generator, m: int = 3):
     P /= P.sum(axis=1, keepdims=True)
     space = mf.make_shift(m, np.ones((m, m), dtype=int))
     return mf.Markov(space, P)
+
+
+def whole_level(model, length):
+    """The level walked whole, one extend per length: the reference the
+    block walk must match bit for bit."""
+    states, arr = model.root()
+    for level in range(1, length + 1):
+        _, states, arr = model.extend(states, arr, last=level == length)
+    return arr

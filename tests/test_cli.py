@@ -649,6 +649,24 @@ class TestNumericEdges:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, extra", [
+        # tangency_beta's largest weight 1e308 log 0.7 overflows to -inf
+        ("level-spectrum", {"n": 6, "q_grid": [1e308]}),
+        # h(1e308) = 1e308 log 0.7 < 0 was written as inf
+        ("spectrum", {"q_grid": [0, 1, 1e308]}),
+        # log Z_N(-1e308) overflows to inf with no zero mass
+        ("spectrum", {"q_grid": [-1e308, 0, 1]}),
+    ], ids=["level-spectrum", "spectrum-positive-q", "spectrum-negative-q"])
+    def test_overflowing_gauge_is_a_numeric_failure(self, tmp_path, command, extra):
+        cfg = {"space": FULL2, "measure": {"kind": "bernoulli", "p": [0.3, 0.7]}, **extra}
+        out = tmp_path / "out"
+        proc = run_subprocess([command, "--config", json.dumps(cfg), "--out", str(out)])
+        assert proc.returncode == 1
+        assert "numeric failure" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert not out.exists()
+
     def test_tiny_bin_width_gives_exact_bins(self, tmp_path):
         # at width 1e-300 each level (j symbols 0 among n) gets bins of its own
         n = 6

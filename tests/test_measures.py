@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import random_irreducible_markov
+from conftest import random_irreducible_markov, whole_level
 
 import mfent as mf
 
@@ -136,6 +136,26 @@ class TestGibbs:
                         expect += float(logQ[index[w[j - 2 : j]], index[w[j - 1 : j + 1]]])
                 assert gibbs3.log_mass(w) == expect
 
+    @pytest.mark.parametrize("r", [3, 6])
+    def test_prefix_steps_sum_blocks_in_block_order(self, full2, r):
+        # a prefix's mass is np.sum of its blocks' init in block order; at
+        # r = 6 a length-1 prefix has 16 blocks, past numpy's 8-way unroll
+        # (seed 0: there a left-to-right sum rounds 3 prefixes' logs otherwise)
+        rng = np.random.default_rng(0)
+        table = {w: float(rng.normal()) for w in full2.words_of_length(r)}
+        g = mf.Gibbs(mf.Potential(full2, r, table))
+        d = len(g.states[0])
+        index = {u: i for i, u in enumerate(g.states)}
+        prefixes = sorted({u[:j] for u in g.states for j in range(d)})
+        checked = 0
+        for s, u in enumerate(prefixes):
+            for c in full2.children(u):
+                if len(c) < d:
+                    starts = [g.init[i] for v, i in index.items() if v[: len(c)] == c]
+                    assert g._step[s, c[-1]] == math.log(float(np.sum(starts))), (u, c)
+                    checked += 1
+        assert checked == 2 ** d - 2
+
     def test_missing_word_in_table(self, full2):
         with pytest.raises(ValueError, match="0"):
             mf.Potential(full2, 2, {(0, 0): 0.0})
@@ -220,12 +240,12 @@ class TestLogMassArray:
         expected = [mx.log_mass(w) for w in mx.space.words_of_length(4)]
         np.testing.assert_array_equal(arr, expected)
 
-    @pytest.mark.parametrize("shift, length, bound", [("full3", 11, 2.0), ("golden", 18, 4.0)])
+    @pytest.mark.parametrize("shift, length, bound", [("full3", 10, 2.0), ("golden", 16, 4.0)])
     def test_level_built_in_few_times_its_bytes(self, shift, length, bound, parry):
         # the walk keeps per child only its log mass and, below the last
         # level, its chain state: on a full shift the peak is the level plus
-        # the level before (1.5x here), on the golden mean the masked grid
-        # copies add about 2x more
+        # the level before and its states (1.65x here), on the golden mean the
+        # masked grid copies bring it to 3.6x; both levels are one block
         model = random_irreducible_markov(np.random.default_rng(0)) if shift == "full3" else parry
         mf.log_mass_array.cache_clear()
         tracemalloc.start()
@@ -244,15 +264,6 @@ class TestLogMassArray:
         for model in (gibbs3, bernoulli_gibbs):
             expected = [model.log_mass(w[:j]) for j in range(len(w) + 1)]
             np.testing.assert_array_equal(model.log_mass_prefixes(w), expected)
-
-
-def whole_level(model, length):
-    """The level walked whole, one extend per length: the reference the
-    block walk must match bit for bit."""
-    states, arr = model.root()
-    for level in range(1, length + 1):
-        _, states, arr = model.extend(states, arr, last=level == length)
-    return arr
 
 
 FULL3 = np.ones((3, 3), dtype=int)
@@ -283,6 +294,10 @@ class TestLogMassBlocks:
             want = whole_level(model, length)
             np.testing.assert_array_equal(np.concatenate(blocks), want)
             mf.log_mass_array.cache_clear()
+            if len(blocks) > 1:  # a held level is one block
+                with pytest.raises(mf.TooLargeError, match="more than 65536 words"):
+                    mf.log_mass_array(model, length)
+                continue
             arr = mf.log_mass_array(model, length)
             assert not arr.flags.writeable
             np.testing.assert_array_equal(arr, want)

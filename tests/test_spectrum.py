@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import whole_level
 
 import mfent as mf
 from mfent import spectrum
@@ -24,11 +25,35 @@ class TestPartition:
         degenerate = mf.Bernoulli(full2, [1.0, 0.0])
         assert mf.log_partition(degenerate, -1.0, 4) == math.inf
 
+    @pytest.mark.parametrize("N", [1, 4, 9, 16, 17, 20])
+    def test_mixture_matches_type_class_sum(self, full2, N):
+        # 17 and 20 are multi-block levels; q = 1 returns exactly 0
+        a, b = mf.Bernoulli(full2, [0.25, 0.75]), mf.Bernoulli(full2, [0.6, 0.4])
+        mixture = mf.Mixture(a, b, 0.3)
+        qs = np.array([-3, -1, -0.5, 0, 0.5, 1, 1.5, 3])
+        want = [type_class_log_partition(mixture, q, N) for q in qs]
+        np.testing.assert_allclose(mf.log_partition(mixture, qs, N), want, rtol=1e-12, atol=1e-12)
+
+
+def type_class_log_partition(mixture, q, N):
+    """log Z_N(q) of a mixture of two Bernoulli measures on the full 2-shift,
+    summed over type classes: a word's mass depends only on its count k of
+    symbol 0, so Z_N(q) = sum_k C(N, k) (lam a_0^k a_1^(N-k)
+    + (1 - lam) b_0^k b_1^(N-k))^q."""
+    la, lb = np.log(mixture.a.init), np.log(mixture.b.init)
+    terms = []
+    for k in range(N + 1):
+        lm = np.logaddexp(math.log(mixture.lam) + k * la[0] + (N - k) * la[1],
+                          math.log1p(-mixture.lam) + k * lb[0] + (N - k) * lb[1])
+        terms.append(math.log(math.comb(N, k)) + q * lm)
+    return mf.logsumexp(np.array(terms))
+
 
 def old_log_partition(model, q, length):
-    """One q at a time, each pass into fresh arrays: the reference that the
-    reused-buffer loop of log_partition must match bit for bit."""
-    arr = mf.log_mass_array(model, length)
+    """One q at a time, each pass into fresh arrays, on the level walked
+    whole: the reference that the reused-buffer block loop of log_partition
+    must match (bit for bit on a one-block level)."""
+    arr = whole_level(model, length)
     if q == 0:
         return math.log(arr.size)
     if q == 1:
@@ -90,11 +115,12 @@ class TestPartitionBuffer:
         "P", [np.full((3, 3), 1 / 3), ZERO_STEP_P], ids=["positive", "zero-step"]
     )
     def test_grid_peak_memory(self, P):
-        """A 25-point grid on a 3^12 level, also cached, allocates one q-buffer,
-        plus the zero-filtered copy of a block with zero masses: never the
-        fresh arrays per q of the one-q-at-a-time expression (about 3x)."""
+        """A 25-point grid on a 3^12 level, with a level cached, allocates one
+        q-buffer, plus the zero-filtered copy of a block with zero masses: never
+        the fresh arrays per q of the one-q-at-a-time expression (about 3x)."""
         model = mf.Markov(mf.make_shift(3, FULL3), P)
-        level = mf.log_mass_array(model, 12)
+        level = whole_level(model, 12)
+        mf.log_mass_array(model, 10)
         tracemalloc.start()
         try:
             mf.log_partition(model, np.linspace(-3, 3, 25), 12)
@@ -300,3 +326,16 @@ class TestLevelSets:
     def test_oracle_refuses_huge_length_at_once(self, fair):
         with pytest.raises(mf.TooLargeError):
             mf.level_set_spectrum_oracle(fair, 10**308, 0.05)
+
+    @pytest.mark.parametrize("read", [
+        lambda m: mf.level_set_spectrum_oracle(m, 16, 0.05, 1),
+        lambda m: mf.level_set_window(m, 16, 0.5, 0.08, 1),
+        lambda m: mf.tangency_beta(m, 1.0, 16, 1),
+        lambda m: mf.level_tangency_residual(m, 1.0, 16, 1),
+    ], ids=["oracle", "window", "tangency", "residual"])
+    def test_family_refuses_more_than_one_block_before_any_work(self, fair, monkeypatch, read):
+        # n + k = 17: 2^17 words, one length past the held block of 2^16
+        mf.log_mass_array.cache_clear()
+        monkeypatch.setattr(mf.Bernoulli, "extend", None)
+        with pytest.raises(mf.TooLargeError, match="more than 65536 words"):
+            read(fair)
