@@ -1,9 +1,8 @@
 """Cylinder-mass measure models: Bernoulli, Markov, Gibbs, and mixtures.
 
 Every model assigns a mass to each admissible cylinder, additively over
-children, with the empty word carrying mass 1.  All arithmetic has a
-log-domain companion; masses underflow quickly, so log masses are primary
-and mass() is a convenience wrapper.
+children, with the empty word carrying mass 1.  Masses underflow
+quickly, so every model works in log masses alone.
 
 Bernoulli, Markov and Gibbs share one chain core, the transfer-operator
 form: the states are blocks (the admissible words of one length d), with
@@ -16,10 +15,7 @@ transition.  Mass consumers go through one of two steps: ``extend`` takes
 a whole level of the word tree to the next (children in lexicographic
 order, each child's log mass from its parent's), and
 ``log_mass_prefixes`` walks one word.  ``Mixture`` extends both of its
-components and joins their masses.  ``extend`` allocates per child only
-its log mass and, below the last level walked, its state; callers that
-need a child's parent or last symbol take them from the (parent, symbol)
-grid it returns.
+components and joins their masses.
 """
 
 from __future__ import annotations
@@ -89,9 +85,6 @@ class MeasureModel:
     def log_mass(self, w: Word) -> float:
         return float(self.log_mass_prefixes(w)[-1])
 
-    def mass(self, w: Word) -> float:
-        return math.exp(self.log_mass(w))
-
     def sample_word(self, n: int, rng: np.random.Generator) -> Word:
         raise NotImplementedError
 
@@ -160,10 +153,11 @@ class Chain(MeasureModel):
         # plain lists: per-symbol lookups in Python are faster than numpy scalars
         self._next_rows = nxt.tolist()
         self._step_rows = step.tolist()
-        # the row CDFs of init and T, as Generator.choice builds them
-        cdf = np.cumsum(np.vstack((init, T)), axis=1)
-        cdf /= cdf[:, -1:]
-        self._cdf_rows = cdf.tolist()
+        # the CDFs of init and of each block's row of T over its successors, per symbol
+        succ = nxt[len(prefixes):] - len(prefixes)
+        rows = np.where(succ >= 0, T[np.arange(len(states))[:, None], np.maximum(succ, 0)], 0.0)
+        cdf = np.cumsum(init)[None], np.cumsum(rows, axis=1)
+        (self._init_cdf,), self._succ_cdf = ((c / c[:, -1:]).tolist() for c in cdf)
 
     def root(self) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(1, dtype=np.int32), np.zeros(1)
@@ -193,19 +187,19 @@ class Chain(MeasureModel):
         return np.asarray(out)
 
     def sample_word(self, n: int, rng: np.random.Generator) -> Word:
-        """A word drawn from the chain: a block from ``init``, then one
-        transition per further symbol.  One uniform per draw, each placed in
-        its row's CDF as ``Generator.choice(p=row)`` places it, so the words
-        and the generator's state are choice's."""
+        """A word drawn from the chain: a block from ``init``, then one symbol
+        per draw from the m-entry CDF of the block's successors, one uniform
+        per draw; ``Generator.choice(p=T[i])``'s dense row CDF adds only exact
+        zeros between those consecutive blocks, so the words and state are its."""
         if n == 0:
             return ()
         u = rng.random(1 + max(0, n - len(self.states[0]))).tolist()
-        cdf = self._cdf_rows  # row 0 is init's, row 1 + i is T[i]'s
-        i = bisect_right(cdf[0], u[0])
-        word = list(self.states[i])
+        i = bisect_right(self._init_cdf, u[0])
+        word, s = list(self.states[i]), self._n_prefix + i
         for x in u[1:]:
-            i = bisect_right(cdf[1 + i], x)
-            word.append(self.states[i][-1])
+            a = bisect_right(self._succ_cdf[s - self._n_prefix], x)
+            word.append(a)
+            s = self._next_rows[s][a]
         return tuple(word[:n])
 
     def q_power(self, q: float) -> tuple[np.ndarray, np.ndarray]:

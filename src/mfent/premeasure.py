@@ -227,6 +227,23 @@ class TreeEvaluator:
             weights.append(out)
         return weights[level]
 
+    def census(self, level: int) -> tuple[int, float]:
+        """(words, least) at ``level``: its node count and smallest finite log
+        mass (at most 0.0), pushed per unit along the edge tables, zero-mass
+        steps left out; rounding is monotone, so ``least`` is exact."""
+        count, least = np.ones(1), np.zeros(1)
+        for l in range(level):
+            n, par, child = len(self._lm[l + 1]), self._par[l], self._child[l]
+            if par is None:
+                count, least = np.ones(n), np.zeros(n)
+                continue
+            count, steps = np.bincount(child, count[par], n), self._steps[l]
+            edges = least[par] + np.where(steps == -np.inf, np.inf, steps)
+            least = np.full(n, np.inf)
+            np.minimum.at(least, child, edges)
+        masses = least + self._lm[level]
+        return int(count.sum()), float(masses[np.isfinite(masses)].min(initial=0.0))
+
     def _weights(self, q: float, t: float, level: int) -> np.ndarray:
         """Each unit's own ball weight, relative to its offset."""
         return self._gauge(q, self._lm[level]) - t * (level - self.k)

@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import AdmissibilityError, SpaceMismatchError
+from .errors import AdmissibilityError
 
 Word = tuple[int, ...]
 
@@ -106,15 +106,6 @@ class ShiftSpace:
             else:
                 stack.extend(reversed(self.children(w)))
 
-    def count_words(self, n: int) -> int:
-        if n == 0:
-            return 1
-        v = np.ones(self._m, dtype=float)
-        M = self._A.astype(float)
-        for _ in range(n - 1):
-            v = M @ v
-        return int(round(v.sum()))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, ShiftSpace) and np.array_equal(self._A, other._A)
 
@@ -197,21 +188,6 @@ class CylinderSet:
             if u:
                 table[row[u[:-1]], u[-1]] = i
         return table, row.get((), -1)
-
-    def restrict(self, w: Word) -> "CylinderSet":
-        """Intersection with the cylinder of ``w``."""
-        out = []
-        for a in self._members:
-            if is_prefix(a, w):
-                out.append(w)
-            elif is_prefix(w, a):
-                out.append(a)
-        return CylinderSet(self.space, out)
-
-    def union(self, other: "CylinderSet") -> "CylinderSet":
-        if self.space != other.space:
-            raise SpaceMismatchError("cannot union cylinder sets over different spaces")
-        return CylinderSet(self.space, set(self._members) | set(other._members))
 
     def __eq__(self, other) -> bool:
         return (

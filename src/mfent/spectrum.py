@@ -4,11 +4,10 @@ level-set spectrum oracles built from exhaustive word enumeration.
 h(q) is estimated as the growth rate in N of log Z_N(q), where Z_N is
 the gauge-weighted partition sum over admissible length-(N+k) words; the
 slope regression over a schedule of depths removes additive transients.
-``log_partition`` takes a scalar q or an array of q, so ``h_curve`` walks
-each word length once and sums it for the whole grid; the walk streams
-the level in blocks of at most 2^16 words, so its memory does not grow
-with the length.  The level-set oracles read one held level, at most one
-block, through the ``log_mass_array`` cache instead.
+``log_partition`` sums a chain's level of more than one block (2^16 words)
+in the tree engine, enumerating no word, and streams any other level in
+blocks of at most 2^16 words; the level-set oracles read one held level,
+at most one block, through the ``log_mass_array`` cache instead.
 """
 
 from __future__ import annotations
@@ -20,11 +19,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BracketError, ConvergenceError
-from .measures import (
-    MeasureModel, _log_mass_blocks, _refuse_long_words, log_mass_array, logsumexp,
-)
-from .premeasure import psi_log
+from .measures import _BLOCK_WORDS, Chain, MeasureModel, _log_mass_blocks, _refuse_long_words
+from .measures import log_mass_array, logsumexp
+from .premeasure import TreeEvaluator, psi_log
 from .solver import DEFAULT_SCHEDULE
+from .space import CylinderSet
 
 _CONVEXITY_SLACK = 2e-2  # second differences of a schedule-regressed curve
 _MIN_ABS_Q = 10.0  # the grid reach both tails need for stable endpoints
@@ -34,21 +33,46 @@ def log_partition(model: MeasureModel, q, length: int):
     """log sum over admissible length-``length`` words of psi_q(mass), for a
     scalar q (a float back) or an array of q (an array of its shape back).
 
-    The level streams through in the blocks of ``_log_mass_blocks``, so the
-    memory is about one block and one buffer of its size, never the level.
-    Each block is loaded once, with its min, max and (if it has zero
-    masses) zero-filtered copy; every q but 0 and 1 then sums the block in the
-    reused buffer against the block's own largest term, q*max (q > 0) or
-    q*min (q < 0), and the blocks' sums join in an online log-sum-exp.  On
-    a one-block level this is bit for bit ``logsumexp(psi_log(q, masses))``:
-    rounding is monotone, so the largest term is the same, and the sum runs
-    over the same contiguous array in the same pairwise order.  q = 0 gives
-    the log of the word count, zero masses included; q = 1 gives 0; q < 0
-    gives +inf once any mass is zero, and q > 0 gives -inf only if every
-    mass is zero.  Raises ConvergenceError when q log m overflows for a positive
-    mass m, checked per block at its smallest one, the first term to overflow.
+    A ``Chain`` level of more than one block (alphabet_size^length past
+    ``_BLOCK_WORDS``) is the tree engine's fold over the whole space at
+    N = D = length and t = 0; any other level streams through ``_walked``.
+    q = 0 gives the log of the word count, zero masses included; q = 1 gives
+    0; q < 0 gives +inf once any mass is zero, and q > 0 gives -inf only if
+    every mass is zero.  Refuses the level past 2^24 words before any work,
+    and raises ConvergenceError, before summing, when q log m overflows at
+    the smallest positive mass m.
     """
     qs = np.asarray(q, dtype=float)
+    _refuse_long_words(model.space, length)
+    if isinstance(model, Chain) and model.space.alphabet_size**length > _BLOCK_WORDS:
+        tree = TreeEvaluator(model, CylinderSet(model.space, [()]), 0, length)
+        words, least = tree.census(length)
+        for qi in qs.flat:
+            if not math.isfinite(float(qi) * least):
+                raise ConvergenceError(f"the gauge q log m overflows at q = {qi}, length {length}")
+        out = _ends(qs, words, lambda i, qi: tree.packing_log(qi, 0.0, length))
+    else:
+        out = _walked(model, qs, length)
+    return float(out) if out.ndim == 0 else out
+
+
+def _ends(qs: np.ndarray, words: int, log_sum) -> np.ndarray:
+    """log Z per q: log words at q = 0, 0 at q = 1, else ``log_sum(index, q)``."""
+    out = np.empty(qs.shape)
+    for i, qi in np.ndenumerate(qs):
+        out[i] = math.log(words) if qi == 0 else 0.0 if qi == 1 else log_sum(i, float(qi))
+    return out
+
+
+def _walked(model: MeasureModel, qs: np.ndarray, length: int) -> np.ndarray:
+    """log Z per q from the blocks of ``_log_mass_blocks``, each loaded once
+    with its min, max and (if it has zero masses) zero-filtered copy, and
+    checked per q at its smallest positive mass.  Every q but 0 and 1 sums a
+    block in one reused buffer against its largest term, q*max (q > 0) or
+    q*min (q < 0), and the blocks' sums join in an online log-sum-exp.  On a
+    one-block level this is bit for bit ``logsumexp(psi_log(q, masses))``:
+    rounding is monotone, so the largest term is the same, and the sum runs
+    over the same contiguous array in the same pairwise order."""
     top = np.full(qs.shape, -math.inf)  # the largest term so far, per q
     total = np.zeros(qs.shape)  # the sum so far of exp(term - top)
     words, buf = 0, np.empty(0)
@@ -80,17 +104,7 @@ def log_partition(model: MeasureModel, q, length: int):
                 top[i] = hi
             else:
                 total[i] += s * math.exp(hi - top[i])
-    out = np.empty(qs.shape)
-    for i, qi in np.ndenumerate(qs):
-        if qi == 0:
-            out[i] = math.log(words)
-        elif qi == 1:
-            out[i] = 0.0  # the masses of a level sum to one
-        elif math.isinf(top[i]):
-            out[i] = top[i]
-        else:
-            out[i] = top[i] + math.log(total[i])
-    return float(out) if out.ndim == 0 else out
+    return _ends(qs, words, lambda i, _: top[i] + (math.log(total[i]) if total[i] else 0.0))
 
 
 @dataclass(frozen=True)
@@ -142,9 +156,8 @@ def h_curve(
 
     For each q, log Z_N is computed at every schedule depth and h(q) is
     the least-squares slope of log Z_N against N.  Depths are the outer
-    loop, so each word length's masses are walked once, block by block,
-    through ``log_partition`` and never held whole; the deepest length,
-    max N + k, is refused past the enumeration cap before any.
+    loop, so each word length is read once, through ``log_partition``; the
+    deepest length, max N + k, is refused past the enumeration cap before any.
     """
     if not model.space.irreducible:
         raise ValueError("h-curve estimation needs an irreducible shift space")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mfent as mf
+from mfent.space import is_prefix
 
 FULL2 = [[1, 1], [1, 1]]
 GOLDEN = [[1, 1], [1, 0]]
@@ -92,3 +93,32 @@ def whole_level(model, length):
     for level in range(1, length + 1):
         _, states, arr = model.extend(states, arr, last=level == length)
     return arr
+
+
+def mass(model, w):
+    """A word's mass, the exp of its log mass."""
+    return math.exp(model.log_mass(w))
+
+
+def count_words(space, n):
+    """The admissible length-n words, counted by powers of the 0/1
+    transition matrix in exact integers."""
+    if n == 0:
+        return 1
+    A, v = space.transitions.astype(np.int64), np.ones(space.alphabet_size, dtype=np.int64)
+    for _ in range(n - 1):
+        v = A @ v
+    return int(v.sum())
+
+
+def restrict(K, w):
+    """The intersection of a cylinder set with the cylinder of w."""
+    kept = [a if is_prefix(w, a) else w for a in K.members if is_prefix(a, w) or is_prefix(w, a)]
+    return mf.CylinderSet(K.space, kept)
+
+
+def union(K, L):
+    """The union of two cylinder sets on one space."""
+    if K.space != L.space:
+        raise mf.SpaceMismatchError("cannot union cylinder sets over different spaces")
+    return mf.CylinderSet(K.space, K.members | L.members)

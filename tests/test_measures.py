@@ -1,10 +1,11 @@
 import math
 import re
 import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
-from conftest import random_irreducible_markov, whole_level
+from conftest import count_words, mass, random_irreducible_markov, whole_level
 
 import mfent as mf
 
@@ -18,16 +19,16 @@ def additivity_gap(model, n):
     """max over length-n words of |mass(w) - sum of child masses|."""
     worst = 0.0
     for w in model.space.words_of_length(n):
-        kids = sum(model.mass(c) for c in model.space.children(w))
-        worst = max(worst, abs(model.mass(w) - kids))
+        kids = sum(mass(model, c) for c in model.space.children(w))
+        worst = max(worst, abs(mass(model, w) - kids))
     return worst
 
 
 class TestBernoulli:
     def test_masses(self, biased):
-        assert biased.mass(()) == 1.0
-        assert biased.mass((0,)) == 0.25
-        assert biased.mass((0, 1, 1)) == pytest.approx(0.25 * 0.75 * 0.75)
+        assert mass(biased, ()) == 1.0
+        assert mass(biased, (0,)) == 0.25
+        assert mass(biased, (0, 1, 1)) == pytest.approx(0.25 * 0.75 * 0.75)
 
     def test_probability_vector_validated(self, full2):
         with pytest.raises(ValueError):
@@ -43,7 +44,7 @@ class TestBernoulli:
 
     def test_zero_symbol_mass(self, full2):
         degenerate = mf.Bernoulli(full2, [1.0, 0.0])
-        assert degenerate.mass((1,)) == 0.0
+        assert mass(degenerate, (1,)) == 0.0
         assert degenerate.log_mass((0, 1)) == -math.inf
         assert degenerate.one_step_log_bound() == math.inf
 
@@ -57,11 +58,11 @@ class TestMarkov:
         # stationary start: mass of [a] = pi_a and one-shift invariance
         pi = parry.init
         for a in range(2):
-            assert parry.mass((a,)) == pytest.approx(pi[a])
+            assert mass(parry, (a,)) == pytest.approx(pi[a])
         shifted = sum(
-            parry.mass((b, 1)) for b in range(2) if parry.space.is_admissible((b, 1))
+            mass(parry, (b, 1)) for b in range(2) if parry.space.is_admissible((b, 1))
         )
-        assert shifted == pytest.approx(parry.mass((1,)), abs=1e-14)
+        assert shifted == pytest.approx(mass(parry, (1,)), abs=1e-14)
 
     def test_additive_and_normalized(self, parry):
         assert additivity_gap(parry, 4) < 1e-14
@@ -81,7 +82,7 @@ class TestMarkov:
     def test_explicit_pi_validated(self, full2):
         P = [[0.5, 0.5], [0.5, 0.5]]
         mk = mf.Markov(full2, P, pi=[0.5, 0.5])
-        assert mk.mass((0,)) == 0.5
+        assert mass(mk, (0,)) == 0.5
         with pytest.raises(ValueError):
             mf.Markov(full2, P, pi=[0.9, 0.1])  # not stationary
         with pytest.raises(ValueError):
@@ -193,15 +194,15 @@ class TestGibbs:
         table = dict.fromkeys(full2.words_of_length(2), 0.0)
         table[(1, 1)] = -math.inf
         g = mf.Gibbs(mf.Potential(full2, 2, table))
-        assert g.mass((1, 1)) == 0.0
-        assert g.mass((0, 1)) > 0.0
+        assert mass(g, (1, 1)) == 0.0
+        assert mass(g, (0, 1)) > 0.0
 
 
 class TestMixture:
     def test_convex_combination(self, fair, biased):
         mx = mf.Mixture(fair, biased, 0.3)
         w = (0, 1, 1)
-        assert mx.mass(w) == pytest.approx(0.3 * fair.mass(w) + 0.7 * biased.mass(w))
+        assert mass(mx, w) == pytest.approx(0.3 * mass(fair, w) + 0.7 * mass(biased, w))
 
     def test_weight_and_space_checks(self, fair, biased, parry):
         with pytest.raises(ValueError):
@@ -256,7 +257,7 @@ class TestLogMassArray:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert arr.size == model.space.count_words(length)
+        assert arr.size == count_words(model.space, length)
         assert peak <= bound * arr.nbytes
 
     def test_prefix_walk_matches_per_word(self, gibbs3, bernoulli_gibbs):
@@ -464,7 +465,42 @@ def choice_walk(chain, n, rng):
     return tuple(word[:n])
 
 
+def dense_cdf_walk(chain, n, rng):
+    """The sampler as it was with dense row CDFs: every draw bisects the
+    CDF of init or of a whole row of T, over all B blocks."""
+    if n == 0:
+        return ()
+    cdf = np.cumsum(np.vstack((chain.init, chain.T)), axis=1)
+    cdf = (cdf / cdf[:, -1:]).tolist()
+    u = rng.random(1 + max(0, n - len(chain.states[0]))).tolist()
+    i = bisect_right(cdf[0], u[0])
+    word = list(chain.states[i])
+    for x in u[1:]:
+        i = bisect_right(cdf[1 + i], x)
+        word.append(chain.states[i][-1])
+    return tuple(word[:n])
+
+
+def random_gibbs(space, r, seed):
+    weights = np.random.default_rng(seed).normal(0.0, 0.5, 2**r)
+    return mf.Gibbs(mf.Potential(space, r, dict(zip(space.words_of_length(r), weights))))
+
+
 class TestSampling:
+    @pytest.mark.parametrize("name", ["biased", "stuck", "parry", "sticky", "gibbs3", "gibbs5",
+                                      "golden-gibbs3"])
+    def test_successor_cdfs_match_the_dense_rows(self, name, request, full2, golden):
+        # the per-block m-entry CDFs give the dense rows' words and generator state
+        chain = {"gibbs5": lambda: random_gibbs(full2, 5, 1),
+                 "golden-gibbs3": lambda: random_gibbs(golden, 3, 2)}.get(
+            name, lambda: request.getfixturevalue(name))()
+        d = len(chain.states[0])
+        for seed in range(20):
+            for n in (0, 1, d, d + 1, 300):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert chain.sample_word(n, rng) == dense_cdf_walk(chain, n, ref), (seed, n)
+                assert rng.bit_generator.state == ref.bit_generator.state
+
     @pytest.mark.parametrize("fixture", ["parry", "gibbs3", "biased"])
     def test_matches_the_choice_walk(self, fixture, request):
         # same words, and the generator left in the same state

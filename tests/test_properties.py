@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mfent as mf
+from conftest import union
 
 FULL2 = mf.make_shift(2, [[1, 1], [1, 1]])
 FAST = ((4, 4), (6, 6), (8, 8))
@@ -69,7 +70,7 @@ class TestPremeasureOrder:
     def test_monotone_in_set(self, ws, extra, q, t, N, a):
         model = bern(a)
         K = mf.CylinderSet(FULL2, ws)
-        L = K.union(mf.CylinderSet(FULL2, [extra]))
+        L = union(K, mf.CylinderSet(FULL2, [extra]))
         small = cover(model, K, q, t, N)
         big = cover(model, L, q, t, N)
         assert small <= big + 1e-9
@@ -100,7 +101,7 @@ class TestPremeasureOrder:
         A = mf.CylinderSet(FULL2, wsa)
         B = mf.CylinderSet(FULL2, wsb)
         u, ua, ub = (
-            mf.TreeEvaluator(model, S, 0, 4).outer_log(q, t, 1, 3) for S in (A.union(B), A, B)
+            mf.TreeEvaluator(model, S, 0, 4).outer_log(q, t, 1, 3) for S in (union(A, B), A, B)
         )
         assert u <= np.logaddexp(ua, ub) + 1e-9
 
@@ -172,7 +173,7 @@ class TestSemicontinuityProbes:
         K = mf.CylinderSet(FULL2, ws)
         extra = mf.CylinderSet(FULL2, [(0,) * depth])
         base = cover(model, K, q, t, 1)
-        bumped = cover(model, K.union(extra), q, t, 1)
+        bumped = cover(model, union(K, extra), q, t, 1)
         bump_cost = cover(model, extra, q, t, 1)
         assert bumped <= np.logaddexp(base, bump_cost) + 1e-9
 

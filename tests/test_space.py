@@ -1,6 +1,7 @@
 import pytest
 
 import mfent as mf
+from conftest import count_words, restrict, union
 from mfent.space import is_prefix
 
 
@@ -37,7 +38,7 @@ def test_golden_word_counts_are_fibonacci(golden):
     # counts 2, 3, 5, 8, ... for n = 1, 2, 3, 4
     fib = [2, 3, 5, 8, 13, 21]
     for n, expect in enumerate(fib, start=1):
-        assert golden.count_words(n) == expect
+        assert count_words(golden, n) == expect
         assert sum(1 for _ in golden.words_of_length(n)) == expect
 
 
@@ -84,17 +85,17 @@ def test_golden_sibling_merge_respects_admissibility(golden):
 
 def test_cylinder_restrict_and_union(full2):
     K = mf.CylinderSet(full2, [(0, 0), (1, 1)])
-    assert K.restrict((0,)).members == frozenset({(0, 0)})
-    assert K.restrict((0, 1)).is_empty
-    U = K.union(mf.CylinderSet(full2, [(0, 1)]))
+    assert restrict(K, (0,)).members == frozenset({(0, 0)})
+    assert restrict(K, (0, 1)).is_empty
+    U = union(K, mf.CylinderSet(full2, [(0, 1)]))
     assert U.members == frozenset({(0,), (1, 1)})
 
 
 def test_cylinder_subset_and_intersects(full2):
     K = mf.CylinderSet(full2, [(0, 0)])
     L = mf.CylinderSet(full2, [(0,)])
-    assert K.union(L) == L  # K is a subset of L
-    assert L.union(K) != K  # L is not a subset of K
+    assert union(K, L) == L  # K is a subset of L
+    assert union(L, K) != K  # L is not a subset of K
     assert K.intersects((0,))
     assert K.intersects((0, 0, 1))
     assert not K.intersects((0, 1))
@@ -107,7 +108,9 @@ def test_empty_cylinder_set(full2):
 
 
 def test_space_mismatch_rejected(full2, golden):
-    K = mf.CylinderSet(full2, [(0,)])
+    # a cylinder set meets only the models of its own space
     L = mf.CylinderSet(golden, [(0,)])
-    with pytest.raises(Exception):
-        K.union(L)
+    with pytest.raises(ValueError, match="different spaces"):
+        mf.TreeEvaluator(mf.Bernoulli(full2, [0.5, 0.5]), L, 0, 2)
+    with pytest.raises(mf.SpaceMismatchError):
+        union(mf.CylinderSet(full2, [(0,)]), L)

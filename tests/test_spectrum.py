@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -99,11 +100,12 @@ class TestPartitionBuffer:
         # blocks mixing zero and positive masses (markov-zero-step, whose
         # 2 -> 2 step has probability 0; Bernoulli(1, 0)'s first block) and
         # blocks of zero masses only (markov-zero-step's prefix 22; every
-        # other block of Bernoulli(1, 0))
+        # other block of Bernoulli(1, 0)), walked directly: log_partition folds
+        # a chain's level of this size and walks only the mixture's
         length = 12 if model.space.alphabet_size == 3 else 17
-        got = mf.log_partition(model, EDGE_Q, length)
         want = np.array([old_log_partition(model, q, length) for q in EDGE_Q])
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        for route in (mf.log_partition, spectrum._walked):
+            np.testing.assert_allclose(route(model, EDGE_Q, length), want, rtol=1e-13, atol=0)
 
     def test_array_shape_kept(self, model):
         qs = EDGE_Q.reshape(2, 4)
@@ -115,33 +117,127 @@ class TestPartitionBuffer:
         "P", [np.full((3, 3), 1 / 3), ZERO_STEP_P], ids=["positive", "zero-step"]
     )
     def test_grid_peak_memory(self, P):
-        """A 25-point grid on a 3^12 level, with a level cached, allocates one
-        q-buffer, plus the zero-filtered copy of a block with zero masses: never
-        the fresh arrays per q of the one-q-at-a-time expression (about 3x)."""
+        """A 25-point grid walked over a 3^12 level, with a level cached,
+        allocates one q-buffer, plus the zero-filtered copy of a block with zero
+        masses: never the fresh arrays per q of the one-q-at-a-time expression
+        (about 3x)."""
         model = mf.Markov(mf.make_shift(3, FULL3), P)
         level = whole_level(model, 12)
         mf.log_mass_array(model, 10)
         tracemalloc.start()
         try:
-            mf.log_partition(model, np.linspace(-3, 3, 25), 12)
+            spectrum._walked(model, np.linspace(-3, 3, 25), 12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert mf.log_mass_array.cache_info().currsize == 1
         assert peak <= 2 * level.nbytes + (1 << 20), (peak, level.nbytes)
 
-    def test_grid_peak_memory_bounded_by_a_block(self):
-        """3^13 words stream through in blocks: no level of 12.8 MB is held."""
+    @staticmethod
+    def grid_peak(run):
+        """Peak traced bytes of a 25-point grid on the 3^13 level of a
+        3-symbol chain, from a cold level cache that it leaves cold."""
         model = mf.Markov(mf.make_shift(3, FULL3), np.full((3, 3), 1 / 3))
         mf.log_mass_array.cache_clear()
         tracemalloc.start()
         try:
-            mf.log_partition(model, np.linspace(-3, 3, 25), 13)
+            run(model, np.linspace(-3, 3, 25), 13)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert mf.log_mass_array.cache_info().currsize == 0
-        assert peak <= 4 << 20, peak
+        return peak
+
+    def test_grid_peak_memory_bounded_by_a_block(self):
+        """3^13 words stream through the walk in blocks: no level of 12.8 MB
+        is held (log_partition folds this chain level instead)."""
+        assert self.grid_peak(spectrum._walked) <= 4 << 20
+
+    def test_fold_holds_no_level(self):
+        # the fold holds (levels x 3 chain nodes x 3 symbols) tables, no words
+        assert self.grid_peak(mf.log_partition) <= 1 << 20
+
+
+def transfer_log_partition(chain, q, length):
+    """log Z by transfer-matrix powers, as the benchmark's oracle sums it:
+    init^q times (T^q)^(length - d), entrywise powers that keep exact zeros
+    at 0, so the sum runs over positive-mass words only."""
+    v, M = chain.q_power(q)
+    log_scale = 0.0
+    for _ in range(length - len(chain.states[0])):
+        v = v @ M
+        log_scale += math.log(v.sum())
+        v = v / v.sum()
+    return log_scale + math.log(v.sum())
+
+
+class TestPartitionFold:
+    """Chain levels of more than one block are read from the tree engine's fold."""
+
+    @pytest.fixture(
+        params=["bernoulli", "bernoulli-one-zero", "parry", "markov-zero-step", "gibbs3"]
+    )
+    def chain(self, request, full2, parry, gibbs3):
+        return {
+            "bernoulli": lambda: mf.Bernoulli(full2, [0.3, 0.7]),
+            "bernoulli-one-zero": lambda: mf.Bernoulli(full2, [1.0, 0.0]),
+            "parry": lambda: parry,
+            "markov-zero-step": lambda: mf.Markov(mf.make_shift(3, FULL3), ZERO_STEP_P),
+            "gibbs3": lambda: gibbs3,
+        }[request.param]()
+
+    @staticmethod
+    def lengths(chain):
+        return range(17, 21) if chain.space.alphabet_size == 2 else range(11, 14)
+
+    def test_matches_enumeration_and_transfer_matrix(self, chain):
+        zero_masses = (chain.T[chain.adjacency] == 0).any() or (chain.init == 0).any()
+        for length in self.lengths(chain):
+            assert chain.space.alphabet_size**length > 1 << 16  # past one block
+            got = mf.log_partition(chain, EDGE_Q, length)
+            want = np.array([old_log_partition(chain, q, length) for q in EDGE_Q])
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+            # the transfer sum skips zero masses, which count at q <= 0; at
+            # q = 1, where log Z is 0, its rounding is absolute
+            checked = EDGE_Q > 0 if zero_masses else np.ones(EDGE_Q.shape, dtype=bool)
+            transfer = [transfer_log_partition(chain, q, length) for q in EDGE_Q[checked]]
+            np.testing.assert_allclose(got[checked], transfer, rtol=1e-13, atol=1e-12)
+
+    def test_exact_points(self, chain):
+        length = self.lengths(chain)[0]
+        words = whole_level(chain, length).size
+        assert mf.log_partition(chain, 0.0, length) == math.log(words)
+        assert mf.log_partition(chain, 1.0, length) == 0.0
+
+    def test_overflow_refused_before_any_sweep(self, chain, monkeypatch):
+        length, swept = self.lengths(chain)[-1], []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if (chain.init == 1).any():
+                # Bernoulli(1, 0): the one positive mass is 1, and q log 1 = 0
+                got = mf.log_partition(chain, np.array([1e308, -1e308]), length)
+                assert got.tolist() == [0.0, math.inf]
+                return
+            monkeypatch.setattr(mf.TreeEvaluator, "packing_log", lambda *a: swept.append(a))
+            for q in (1e308, -1e308):
+                with pytest.raises(mf.ConvergenceError, match="overflows"):
+                    mf.log_partition(chain, np.array([0.5, q]), length)
+        assert swept == []
+
+    def test_h_curve_walks_only_one_block_chain_levels(self, biased, bernoulli_gibbs,
+                                                       monkeypatch):
+        walked, walk = [], spectrum._log_mass_blocks
+
+        def blocks(model, length):
+            walked.append((model.kind, length))
+            return walk(model, length)
+
+        monkeypatch.setattr(spectrum, "_log_mass_blocks", blocks)
+        schedule = ((8, 8), (16, 16), (17, 17))
+        for model in (biased, bernoulli_gibbs):
+            mf.h_curve(model, QG, schedule=schedule)
+        assert walked == [("bernoulli", 8), ("bernoulli", 16),
+                          ("mixture", 8), ("mixture", 16), ("mixture", 17)]
 
 
 class TestHCurve:
