@@ -1,7 +1,12 @@
 """Perron root and eigenvectors of nonnegative matrices by power iteration.
 
-Matrices here are tiny (state counts m^(r-1)), so a shifted power method
-with geometric convergence is all that is needed; no external eigensolver.
+Shifting by the largest entry makes the iteration immune to periodicity, but
+can push its convergence ratio close to 1: ill-conditioned Gibbs q-powers
+(log-weights of spread 1.5, q = -3 and -2) hit the step cap.  The stop once a
+step moves root and vector by at most _TOL is not an error bound (a q = -3
+root was seen off by 4e-11).  Only a step whose root has settled allocates;
+the left solve keeps S.T a view, as a contiguous copy takes another BLAS
+kernel and other bits.
 """
 
 from __future__ import annotations
@@ -22,9 +27,9 @@ def perron_root(M: np.ndarray) -> float:
 def perron_triple(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Perron root with right and left eigenvectors of a nonnegative matrix.
 
-    The matrix must be irreducible (up to numerically-zero rounding); a
-    diagonal shift makes the iteration immune to periodicity.  Left and
-    right vectors are positive, with sum(right) = 1 and left @ right = 1.
+    The matrix must be irreducible (up to numerically-zero rounding).  Left
+    and right vectors are positive, with sum(right) = 1 and left @ right = 1.
+    Raises ConvergenceError when an iterate's sum overflows.
 
     Returns (lam, right, left).
     """
@@ -39,28 +44,27 @@ def perron_triple(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     shift = float(M.max())
     if shift == 0.0:
         raise ValueError("zero matrix has no Perron data")
-    S = M + shift * np.eye(n)
+    dot, total, divide, inf = np.dot, np.add.reduce, np.divide, np.inf
 
     def iterate(A: np.ndarray) -> tuple[float, np.ndarray]:
-        v = np.full(n, 1.0 / n)
-        lam = 0.0
+        v, w, lam = np.full(n, 1.0 / n), np.empty(n), 0.0  # v and w swap each step
         for _ in range(_MAX_ITER):
-            w = A @ v
-            lam_new = w.sum()
-            if lam_new <= 0:
-                raise ConvergenceError("power iteration collapsed to zero vector")
-            w /= lam_new
-            if abs(lam_new - lam) <= _TOL * max(1.0, abs(lam_new)) and np.max(
-                np.abs(w - v)
-            ) <= _TOL:
+            dot(A, v, w)
+            lam_new = float(total(w))
+            if not 0.0 < lam_new < inf:  # inf at the first step if S has an inf
+                raise ConvergenceError("power iteration collapsed to zero vector" if lam_new <= 0
+                                       else f"power iteration overflows (entries up to {shift:g})")
+            divide(w, lam_new, w)
+            if (abs(lam_new - lam) <= _TOL * (lam_new if lam_new > 1.0 else 1.0)
+                    and np.max(np.abs(w - v)) <= _TOL):
                 return lam_new, w
-            v, lam = w, lam_new
-        raise ConvergenceError(
-            f"power iteration did not converge within {_MAX_ITER} iterations"
-        )
+            v, w, lam = w, v, lam_new
+        raise ConvergenceError(f"power iteration did not converge within {_MAX_ITER} iterations")
 
-    lam_r, right = iterate(S)
-    lam_l, left = iterate(S.T)
+    with np.errstate(over="ignore"):  # an overflow is raised above, not warned
+        S = M + shift * np.eye(n)
+        lam_r, right = iterate(S)
+        lam_l, left = iterate(S.T)
     lam = 0.5 * (lam_r + lam_l) - shift
     left = left / float(left @ right)
     return float(lam), right, left

@@ -667,6 +667,16 @@ class TestNumericEdges:
         assert "RuntimeWarning" not in proc.stderr
         assert not out.exists()
 
+    def test_overflowing_power_iteration_is_a_numeric_failure(self, tmp_path, capsys):
+        # exp(709) is finite, so the transfer matrix is built, but a power
+        # step's sum overflows; in-process, a RuntimeWarning would be an error
+        psi = {f"{w:03b}": 709.0 for w in range(8)}
+        cfg = {"space": FULL2, "measure": {"kind": "gibbs", "r": 3, "psi": psi}}
+        out = tmp_path / "out"
+        assert run("verify-gibbs", cfg, out) == 1
+        assert "numeric failure: power iteration overflows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tiny_bin_width_gives_exact_bins(self, tmp_path):
         # at width 1e-300 each level (j symbols 0 among n) gets bins of its own
         n = 6

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,17 @@ LOG2 = math.log(2)
 PHI = (1 + math.sqrt(5)) / 2
 
 
+def random_matrices():
+    """Nonnegative matrices of 2 to 9 states, entries spread over 16
+    decades, about a fifth of them exact zeros."""
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        n = int(rng.integers(2, 10))
+        M = 10.0 ** rng.uniform(-8.0, 8.0, size=(n, n))
+        M[rng.random((n, n)) < 0.2] = 0.0
+        yield M
+
+
 class TestPerron:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_entry_refused_before_iterating(self, bad):
@@ -18,6 +30,95 @@ class TestPerron:
         M = np.ones((2, 2))
         M[0, 1] = bad
         with pytest.raises(ValueError, match="finite"):
+            perron_triple(M)
+
+    @staticmethod
+    def reference_triple(M):
+        """The plain loop the solver's buffered one must match bit for bit:
+        a fresh A @ v per step, np.float64 sums, the step cap read at call
+        time."""
+        from mfent import perron
+
+        M = np.asarray(M, dtype=float)
+        n = M.shape[0]
+        shift = M.max()
+        S = M + shift * np.eye(n)
+
+        def iterate(A):
+            v = np.full(n, 1.0 / n)
+            lam = 0.0
+            for _ in range(perron._MAX_ITER):
+                w = A @ v
+                lam_new = w.sum()
+                if lam_new <= 0:
+                    raise mf.ConvergenceError("power iteration collapsed to zero vector")
+                w /= lam_new
+                if abs(lam_new - lam) <= perron._TOL * max(1.0, abs(lam_new)) and np.max(
+                    np.abs(w - v)
+                ) <= perron._TOL:
+                    return lam_new, w
+                v, lam = w, lam_new
+            raise mf.ConvergenceError(
+                f"power iteration did not converge within {perron._MAX_ITER} iterations"
+            )
+
+        lam_r, right = iterate(S)
+        lam_l, left = iterate(S.T)
+        lam = 0.5 * (lam_r + lam_l) - shift
+        left = left / float(left @ right)
+        return float(lam), right, left
+
+    @staticmethod
+    def outcome(solve, M):
+        """The bytes of (lam, right, left), or the message of the failure."""
+        try:
+            lam, right, left = solve(M)
+        except mf.ConvergenceError as e:
+            return str(e)
+        return np.float64(lam).tobytes(), right.tobytes(), left.tobytes()
+
+    @pytest.mark.parametrize("M", [
+        *random_matrices(),
+        np.array([[1.0, 1.0], [1.0, 0.0]]),  # golden-mean adjacency
+        np.array([[0.0, 1.0], [1.0, 0.0]]),  # period 2: unshifted, it would not settle
+    ])
+    def test_bits_match_reference_loop(self, M, monkeypatch):
+        from mfent import perron
+
+        # a cap well below 200,000 keeps the few that do not converge cheap
+        monkeypatch.setattr(perron, "_MAX_ITER", 20_000)
+        assert self.outcome(perron.perron_triple, M) == self.outcome(self.reference_triple, M)
+
+    def test_bits_match_reference_loop_with_structural_zero(self, full2):
+        from mfent.perron import perron_triple
+
+        table = dict(zip(full2.words_of_length(3), (-0.9, 0.3, -math.inf, 0.7, 0.1, -1.1, 0.4, -0.5)))
+        M = mf.Gibbs(mf.Potential(full2, 3, table)).q_power(-2.5)[1]
+        assert (M == 0).sum() == 9  # 8 inadmissible overlaps and the -inf word
+        expect = self.outcome(self.reference_triple, M)
+        assert not isinstance(expect, str)
+        assert self.outcome(perron_triple, M) == expect
+
+    def test_step_cap_failure_matches_reference_loop(self, full2, monkeypatch):
+        # the sigma = 1.5 potential of the benchmark's verify-gibbs jobs, whose
+        # q = -3 power converges too slowly for the step cap
+        from mfent import perron
+
+        rng = np.random.default_rng([0, 3])
+        psi = {w: float(rng.normal(0.0, 1.5)) for w in itertools.product((0, 1), repeat=3)}
+        M = mf.Gibbs(mf.Potential(full2, 3, psi)).q_power(-3)[1]
+        monkeypatch.setattr(perron, "_MAX_ITER", 2_000)
+        messages = [self.outcome(solve, M) for solve in (perron.perron_triple, self.reference_triple)]
+        assert messages == ["power iteration did not converge within 2000 iterations"] * 2
+
+    @pytest.mark.parametrize("M", [
+        np.full((4, 4), math.exp(709)),  # finite shift, but a step's sum overflows
+        np.array([[1e308, 1.0], [1.0, 1.0]]),  # the shifted diagonal overflows
+    ], ids=["sum", "shift"])
+    def test_overflow_is_named_without_a_warning(self, M):
+        from mfent.perron import perron_triple
+
+        with pytest.raises(mf.ConvergenceError, match="overflows"):
             perron_triple(M)
 
 
