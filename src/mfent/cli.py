@@ -37,7 +37,7 @@ from .solver import DEFAULT_SCHEDULE, bowen_entropy, packing_entropy_delta
 from .space import CylinderSet, ShiftSpace, make_shift
 from .spectrum import (
     domain_endpoints, h_curve, legendre, level_set_spectrum_oracle, level_tangency_residual,
-    one_sided_derivatives,
+    one_sided_derivatives, sorted_grid,
 )
 from .thermo import gibbs_identity_residual
 
@@ -205,7 +205,7 @@ def parse_measure(
 def parse_grid(cfg: dict, field: str, default: list[float]) -> np.ndarray:
     if field not in cfg:
         return np.asarray(default, dtype=float)
-    return np.unique(_list(cfg[field], field, _to_number))
+    return sorted_grid(_list(cfg[field], field, _to_number))
 
 
 def parse_schedule(cfg: dict) -> tuple[tuple[int, int], ...]:
@@ -289,7 +289,7 @@ def cmd_spectrum(cfg: dict, model: MeasureModel, seed: int) -> list[Table]:
         # grid tails too short for endpoints; the conjugate's own reach instead
         beta_lo, beta_hi = curve.slope_range()
     if beta_grid is None:
-        beta_grid = np.unique(np.linspace(beta_lo, beta_hi, 41))
+        beta_grid = sorted_grid(np.linspace(beta_lo, beta_hi, 41))
     h_star, in_domain = legendre(curve, beta_grid)
     lg_rows = [
         (float(b), float(hs), bool(d), N_max, N_max, k)

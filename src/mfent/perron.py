@@ -65,6 +65,6 @@ def perron_triple(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         S = M + shift * np.eye(n)
         lam_r, right = iterate(S)
         lam_l, left = iterate(S.T)
-    lam = 0.5 * (lam_r + lam_l) - shift
+    lam = 0.5 * lam_r + 0.5 * lam_l - shift  # halves first: the sum may overflow
     left = left / float(left @ right)
     return float(lam), right, left

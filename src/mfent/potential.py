@@ -75,7 +75,7 @@ class Potential:
 
         Entries are zero when the overlap is inadmissible or the potential
         is -inf on the composed word (structural zero).  Raises
-        ConvergenceError when an entry overflows.
+        ConvergenceError when an entry overflows, or when every entry underflows.
         """
         states = self.states()
         index = {u: i for i, u in enumerate(states)}
@@ -90,4 +90,6 @@ class Potential:
                     M[index[u], index[w[1:]]] = math.exp(scale * val)
                 except OverflowError:
                     raise ConvergenceError(f"weight exp({scale} * {val}) overflows") from None
+        if not M.any() and max(self.table.values()) > -math.inf:
+            raise ConvergenceError(f"every weight exp({scale} * psi) underflows to 0")
         return M, states

@@ -107,6 +107,14 @@ def _walked(model: MeasureModel, qs: np.ndarray, length: int) -> np.ndarray:
     return _ends(qs, words, lambda i, _: top[i] + (math.log(total[i]) if total[i] else 0.0))
 
 
+def sorted_grid(grid) -> np.ndarray:
+    """np.unique of a float grid (one NaN kept); its plain-array path imports numpy.ma."""
+    a = np.sort(np.asarray(grid, dtype=float).ravel())
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = (a[1:] != a[:-1]) & ~np.isnan(a[:-1])
+    return a[keep]
+
+
 @dataclass(frozen=True)
 class SpectrumCurve:
     q_grid: np.ndarray
@@ -154,8 +162,9 @@ def h_curve(
 ) -> SpectrumCurve:
     """Partition-growth estimate of h over a q grid.
 
-    For each q, log Z_N is computed at every schedule depth and h(q) is
-    the least-squares slope of log Z_N against N.  Depths are the outer
+    For each q, log Z_N is computed at every schedule depth, and h(q) is the
+    least-squares slope of log Z_N against N: one least-squares call over the
+    finite columns, +inf where a log Z_N is infinite.  Depths are the outer
     loop, so each word length is read once, through ``log_partition``; the
     deepest length, max N + k, is refused past the enumeration cap before any.
     """
@@ -164,15 +173,12 @@ def h_curve(
     if len({N for N, _ in schedule}) < 2:
         raise ValueError("h-curve estimation needs a schedule with at least 2 distinct N")
     _refuse_long_words(model.space, max(N for N, _ in schedule) + k)
-    q_grid = np.unique(np.asarray(q_grid, dtype=float))
+    q_grid = sorted_grid(q_grid)
     Ns = np.asarray([N for N, _ in schedule], dtype=float)
     logZ = np.array([log_partition(model, q_grid, int(N) + k) for N in Ns])
-    h = np.empty_like(q_grid)
-    for iq in range(len(q_grid)):
-        if np.isinf(logZ[:, iq]).any():
-            h[iq] = math.inf
-        else:
-            h[iq] = np.polyfit(Ns, logZ[:, iq], 1)[0]
+    finite = ~np.isinf(logZ).any(axis=0)
+    h = np.full_like(q_grid, math.inf)
+    h[finite] = np.polyfit(Ns, logZ[:, finite], 1)[0]
     return SpectrumCurve(q_grid, h, SpectrumCurve.certify(q_grid, h))
 
 

@@ -51,16 +51,21 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
-def run_subprocess(args, timeout=20, **kwargs):
-    """``python -m mfent.cli`` in a child process importing the same mfent as
-    this one, installed or not; ``kwargs`` go to ``subprocess.run``."""
+def child_env():
+    """The environment of a child process importing the same mfent as this
+    one, installed or not."""
     src = str(Path(mfent.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
+
+
+def run_subprocess(args, timeout=20, **kwargs):
+    """``python -m mfent.cli`` in a child process of ``child_env``;
+    ``kwargs`` go to ``subprocess.run``."""
     return subprocess.run(
         [sys.executable, "-m", "mfent.cli", *args],
-        capture_output=True, text=True, env=env, timeout=timeout, **kwargs,
+        capture_output=True, text=True, env=child_env(), timeout=timeout, **kwargs,
     )
 
 
@@ -667,15 +672,43 @@ class TestNumericEdges:
         assert "RuntimeWarning" not in proc.stderr
         assert not out.exists()
 
+    @staticmethod
+    def flat_gibbs(value, **extra):
+        """A verify-gibbs config on the full 2-shift with every r = 3
+        log-weight ``value``."""
+        psi = {f"{w:03b}": value for w in range(8)}
+        return {"space": FULL2, "measure": {"kind": "gibbs", "r": 3, "psi": psi}, **extra}
+
     def test_overflowing_power_iteration_is_a_numeric_failure(self, tmp_path, capsys):
         # exp(709) is finite, so the transfer matrix is built, but a power
         # step's sum overflows; in-process, a RuntimeWarning would be an error
-        psi = {f"{w:03b}": 709.0 for w in range(8)}
-        cfg = {"space": FULL2, "measure": {"kind": "gibbs", "r": 3, "psi": psi}}
         out = tmp_path / "out"
-        assert run("verify-gibbs", cfg, out) == 1
+        assert run("verify-gibbs", self.flat_gibbs(709.0), out) == 1
         assert "numeric failure: power iteration overflows" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", [300.0, 708.0, -800.0])
+    def test_underflowing_transfer_matrix_is_a_numeric_failure(self, tmp_path, value):
+        # every weight exp(-3 * 300) or exp(-3 * 708) is 0 in pressure(psi, -3),
+        # and every exp(-800) in the measure's own transfer matrix
+        out = tmp_path / "out"
+        cfg = json.dumps(self.flat_gibbs(value))
+        proc = run_subprocess(["verify-gibbs", "--config", cfg, "--out", str(out)])
+        assert proc.returncode == 1
+        assert "numeric failure: every weight" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert not out.exists()
+
+    def test_perron_root_near_float_max(self, tmp_path, capsys):
+        # the root 2 e^708 is finite though its shifted roots' sum is not;
+        # in-process, a RuntimeWarning would be an error
+        assert run("verify-gibbs", self.flat_gibbs(708.0, q_grid=[1]), tmp_path) == 0
+        [row] = read_csv(tmp_path / "verify_gibbs.csv")
+        assert float(row["residual"]) <= 1e-6
+        assert run("verify-gibbs", self.flat_gibbs(708.0), tmp_path / "out") == 1
+        assert "numeric failure: every weight" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_tiny_bin_width_gives_exact_bins(self, tmp_path):
         # at width 1e-300 each level (j symbols 0 among n) gets bins of its own
@@ -717,6 +750,24 @@ def test_golden_bytes(tmp_path, command):
     assert names == sorted(p.name for p in expected.iterdir())
     for name in names:
         assert (tmp_path / name).read_bytes() == (expected / name).read_bytes(), name
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    """Importing numpy.ma costs a cold run 10-17 ms; np.unique on a plain
+    array does it.  A fresh process, as pytest or hypothesis may have
+    imported it here already."""
+    script = (
+        "import sys\n"
+        "from mfent.cli import main\n"
+        f"for c in {list(COMMANDS)!r}:\n"
+        f"    argv = ['--config', {str(GOLDEN_DIR)!r} + f'/{{c}}.json', '--seed', '7']\n"
+        f"    assert main([c, *argv, '--out', {str(tmp_path)!r} + '/' + c]) == 0, c\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # premeasure.csv of the golden premeasure config in each mode, recorded with

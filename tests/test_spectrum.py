@@ -62,6 +62,24 @@ def old_log_partition(model, q, length):
     return mf.logsumexp(mf.psi_log(q, arr[~np.isneginf(arr)] if q > 0 else arr))
 
 
+def old_h_values(model, q_grid, schedule):
+    """h per q by one least-squares fit per q: the reference that h_curve's
+    one fit over all finite columns must match bit for bit.  That holds on
+    designs of up to 7 depths; from 8 on, OpenBLAS 0.3.31's multi-column
+    kernel moves the last bit of about one slope in ten, and no shipped
+    schedule is that long."""
+    q_grid = np.unique(np.asarray(q_grid, dtype=float))
+    Ns = np.asarray([N for N, _ in schedule], dtype=float)
+    logZ = np.array([mf.log_partition(model, q_grid, int(N)) for N in Ns])
+    h = np.empty_like(q_grid)
+    for iq in range(len(q_grid)):
+        if np.isinf(logZ[:, iq]).any():
+            h[iq] = math.inf
+        else:
+            h[iq] = np.polyfit(Ns, logZ[:, iq], 1)[0]
+    return h
+
+
 FULL3 = np.ones((3, 3), dtype=int)
 # the zero admissible transition 2 -> 2 gives zero-mass words
 ZERO_STEP_P = [[0.2, 0.3, 0.5], [0.3, 0.3, 0.4], [0.5, 0.5, 0.0]]
@@ -260,6 +278,33 @@ class TestHCurve:
     def test_duplicate_grid_points_collapsed(self, fair):
         curve = mf.h_curve(fair, [0.0, 1.0, 1.0, 2.0], schedule=FAST)
         assert len(curve.q_grid) == 3
+
+    @pytest.mark.parametrize("fixture", ["biased", "parry", "gibbs3", "bernoulli_gibbs"])
+    def test_batched_fit_matches_per_q_fits(self, fixture, request):
+        model = request.getfixturevalue(fixture)
+        curve = mf.h_curve(model, QG, schedule=FAST)
+        assert curve.h_values.tobytes() == old_h_values(model, QG, FAST).tobytes()
+
+    @pytest.mark.parametrize("grid", [QG, [-3.0, -1.5, -0.25]], ids=["mixed", "all-infinite"])
+    def test_batched_fit_matches_per_q_fits_at_infinite_columns(self, grid):
+        # the zero-mass step makes log Z_N(q) +inf at every q < 0
+        chain = mf.Markov(mf.make_shift(3, FULL3), ZERO_STEP_P)
+        schedule = ((3, 3), (5, 5), (7, 7))
+        h = mf.h_curve(chain, grid, schedule=schedule).h_values
+        q = np.unique(grid)
+        assert (h[q < 0] == math.inf).all() and np.isfinite(h[q >= 0]).all()
+        assert h.tobytes() == old_h_values(chain, grid, schedule).tobytes()
+
+    def test_grid_values_as_np_unique_gives_them(self):
+        # signed zeros and NaNs too, though no config grid holds a NaN
+        rng = np.random.default_rng(29)
+        grids = [[], [np.nan, 1.0, np.nan, -np.inf], [0.0, -0.0, 0.0], [-0.0, 0.0, 2.0, -0.0]]
+        for _ in range(200):
+            pool = np.array([-0.0, 0.0, -1.5, 2.25, 1e-300, np.nan, np.inf])
+            grids.append(rng.choice(pool, size=int(rng.integers(1, 40))))
+        for grid in grids:
+            got = spectrum.sorted_grid(grid)
+            assert got.tobytes() == np.unique(np.asarray(grid, dtype=float)).tobytes(), grid
 
     def test_reducible_space_rejected(self):
         sp = mf.make_shift(2, [[1, 1], [0, 1]])

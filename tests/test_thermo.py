@@ -121,6 +121,17 @@ class TestPerron:
         with pytest.raises(mf.ConvergenceError, match="overflows"):
             perron_triple(M)
 
+    def test_root_near_float_max_is_finite(self, full2):
+        # every r = 3 log-weight 708: root 2 e^708 = 6.0e307, but the two
+        # shifted roots, 3 e^708 each, sum past float max
+        from mfent.perron import perron_triple
+
+        table = dict.fromkeys(full2.words_of_length(3), 708.0)
+        M, _ = mf.Potential(full2, 3, table).transfer_matrix()
+        lam = perron_triple(M)[0]
+        assert math.isfinite(lam)
+        assert lam == pytest.approx(2 * math.exp(708), rel=1e-12, abs=0)
+
 
 class TestPressure:
     def test_zero_potential_gives_topological_entropy(self, golden):
@@ -135,6 +146,21 @@ class TestPressure:
     def test_scale_argument(self, full2):
         pot = mf.Potential(full2, 2, {w: math.log(0.5) for w in full2.words_of_length(2)})
         assert mf.pressure(pot, 2.0) == pytest.approx(LOG2 + 2 * math.log(0.5), abs=1e-12)
+
+    @pytest.mark.parametrize("value, scale", [(300.0, -3.0), (-800.0, 1.0)])
+    def test_underflow_of_every_weight_is_a_convergence_error(self, full2, value, scale):
+        pot = mf.Potential(full2, 3, dict.fromkeys(full2.words_of_length(3), value))
+        with pytest.raises(mf.ConvergenceError, match="every weight .* underflows"):
+            mf.pressure(pot, scale)
+
+    def test_partial_underflow_and_structural_zeros_are_kept(self, full2):
+        # as in q_power: some weights 0 is a matrix, only an all-zero one fails;
+        # a table of structural zeros alone has no weight to underflow
+        table = dict.fromkeys(full2.words_of_length(2), -800.0)
+        M, _ = mf.Potential(full2, 2, {**table, (0, 1): 0.0}).transfer_matrix()
+        assert M.tolist() == [[0.0, 1.0], [0.0, 0.0]]
+        M, _ = mf.Potential(full2, 2, dict.fromkeys(table, -math.inf)).transfer_matrix()
+        assert not M.any()
 
 
 class TestClosedForm:
