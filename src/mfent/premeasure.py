@@ -25,7 +25,9 @@ values are those of a fresh evaluator of depth D bit for bit.  Its
 constructor refuses k < 0 (and D < 1), and tables or trees past the size
 cap, before building anything, and its sweeps refuse a minimum order N
 outside [1, D] and a D above the evaluator's own, as the brute-force
-``antichain_oracle`` refuses N outside [1, D].
+``antichain_oracle`` refuses N outside [1, D].  A sweep at a new q raises
+ConvergenceError when q times the smallest positive log mass at depth
+D + k is not finite: past it the fold would sum infinities of both signs.
 
 Everything runs in log domain; -inf encodes value 0 and +inf the blowup
 of the power gauge at zero mass with negative exponent.
@@ -37,7 +39,7 @@ import math
 
 import numpy as np
 
-from .errors import TooLargeError
+from .errors import ConvergenceError, TooLargeError
 from .measures import Chain, MeasureModel, _grid_cells, _refuse_long_words
 from .space import CylinderSet, Word
 
@@ -146,6 +148,7 @@ class TreeEvaluator:
         self.model = model
         self._table, root = K.trie()
         self._q = None  # the q whose forward weights and gauge tables are cached
+        self._census = None
         _refuse_big(model, K, D, k)
         symbol = np.min_scalar_type(model.space.alphabet_size - 1)
         self.level_words = [np.zeros((1, 0), dtype=symbol)]
@@ -227,22 +230,26 @@ class TreeEvaluator:
             weights.append(out)
         return weights[level]
 
-    def census(self, level: int) -> tuple[int, float]:
-        """(words, least) at ``level``: its node count and smallest finite log
-        mass (at most 0.0), pushed per unit along the edge tables, zero-mass
-        steps left out; rounding is monotone, so ``least`` is exact."""
-        count, least = np.ones(1), np.zeros(1)
-        for l in range(level):
-            n, par, child = len(self._lm[l + 1]), self._par[l], self._child[l]
-            if par is None:
-                count, least = np.ones(n), np.zeros(n)
-                continue
-            count, steps = np.bincount(child, count[par], n), self._steps[l]
-            edges = least[par] + np.where(steps == -np.inf, np.inf, steps)
-            least = np.full(n, np.inf)
-            np.minimum.at(least, child, edges)
-        masses = least + self._lm[level]
-        return int(count.sum()), float(masses[np.isfinite(masses)].min(initial=0.0))
+    def census(self) -> tuple[int, float]:
+        """(words, least) at the deepest level D + k: its node count and
+        smallest finite log mass (at most 0.0), pushed per unit along the
+        edge tables, zero-mass steps left out; rounding is monotone, so
+        ``least`` is exact.  Computed once per evaluator."""
+        if self._census is None:
+            count, least = np.ones(1), np.zeros(1)
+            top = self.D + self.k
+            for l in range(top):
+                n, par, child = len(self._lm[l + 1]), self._par[l], self._child[l]
+                if par is None:
+                    count, least = np.ones(n), np.zeros(n)
+                    continue
+                count, steps = np.bincount(child, count[par], n), self._steps[l]
+                edges = least[par] + np.where(steps == -np.inf, np.inf, steps)
+                least = np.full(n, np.inf)
+                np.minimum.at(least, child, edges)
+            masses = least + self._lm[top]
+            self._census = int(count.sum()), float(masses[np.isfinite(masses)].min(initial=0.0))
+        return self._census
 
     def _weights(self, q: float, t: float, level: int) -> np.ndarray:
         """Each unit's own ball weight, relative to its offset."""
@@ -259,6 +266,9 @@ class TreeEvaluator:
         if D > self.D:
             raise ValueError(f"order cap D={D} above the evaluator's depth D={self.D}")
         if q != self._q:  # the cached forward weights and gauges are another q's
+            if not math.isfinite(q * self.census()[1]):
+                raise ConvergenceError(
+                    f"the gauge q log m overflows at q = {q}, length {self.D + self.k}")
             self._q, self._gauged, self._forward_weights = q, {}, [np.zeros(1)]
         top = D + self.k
         vals = self._weights(q, t, top)

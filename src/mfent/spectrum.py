@@ -46,7 +46,7 @@ def log_partition(model: MeasureModel, q, length: int):
     _refuse_long_words(model.space, length)
     if isinstance(model, Chain) and model.space.alphabet_size**length > _BLOCK_WORDS:
         tree = TreeEvaluator(model, CylinderSet(model.space, [()]), 0, length)
-        words, least = tree.census(length)
+        words, least = tree.census()
         for qi in qs.flat:
             if not math.isfinite(float(qi) * least):
                 raise ConvergenceError(f"the gauge q log m overflows at q = {qi}, length {length}")

@@ -661,7 +661,15 @@ class TestNumericEdges:
         ("spectrum", {"q_grid": [0, 1, 1e308]}),
         # log Z_N(-1e308) overflows to inf with no zero mass
         ("spectrum", {"q_grid": [-1e308, 0, 1]}),
-    ], ids=["level-spectrum", "spectrum-positive-q", "spectrum-negative-q"])
+        # q times the least log mass at depth D + k overflows: the tree
+        # sweeps warned and wrote -inf values with inf bars, or nan
+        ("entropy", {"K": [[0]], "q": 1e308, "k": 1, "schedule": [[3, 5], [5, 7]]}),
+        ("entropy", {"K": [[0]], "q": -1e308, "k": 1, "schedule": [[3, 5]], "measure": MIXTURE}),
+        ("premeasure", {"K": [[0]], "q": -1e308, "t": 0.4, "N": 2, "D": 6, "k": 1}),
+        ("premeasure", {"K": [[0]], "q": 1e308, "t": 0.4, "N": 2, "D": 6, "k": 1,
+                        "measure": MIXTURE}),
+    ], ids=["level-spectrum", "spectrum-positive-q", "spectrum-negative-q", "entropy-positive-q",
+            "entropy-mixture-negative-q", "premeasure-negative-q", "premeasure-mixture-positive-q"])
     def test_overflowing_gauge_is_a_numeric_failure(self, tmp_path, command, extra):
         cfg = {"space": FULL2, "measure": {"kind": "bernoulli", "p": [0.3, 0.7]}, **extra}
         out = tmp_path / "out"

@@ -294,6 +294,18 @@ class TestEvaluatorGuards:
         with pytest.raises(mf.TooLargeError):
             mf.antichain_oracle(fair, Y, 0, 0, 1, 0, 10**308, "min")
 
+    @pytest.mark.parametrize("q", [1e308, -1e308])
+    def test_overflowing_gauge_refused_per_q(self, parry, golden, q):
+        # q times the least log mass at depth D + k = 7 is not finite; a
+        # refused q leaves the cached tables of the q before it intact
+        ev = mf.TreeEvaluator(parry, mf.CylinderSet(golden, [(0,)]), 1, 6)
+        before = ev.packing_log(0.5, 0.4, 2)
+        for sweep in (ev.covering_log, ev.packing_log):
+            with pytest.raises(mf.ConvergenceError, match="overflows at q = .*, length 7"):
+                sweep(q, 0.4, 2)
+        assert ev.packing_log(0.5, 0.4, 2) == before
+        assert math.isfinite(ev.packing_log(q / 100, 0.4, 2))
+
     def test_deep_tree_refused_before_building(self):
         # one word per level and first symbol: only the depth is too large
         cycle = mf.make_shift(2, [[0, 1], [1, 0]])

@@ -99,17 +99,73 @@ class TestPerron:
         assert not isinstance(expect, str)
         assert self.outcome(perron_triple, M) == expect
 
-    def test_step_cap_failure_matches_reference_loop(self, full2, monkeypatch):
+    @pytest.mark.parametrize("q", [-3, -2])
+    def test_step_cap_failure_matches_reference_loop(self, full2, monkeypatch, q):
         # the sigma = 1.5 potential of the benchmark's verify-gibbs jobs, whose
-        # q = -3 power converges too slowly for the step cap
+        # q = -3 and -2 powers converge too slowly for the step cap
         from mfent import perron
 
         rng = np.random.default_rng([0, 3])
         psi = {w: float(rng.normal(0.0, 1.5)) for w in itertools.product((0, 1), repeat=3)}
-        M = mf.Gibbs(mf.Potential(full2, 3, psi)).q_power(-3)[1]
+        M = mf.Gibbs(mf.Potential(full2, 3, psi)).q_power(q)[1]
         monkeypatch.setattr(perron, "_MAX_ITER", 2_000)
         messages = [self.outcome(solve, M) for solve in (perron.perron_triple, self.reference_triple)]
         assert messages == ["power iteration did not converge within 2000 iterations"] * 2
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_short_sum_has_the_bits_of_add_reduce(self, n):
+        # below numpy's 8-entry pairwise block both add left to right
+        from mfent.perron import _PAIRWISE_BLOCK, _plain_sum
+
+        assert n < _PAIRWISE_BLOCK
+        rng = np.random.default_rng([7, n])
+        for span in (1.0, 30.0, 300.0):
+            for _ in range(1000):
+                w = 10.0 ** rng.uniform(-span, span, n) * rng.uniform(1.0, 2.0, n)
+                w[rng.random(n) < 0.2] = 0.0
+                assert np.float64(_plain_sum(w)).tobytes() == np.add.reduce(w).tobytes()
+
+    def test_eight_entries_sum_pairwise(self):
+        # from 8 entries on numpy adds in pairs, so the solver keeps the ufunc:
+        # left to right each 2^-53 rounds away against 1, in pairs they add up
+        from mfent.perron import _PAIRWISE_BLOCK, _plain_sum
+
+        w = np.array([1.0] + [2.0**-53] * 7)
+        assert len(w) == _PAIRWISE_BLOCK
+        assert _plain_sum(w) == 1.0
+        assert float(np.add.reduce(w)) == 1.0 + 3 * 2.0**-52
+        assert _plain_sum(w[:-1]) == float(np.add.reduce(w[:-1])) == 1.0
+
+    @staticmethod
+    def settling_steps(A):
+        """The first steps at which the reference loop's root test and its
+        vector test pass on A."""
+        from mfent import perron
+
+        n = A.shape[0]
+        v, lam, root = np.full(n, 1.0 / n), 0.0, None
+        for step in range(1, perron._MAX_ITER + 1):
+            w = A @ v
+            lam_new = w.sum()
+            w /= lam_new
+            if abs(lam_new - lam) <= perron._TOL * max(1.0, abs(lam_new)):
+                root = step if root is None else root
+                if np.max(np.abs(w - v)) <= perron._TOL:
+                    return root, step
+            v, lam = w, lam_new
+        raise AssertionError("the reference loop did not settle")
+
+    def test_vector_test_in_floats_matches_reference_loop(self):
+        # equal column sums settle the root at the second step, while the right
+        # vector takes 160 more; every step between runs the vector test
+        from mfent.perron import perron_triple
+
+        M = np.array([[0.8, 0.1, 0.05], [0.15, 0.85, 0.05], [0.05, 0.05, 0.9]])
+        root, vector = self.settling_steps(M + M.max() * np.eye(3))
+        assert vector - root >= 100
+        expect = self.outcome(self.reference_triple, M)
+        assert not isinstance(expect, str)
+        assert self.outcome(perron_triple, M) == expect
 
     @pytest.mark.parametrize("M", [
         np.full((4, 4), math.exp(709)),  # finite shift, but a step's sum overflows
