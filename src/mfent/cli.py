@@ -28,16 +28,14 @@ import numpy as np
 
 from .errors import BracketError, ConfigError, ConvergenceError, MfentError, TooLargeError
 from .local import local_entropy
-from .measures import (
-    Bernoulli, Chain, Gibbs, Markov, MeasureModel, Mixture, doubling_check, log_mass_array,
-)
+from .measures import Bernoulli, Chain, Gibbs, Markov, MeasureModel, Mixture, doubling_check
 from .potential import Potential
 from .premeasure import TreeEvaluator
 from .solver import DEFAULT_SCHEDULE, bowen_entropy, packing_entropy_delta
 from .space import CylinderSet, ShiftSpace, make_shift
 from .spectrum import (
-    domain_endpoints, h_curve, legendre, level_set_spectrum_oracle, level_tangency_residual,
-    one_sided_derivatives, sorted_grid,
+    domain_endpoints, h_curve, legendre, level_set_read, level_set_spectrum_oracle,
+    level_tangency_residual, one_sided_derivatives, sorted_grid,
 )
 from .thermo import gibbs_identity_residual
 
@@ -404,8 +402,8 @@ def cmd_level_spectrum(cfg: dict, model: MeasureModel, seed: int) -> list[Table]
         bins = _within("fields 'n' and 'k'", level_set_spectrum_oracle, model, n, bin_width, k)
     except OverflowError as e:
         raise ConfigError(f"field 'bin_width' invalid: {e}") from None
-    # the oracle's level is cached, so reading it again here costs nothing
-    if (q_grid < 0).any() and np.isneginf(log_mass_array(model, n + k)).any():
+    # the oracle's read of the level is cached, so its zero-mass flag costs nothing
+    if (q_grid < 0).any() and level_set_read(model, n, k)[1]:
         raise ConfigError(
             "field 'q_grid' has q < 0, where the tangency level is undefined: "
             f"a word of length n + k = {n + k} has zero mass"

@@ -39,13 +39,18 @@ _BLOCK_WORDS = 1 << 16  # the most words one block of a level walk holds
 
 def logsumexp(a: np.ndarray) -> float:
     """Stable log(sum(exp(a))); handles -inf entries and empty input."""
-    a = np.asarray(a, dtype=float)
+    return _logsumexp_in_place(np.array(a, dtype=float))
+
+
+def _logsumexp_in_place(a: np.ndarray) -> float:
+    """``logsumexp`` of a float array, computed in ``a``, which it overwrites."""
     if a.size == 0:
         return -math.inf
     hi = float(a.max())
     if math.isinf(hi):
         return hi
-    return hi + math.log(float(np.exp(a - hi).sum()))
+    np.subtract(a, hi, out=a)
+    return hi + math.log(float(np.exp(a, out=a).sum()))
 
 
 class MeasureModel:

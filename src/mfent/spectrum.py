@@ -6,21 +6,24 @@ the gauge-weighted partition sum over admissible length-(N+k) words; the
 slope regression over a schedule of depths removes additive transients.
 ``log_partition`` sums a chain's level of more than one block (2^16 words)
 in the tree engine, enumerating no word, and streams any other level in
-blocks of at most 2^16 words; the level-set oracles read one held level,
-at most one block, through the ``log_mass_array`` cache instead.
+blocks of at most 2^16 words.  The four level-set functions instead share
+one cached read of a held level, at most one block, from ``log_mass_array``:
+its finite log masses, zero-mass flag and betas, taken once per (model, n, k).
+Each call does its q-dependent work in place in one level-sized scratch array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .errors import BracketError, ConvergenceError
 from .measures import _BLOCK_WORDS, Chain, MeasureModel, _log_mass_blocks, _refuse_long_words
-from .measures import log_mass_array, logsumexp
+from .measures import _logsumexp_in_place, log_mass_array
 from .premeasure import TreeEvaluator, psi_log
 from .solver import DEFAULT_SCHEDULE
 from .space import CylinderSet
@@ -130,11 +133,6 @@ class SpectrumCurve:
             raise ValueError("q_grid must be strictly increasing")
         object.__setattr__(self, "q_grid", q)
         object.__setattr__(self, "h_values", h)
-
-    def value(self, q: float) -> float:
-        """Piecewise-linear h; exactly the grid value at a grid point, even
-        next to an infinite one."""
-        return float(np.interp(q, self.q_grid, self.h_values))
 
     def slope_range(self) -> tuple[float, float]:
         """(-max, -min) of the chord slopes between finite h values: the
@@ -287,6 +285,27 @@ class LevelSetBin:
     entropy_estimate: float
 
 
+@lru_cache(maxsize=1)
+def level_set_read(model: MeasureModel, n: int, k: int = 0) -> tuple[np.ndarray, bool, np.ndarray]:
+    """The one read of the length-(n+k) level that the level-set functions
+    share: (finite log masses, whether a word has zero mass, betas -(1/n) log m
+    of those words), all read-only.  The finite log masses are the
+    ``log_mass_array`` level itself when no mass is zero.  Refuses n < 1 and
+    k < 0 before any work; the last (model, n, k) is cached."""
+    if n < 1:
+        raise ValueError("word length n must be >= 1")
+    if k < 0:
+        raise ValueError("depth offset k must be >= 0")
+    arr = log_mass_array(model, n + k)
+    zero_mass = arr.size > 0 and float(arr.min()) == -math.inf
+    finite = arr[~np.isneginf(arr)] if zero_mass else arr
+    betas = np.negative(finite)
+    np.divide(betas, n, out=betas)
+    finite.setflags(write=False)
+    betas.setflags(write=False)
+    return finite, zero_mass, betas
+
+
 def level_set_spectrum_oracle(
     model: MeasureModel, n: int, bin_width: float, k: int = 0
 ) -> list[LevelSetBin]:
@@ -299,16 +318,24 @@ def level_set_spectrum_oracle(
     """
     if bin_width <= 0:
         raise ValueError("bin width must be positive")
-    arr = log_mass_array(model, n + k)
-    betas = -arr[~np.isneginf(arr)] / n
+    _, _, betas = level_set_read(model, n, k)
+    idx = np.empty_like(betas)
     with np.errstate(over="ignore"):
-        idx = np.round(betas / bin_width) + 0.0  # + 0.0 makes a -0.0 index 0.0
-    if not np.isfinite(idx).all():
+        np.divide(betas, bin_width, out=idx)
+    np.round(idx, out=idx)
+    np.add(idx, 0.0, out=idx)  # + 0.0 makes a -0.0 index 0.0
+    idx.sort()  # a non-finite index sorts to an end
+    if idx.size and not (math.isfinite(idx[0]) and math.isfinite(idx[-1])):
         raise OverflowError(f"bin width {bin_width} is too small: a bin index overflows")
-    js, counts = np.unique(idx, return_counts=True)
+    # np.unique(idx, return_counts=True) on the sorted indices, without its copy
+    first = np.empty(idx.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(idx[1:], idx[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.append(starts, idx.size))
     return [
         LevelSetBin(beta=j * bin_width, count=c, word_length=n, entropy_estimate=math.log(c) / n)
-        for j, c in zip(js.tolist(), counts.tolist())
+        for j, c in zip(idx[starts].tolist(), counts.tolist())
     ]
 
 
@@ -317,26 +344,26 @@ def level_set_window(
 ) -> tuple[int, np.ndarray]:
     """Count and log masses of length-(n+k) words with local entropy within
     half_width of beta; the sliding-window companion of the fixed bins."""
-    arr = log_mass_array(model, n + k)
-    arr = arr[~np.isneginf(arr)]
-    betas = -arr / n
-    sel = np.abs(betas - beta) <= half_width
-    return int(sel.sum()), arr[sel]
+    finite, _, betas = level_set_read(model, n, k)
+    dist = np.subtract(betas, beta)
+    sel = np.abs(dist, out=dist) <= half_width
+    del dist  # the level-sized scratch goes before the window's copy is made
+    return int(sel.sum()), finite[sel]
 
 
 def tangency_beta(model: MeasureModel, q: float, n: int, k: int = 0) -> float:
     """Finite-n slope -d/dq (1/n) log Z_n(q): the level at which the q-weighted
     partition concentrates; ConvergenceError if its largest weight q log m overflows."""
-    arr = log_mass_array(model, n + k)
-    finite = arr[~np.isneginf(arr)]
-    if q < 0 and finite.size != arr.size:
+    finite, zero_mass, _ = level_set_read(model, n, k)
+    if q < 0 and zero_mass:
         raise ValueError("partition derivative undefined: zero-mass word at q < 0")
     with np.errstate(over="ignore"):
         w = psi_log(q, finite)
     top = float(w.max())
     if not math.isfinite(top):
         raise ConvergenceError(f"the gauge q log m overflows at q = {q}, length {n + k}")
-    w = np.exp(w - top)
+    np.subtract(w, top, out=w)
+    np.exp(w, out=w)
     return float(-(w @ finite) / (w.sum() * n))
 
 
@@ -354,5 +381,7 @@ def level_tangency_residual(
             f"no admissible word has local entropy within {half_width} of {beta}"
         )
     lhs = math.log(count) / n
-    t_star = logsumexp(psi_log(q, masses)) / n
+    # psi_log(q, masses) in the window's own copy; at q = 0 its zeros may
+    # come out -0.0, which leaves the log-sum-exp's bits as they are
+    t_star = _logsumexp_in_place(np.multiply(masses, q, out=masses)) / n
     return beta, abs(lhs - (q * beta + t_star))

@@ -260,6 +260,28 @@ class TestLogMassArray:
         assert arr.size == count_words(model.space, length)
         assert peak <= bound * arr.nbytes
 
+    def test_level_set_calls_in_few_times_the_level_bytes(self, full2):
+        # with the level held, the oracle's first call reads it once (its
+        # betas) and works in one scratch array of the level's size; the
+        # later calls share that read and add one scratch array each
+        model = mf.Bernoulli(full2, [0.3, 0.7])
+        arr = mf.log_mass_array(model, 16)
+        calls = {
+            "oracle": lambda: mf.level_set_spectrum_oracle(model, 16, 0.05),
+            "residual": lambda: mf.level_tangency_residual(model, 1.0, 16),
+            "tangency": lambda: mf.tangency_beta(model, 1.0, 16),
+        }
+        for name, call in calls.items():
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                call()
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2.5 * arr.nbytes, (name, peak / arr.nbytes)
+
     def test_prefix_walk_matches_per_word(self, gibbs3, bernoulli_gibbs):
         w = (1, 0, 0, 1, 1, 1, 0)
         for model in (gibbs3, bernoulli_gibbs):

@@ -86,6 +86,84 @@ ZERO_STEP_P = [[0.2, 0.3, 0.5], [0.3, 0.3, 0.4], [0.5, 0.5, 0.0]]
 EDGE_Q = np.array([-40, -2.5, -1e-3, 0, 1e-3, 1, 2.5, 40])
 
 
+# The level-set formulas as they were before the shared read of a level:
+# each call filters the level walked whole and works in fresh arrays.  The
+# library's cached read and in-place work must match them bit for bit.
+def old_finite(model, n, k):
+    arr = whole_level(model, n + k)
+    return arr, arr[~np.isneginf(arr)]
+
+
+def old_logsumexp(a):
+    a = np.asarray(a, dtype=float)
+    if a.size == 0:
+        return -math.inf
+    hi = float(a.max())
+    if math.isinf(hi):
+        return hi
+    return hi + math.log(float(np.exp(a - hi).sum()))
+
+
+def old_level_set_spectrum_oracle(model, n, bin_width, k=0):
+    if bin_width <= 0:
+        raise ValueError("bin width must be positive")
+    betas = -old_finite(model, n, k)[1] / n
+    with np.errstate(over="ignore"):
+        idx = np.round(betas / bin_width) + 0.0
+    if not np.isfinite(idx).all():
+        raise OverflowError(f"bin width {bin_width} is too small: a bin index overflows")
+    js, counts = np.unique(idx, return_counts=True)
+    return [
+        mf.LevelSetBin(beta=j * bin_width, count=c, word_length=n, entropy_estimate=math.log(c) / n)
+        for j, c in zip(js.tolist(), counts.tolist())
+    ]
+
+
+def old_level_set_window(model, n, beta, half_width, k=0):
+    arr = old_finite(model, n, k)[1]
+    sel = np.abs(-arr / n - beta) <= half_width
+    return int(sel.sum()), arr[sel]
+
+
+def old_tangency_beta(model, q, n, k=0):
+    arr, finite = old_finite(model, n, k)
+    if q < 0 and finite.size != arr.size:
+        raise ValueError("partition derivative undefined: zero-mass word at q < 0")
+    with np.errstate(over="ignore"):
+        w = mf.psi_log(q, finite)
+    top = float(w.max())
+    if not math.isfinite(top):
+        raise mf.ConvergenceError(f"the gauge q log m overflows at q = {q}, length {n + k}")
+    w = np.exp(w - top)
+    return float(-(w @ finite) / (w.sum() * n))
+
+
+def old_level_tangency_residual(model, q, n, k=0, half_width=0.08):
+    beta = old_tangency_beta(model, q, n, k)
+    count, masses = old_level_set_window(model, n, beta, half_width, k)
+    if count == 0:
+        raise ValueError(f"no admissible word has local entropy within {half_width} of {beta}")
+    t_star = old_logsumexp(mf.psi_log(q, masses)) / n
+    return beta, abs(math.log(count) / n - (q * beta + t_star))
+
+
+def level_outcome(read, *args):
+    """The bytes of every float a level-set call returns, or its error's type and message."""
+    def bits(x):
+        if isinstance(x, (list, tuple)):
+            return tuple(bits(v) for v in x)
+        if isinstance(x, mf.LevelSetBin):
+            return bits((x.beta, x.count, x.word_length, x.entropy_estimate))
+        if isinstance(x, (float, np.ndarray)):
+            return type(x).__name__, np.asarray(x, dtype=float).tobytes()
+        return x
+
+    try:
+        return bits(read(*args))
+    except (ValueError, OverflowError, mf.ConvergenceError) as e:
+        return type(e), str(e)
+
+
 class TestPartitionBuffer:
     @pytest.fixture(
         params=["bernoulli", "bernoulli-one-zero", "parry", "markov-zero-step", "gibbs3",
@@ -267,9 +345,10 @@ class TestHCurve:
 
     def test_biased_exact_points(self, biased):
         curve = mf.h_curve(biased, QG, schedule=FAST)
-        assert curve.value(0.0) == pytest.approx(LOG2, abs=1e-10)
-        assert curve.value(1.0) == pytest.approx(0.0, abs=1e-10)
-        assert curve.value(2.0) == pytest.approx(math.log(0.25**2 + 0.75**2), abs=1e-10)
+        h = dict(zip(curve.q_grid.tolist(), curve.h_values.tolist()))
+        assert h[0.0] == pytest.approx(LOG2, abs=1e-10)
+        assert h[1.0] == pytest.approx(0.0, abs=1e-10)
+        assert h[2.0] == pytest.approx(math.log(0.25**2 + 0.75**2), abs=1e-10)
 
     def test_convexity_certified(self, biased, parry):
         for model in (biased, parry):
@@ -320,7 +399,8 @@ class TestHCurve:
 
     def test_interpolation(self, fair):
         curve = mf.h_curve(fair, QG, schedule=FAST)
-        assert curve.value(0.125) == pytest.approx((1 - 0.125) * LOG2, abs=2e-2)
+        h = np.interp(0.125, curve.q_grid, curve.h_values)
+        assert h == pytest.approx((1 - 0.125) * LOG2, abs=2e-2)
 
     def test_each_word_length_walked_once(self, biased, monkeypatch):
         # depths are the outer loop: one walk per schedule length, whole grid
@@ -480,3 +560,87 @@ class TestLevelSets:
         monkeypatch.setattr(mf.Bernoulli, "extend", None)
         with pytest.raises(mf.TooLargeError, match="more than 65536 words"):
             read(fair)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n, k, message", [
+        (0, 0, "word length n must be >= 1"),
+        (-2, 3, "word length n must be >= 1"),
+        (16, -1, "depth offset k must be >= 0"),
+    ])
+    @pytest.mark.parametrize("read", [
+        lambda m, n, k: mf.level_set_spectrum_oracle(m, n, 0.05, k),
+        lambda m, n, k: mf.level_set_window(m, n, 0.5, 0.08, k),
+        lambda m, n, k: mf.tangency_beta(m, 1.0, n, k),
+        lambda m, n, k: mf.level_tangency_residual(m, 1.0, n, k),
+    ], ids=["oracle", "window", "tangency", "residual"])
+    def test_family_refuses_bad_n_and_k_before_any_work(self, full2, monkeypatch, read, n, k,
+                                                        message):
+        # a level of length n + k >= 0 exists for each, so only the check refuses it
+        def no_level(*args):
+            raise AssertionError("a level was read")
+
+        monkeypatch.setattr(spectrum, "log_mass_array", no_level)
+        with pytest.raises(ValueError, match=message):
+            read(mf.Bernoulli(full2, [0.3, 0.7]), n, k)
+
+
+class TestLevelSetBits:
+    @pytest.fixture
+    def models(self, full2, gibbs3):
+        """Bernoulli, a chain with zero-mass words, a seeded Gibbs and a
+        Bernoulli/Gibbs mixture, with whether some word has zero mass."""
+        rng = np.random.default_rng(31)
+        gibbs = mf.Gibbs(mf.Potential(full2, 3, dict(zip(full2.words_of_length(3),
+                                                         rng.normal(0.0, 1.0, 8)))))
+        bernoulli = mf.Bernoulli(full2, [0.3, 0.7])
+        return [
+            (bernoulli, False),
+            (mf.Markov(mf.make_shift(3, FULL3), ZERO_STEP_P), True),
+            (gibbs, False),
+            (mf.Mixture(bernoulli, gibbs3, 0.35), False),
+        ]
+
+    def test_every_call_matches_the_old_formulas(self, models):
+        # the cells run in a shuffled order, so that calls on one model at
+        # another n or k, and on another model at the same n and k, follow
+        # each other: a stale cached read or a reused scratch array would show
+        cells = [(model, n, k, q) for model, zero_mass in models for n in (5, 8) for k in (0, 1)
+                 for q in (-2.0, 0.0, 1.0, 2.5) if not (q < 0 and zero_mass)]
+        assert len(cells) == (3 + 3 * 4) * 2 * 2
+        for i in np.random.default_rng(5).permutation(len(cells)):
+            model, n, k, q = cells[i]
+            for new, old, args in [
+                (mf.level_set_spectrum_oracle, old_level_set_spectrum_oracle, (model, n, 0.05, k)),
+                (mf.level_set_window, old_level_set_window, (model, n, 0.4 + 0.1 * q, 0.08, k)),
+                (mf.tangency_beta, old_tangency_beta, (model, q, n, k)),
+                (mf.level_tangency_residual, old_level_tangency_residual, (model, q, n, k, 0.3)),
+            ]:
+                got = level_outcome(new, *args)
+                assert not isinstance(got[0], type), (new.__name__, n, k, q, got)
+                assert got == level_outcome(old, *args), (new.__name__, n, k, q)
+            finite, _, betas = spectrum.level_set_read(model, n, k)
+            assert not (finite.flags.writeable or betas.flags.writeable)
+
+    def test_every_error_matches_the_old_formulas(self, models):
+        (bernoulli, _), (chain, _), _, (mixture, _) = models
+        cases = [
+            # zero mass at q < 0
+            (mf.tangency_beta, old_tangency_beta, (chain, -2.0, 6, 1)),
+            (mf.level_tangency_residual, old_level_tangency_residual, (chain, -0.5, 6)),
+            # the gauge q log m overflows
+            (mf.tangency_beta, old_tangency_beta, (bernoulli, 1e308, 8)),
+            (mf.level_tangency_residual, old_level_tangency_residual, (mixture, 1e308, 6, 1)),
+            (mf.level_tangency_residual, old_level_tangency_residual, (bernoulli, -1e308, 6)),
+            # a bin index overflows
+            (mf.level_set_spectrum_oracle, old_level_set_spectrum_oracle, (chain, 6, 1e-310)),
+            (mf.level_set_spectrum_oracle, old_level_set_spectrum_oracle, (bernoulli, 8, 5e-324, 1)),
+            # no word in the tangency window
+            (mf.level_tangency_residual, old_level_tangency_residual, (bernoulli, 1.0, 8, 0, 1e-9)),
+            (mf.level_tangency_residual, old_level_tangency_residual, (chain, 0.5, 5, 1, 1e-12)),
+        ]
+        for new, old, args in cases:
+            got = level_outcome(new, *args)
+            assert isinstance(got[0], type), (new.__name__, args, got)
+            assert got == level_outcome(old, *args), (new.__name__, args)
+            # the same call again, from a warm cache
+            assert level_outcome(new, *args) == got
