@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnreachableBetaError
-from .measures import Bernoulli, MeasureModel
+from .measures import Bernoulli, MeasureModel, _at_least
 from .space import Word
 
 
@@ -38,6 +38,7 @@ def local_entropy(
     finite proxy for liminf/limsup; a zero-mass prefix makes the tail
     infinite and is flagged.
     """
+    _at_least(k, 0, "depth offset k")
     n_max = len(x) - k
     if n_max < 1:
         raise ValueError(f"word of length {len(x)} too short for offset k={k}")
@@ -62,10 +63,9 @@ def filtration_member(
 ) -> bool:
     """Finite check that every order-n estimate from N onward stays within
     delta of beta, at dyadic radius index M."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if len(x) < N + M:
-        raise ValueError(f"word of length {len(x)} shorter than N + M = {N + M}")
+    _at_least(N, 1, "minimum order N")
+    _at_least(M, 0, "radius index M")
+    _at_least(len(x), N + M, "word length")
     ns = np.arange(N, len(x) - M + 1)
     lm = model.log_mass_prefixes(x)[ns + M]
     val = -lm / ns  # inf at zero mass
@@ -95,6 +95,8 @@ def sample_level_set(
     Only defined for Bernoulli models, where the attainable levels form
     the interval spanned by -log p_i; outside it no level set exists.
     """
+    _at_least(n, 1, "word length n")
+    _at_least(count, 0, "count")
     if not isinstance(model, Bernoulli):
         raise ValueError("level-set sampling is implemented for Bernoulli models")
     if (model.init == 0).any():
@@ -107,19 +109,11 @@ def sample_level_set(
             "the level set is empty"
         )
     m = model.space.alphabet_size
-    best: tuple[float, tuple[int, ...]] | None = None
-    for counts in _compositions(n, m):
-        val = float(np.dot(counts, neg_logp)) / n
-        gap = abs(val - beta)
-        if best is None or gap < best[0]:
-            best = (gap, counts)
-    assert best is not None
-    if best[0] > tol:
-        raise ValueError(
-            f"no length-{n} frequency type within {tol} of beta={beta}; "
-            "increase n or tol"
-        )
-    counts = best[1]
+    # the nearest frequency type, the first in lexicographic order on a tie
+    gap, counts = min((abs(float(np.dot(c, neg_logp)) / n - beta), c) for c in _compositions(n, m))
+    if gap > tol:
+        raise ValueError(f"no length-{n} frequency type within {tol} of beta={beta}; "
+                         "increase n or tol")
     base = np.repeat(np.arange(m), counts)
     rng = np.random.default_rng(rng_seed)
     return [tuple(int(s) for s in rng.permutation(base)) for _ in range(count)]

@@ -381,6 +381,12 @@ def _grid_cells(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(grid)
 
 
+def _at_least(value: int, low: int, name: str) -> None:
+    """The one lower-bound rule of the library's orders, lengths, offsets and counts."""
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+
+
 def _refuse_long_words(space: ShiftSpace, length: int, cap: int = 1 << 24) -> None:
     """Refuse a level of more than ``cap`` words, counted as alphabet_size^length;
     alphabets have at least 2 symbols, so a length >= cap.bit_length() is refused at once.
@@ -484,10 +490,8 @@ def doubling_check(model: MeasureModel, k: int, n_max: int) -> DoublingReport:
     with order up to n_max.  A zero-mass child makes the supremum infinite
     below a positive-mass parent and is skipped below a zero-mass one.
     """
-    if k < 1:
-        raise ValueError("doubling needs k >= 1 so that the doubled radius exists")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    _at_least(k, 1, "radius index k")  # the doubled radius 2^{-(k-1)} exists
+    _at_least(n_max, 1, "n_max")
     _refuse_long_words(model.space, n_max + k)
     empirical = math.exp(_worst_step(model, k + 1, n_max + k))
     bound_log = model.one_step_log_bound()

@@ -22,12 +22,10 @@ the infimum can be smaller, are not computed.
 K, k) at the largest D + k; each sweep folds from its own D <= that, and
 a depth-D evaluator holds every shallower one level for level, so the
 values are those of a fresh evaluator of depth D bit for bit.  Its
-constructor refuses k < 0 (and D < 1), and tables or trees past the size
-cap, before building anything, and its sweeps refuse a minimum order N
-outside [1, D] and a D above the evaluator's own, as the brute-force
-``antichain_oracle`` refuses N outside [1, D].  A sweep at a new q raises
-ConvergenceError when q times the smallest positive log mass at depth
-D + k is not finite: past it the fold would sum infinities of both signs.
+constructor refuses k < 0, D < 1 and tables or trees past the size cap
+before building anything; its sweeps refuse N outside [1, D] (as the
+brute-force ``antichain_oracle`` does), a D above their evaluator's, and
+weights outside ``_check_range``.
 
 Everything runs in log domain; -inf encodes value 0 and +inf the blowup
 of the power gauge at zero mass with negative exponent.
@@ -40,7 +38,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, TooLargeError
-from .measures import Chain, MeasureModel, _grid_cells, _refuse_long_words
+from .measures import Chain, MeasureModel, _at_least, _grid_cells, _refuse_long_words
 from .space import CylinderSet, Word
 
 _MAX_TREE_NODES = 1 << 22
@@ -57,15 +55,23 @@ def psi_log(s: float, log_x):
     return s * log_x
 
 
+def _check_range(q: float, least: float, length: int, t: float = 0.0, n: int = 0) -> None:
+    """The one numeric-range rule: ConvergenceError unless every weight q log m - t n
+    summed is finite, i.e. q ``least`` (the least finite log m at ``length``), t n at the
+    largest order n and their difference; past it the fold would sum infinities of both signs."""
+    if not math.isfinite(q * least):
+        raise ConvergenceError(f"the gauge q log m overflows at q = {q}, length {length}")
+    if not math.isfinite(q * least - t * n):
+        raise ConvergenceError(f"the weight q log m - t n overflows at t = {t}, order {n}")
+
+
 def _check_window(N: int, D: int, k: int) -> None:
     """The order window of every pre-measure: balls of order N..D at
     radius offset k, with 1 <= N <= D and k >= 0."""
-    if N < 1:
-        raise ValueError("minimum order N must be >= 1")
+    _at_least(N, 1, "minimum order N")
     if D < N:
         raise ValueError(f"order cap D={D} below N={N}")
-    if k < 0:
-        raise ValueError("depth offset k must be >= 0")
+    _at_least(k, 0, "depth offset k")
 
 
 def _refuse_big(model: MeasureModel, K: CylinderSet, D: int, k: int) -> None:
@@ -265,10 +271,8 @@ class TreeEvaluator:
         _check_window(N, D, self.k)
         if D > self.D:
             raise ValueError(f"order cap D={D} above the evaluator's depth D={self.D}")
+        _check_range(q, (self._census or self.census())[1], self.D + self.k, t, D)
         if q != self._q:  # the cached forward weights and gauges are another q's
-            if not math.isfinite(q * self.census()[1]):
-                raise ConvergenceError(
-                    f"the gauge q log m overflows at q = {q}, length {self.D + self.k}")
             self._q, self._gauged, self._forward_weights = q, {}, [np.zeros(1)]
         top = D + self.k
         vals = self._weights(q, t, top)

@@ -21,10 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BracketError, ConvergenceError
-from .measures import _BLOCK_WORDS, Chain, MeasureModel, _log_mass_blocks, _refuse_long_words
-from .measures import _logsumexp_in_place, log_mass_array
-from .premeasure import TreeEvaluator, psi_log
+from .errors import BracketError
+from .measures import _BLOCK_WORDS, Chain, MeasureModel, _at_least, _log_mass_blocks
+from .measures import _logsumexp_in_place, _refuse_long_words, log_mass_array
+from .premeasure import TreeEvaluator, _check_range, psi_log
 from .solver import DEFAULT_SCHEDULE
 from .space import CylinderSet
 
@@ -41,18 +41,17 @@ def log_partition(model: MeasureModel, q, length: int):
     N = D = length and t = 0; any other level streams through ``_walked``.
     q = 0 gives the log of the word count, zero masses included; q = 1 gives
     0; q < 0 gives +inf once any mass is zero, and q > 0 gives -inf only if
-    every mass is zero.  Refuses the level past 2^24 words before any work,
-    and raises ConvergenceError, before summing, when q log m overflows at
-    the smallest positive mass m.
+    every mass is zero.  Refuses a negative length and a level past 2^24 words
+    before any work, and every q failing ``_check_range`` before summing.
     """
     qs = np.asarray(q, dtype=float)
+    _at_least(length, 0, "word length")
     _refuse_long_words(model.space, length)
     if isinstance(model, Chain) and model.space.alphabet_size**length > _BLOCK_WORDS:
         tree = TreeEvaluator(model, CylinderSet(model.space, [()]), 0, length)
         words, least = tree.census()
         for qi in qs.flat:
-            if not math.isfinite(float(qi) * least):
-                raise ConvergenceError(f"the gauge q log m overflows at q = {qi}, length {length}")
+            _check_range(float(qi), least, length)
         out = _ends(qs, words, lambda i, qi: tree.packing_log(qi, 0.0, length))
     else:
         out = _walked(model, qs, length)
@@ -69,11 +68,11 @@ def _ends(qs: np.ndarray, words: int, log_sum) -> np.ndarray:
 
 def _walked(model: MeasureModel, qs: np.ndarray, length: int) -> np.ndarray:
     """log Z per q from the blocks of ``_log_mass_blocks``, each loaded once
-    with its min, max and (if it has zero masses) zero-filtered copy, and
-    checked per q at its smallest positive mass.  Every q but 0 and 1 sums a
-    block in one reused buffer against its largest term, q*max (q > 0) or
-    q*min (q < 0), and the blocks' sums join in an online log-sum-exp.  On a
-    one-block level this is bit for bit ``logsumexp(psi_log(q, masses))``:
+    with its min, max and (if it has zero masses) zero-filtered copy; each q
+    passes ``_check_range`` at its smallest positive mass.  Every q but 0 and 1
+    sums a block in one reused buffer against its largest term, q*max (q > 0)
+    or q*min (q < 0), and the blocks' sums join in an online log-sum-exp.  On
+    a one-block level this is bit for bit ``logsumexp(psi_log(q, masses))``:
     rounding is monotone, so the largest term is the same, and the sum runs
     over the same contiguous array in the same pairwise order."""
     top = np.full(qs.shape, -math.inf)  # the largest term so far, per q
@@ -90,8 +89,7 @@ def _walked(model: MeasureModel, qs: np.ndarray, length: int) -> np.ndarray:
         view = buf[: live.size]
         for i, qi in np.ndenumerate(qs):
             qi = float(qi)
-            if not math.isfinite(qi * lo_pos):
-                raise ConvergenceError(f"the gauge q log m overflows at q = {qi}, length {length}")
+            _check_range(qi, lo_pos, length)
             hi = qi * (hi_mass if qi > 0 else lo)
             if qi == 0 or qi == 1 or top[i] == math.inf or hi == -math.inf:
                 continue
@@ -164,19 +162,21 @@ def h_curve(
     least-squares slope of log Z_N against N: one least-squares call over the
     finite columns, +inf where a log Z_N is infinite.  Depths are the outer
     loop, so each word length is read once, through ``log_partition``; the
-    deepest length, max N + k, is refused past the enumeration cap before any.
+    deepest length, max N + k, is refused past the cap, and k < 0, before any.
     """
     if not model.space.irreducible:
         raise ValueError("h-curve estimation needs an irreducible shift space")
     if len({N for N, _ in schedule}) < 2:
         raise ValueError("h-curve estimation needs a schedule with at least 2 distinct N")
+    _at_least(k, 0, "depth offset k")
     _refuse_long_words(model.space, max(N for N, _ in schedule) + k)
     q_grid = sorted_grid(q_grid)
     Ns = np.asarray([N for N, _ in schedule], dtype=float)
     logZ = np.array([log_partition(model, q_grid, int(N) + k) for N in Ns])
     finite = ~np.isinf(logZ).any(axis=0)
     h = np.full_like(q_grid, math.inf)
-    h[finite] = np.polyfit(Ns, logZ[:, finite], 1)[0]
+    # log Z / 2^64 is exact, and keeps polyfit's slope (scaled by |Ns|) below the float max
+    h[finite] = np.polyfit(Ns, logZ[:, finite] / 2.0**64, 1)[0] * 2.0**64
     return SpectrumCurve(q_grid, h, SpectrumCurve.certify(q_grid, h))
 
 
@@ -286,24 +286,22 @@ class LevelSetBin:
 
 
 @lru_cache(maxsize=1)
-def level_set_read(model: MeasureModel, n: int, k: int = 0) -> tuple[np.ndarray, bool, np.ndarray]:
-    """The one read of the length-(n+k) level that the level-set functions
-    share: (finite log masses, whether a word has zero mass, betas -(1/n) log m
-    of those words), all read-only.  The finite log masses are the
-    ``log_mass_array`` level itself when no mass is zero.  Refuses n < 1 and
-    k < 0 before any work; the last (model, n, k) is cached."""
-    if n < 1:
-        raise ValueError("word length n must be >= 1")
-    if k < 0:
-        raise ValueError("depth offset k must be >= 0")
+def level_set_read(model: MeasureModel, n: int, k: int = 0) -> tuple:
+    """The one read of the length-(n+k) level shared by the level-set functions:
+    (finite log masses, the ``log_mass_array`` level itself when no mass is zero;
+    whether a mass is zero; the least finite log mass, 0.0 if none; their betas
+    -(1/n) log m), arrays read-only.  Refuses n < 1 and k < 0 before any work;
+    the last (model, n, k) is cached."""
+    _at_least(n, 1, "word length n")
+    _at_least(k, 0, "depth offset k")
     arr = log_mass_array(model, n + k)
-    zero_mass = arr.size > 0 and float(arr.min()) == -math.inf
-    finite = arr[~np.isneginf(arr)] if zero_mass else arr
+    finite = arr[~np.isneginf(arr)] if arr.size and float(arr.min()) == -math.inf else arr
+    least = float(finite.min(initial=0.0))
     betas = np.negative(finite)
     np.divide(betas, n, out=betas)
     finite.setflags(write=False)
     betas.setflags(write=False)
-    return finite, zero_mass, betas
+    return finite, finite.size < arr.size, least, betas
 
 
 def level_set_spectrum_oracle(
@@ -318,7 +316,7 @@ def level_set_spectrum_oracle(
     """
     if bin_width <= 0:
         raise ValueError("bin width must be positive")
-    _, _, betas = level_set_read(model, n, k)
+    betas = level_set_read(model, n, k)[3]
     idx = np.empty_like(betas)
     with np.errstate(over="ignore"):
         np.divide(betas, bin_width, out=idx)
@@ -344,7 +342,7 @@ def level_set_window(
 ) -> tuple[int, np.ndarray]:
     """Count and log masses of length-(n+k) words with local entropy within
     half_width of beta; the sliding-window companion of the fixed bins."""
-    finite, _, betas = level_set_read(model, n, k)
+    finite, _, _, betas = level_set_read(model, n, k)
     dist = np.subtract(betas, beta)
     sel = np.abs(dist, out=dist) <= half_width
     del dist  # the level-sized scratch goes before the window's copy is made
@@ -353,15 +351,13 @@ def level_set_window(
 
 def tangency_beta(model: MeasureModel, q: float, n: int, k: int = 0) -> float:
     """Finite-n slope -d/dq (1/n) log Z_n(q): the level at which the q-weighted
-    partition concentrates; ConvergenceError if its largest weight q log m overflows."""
-    finite, zero_mass, _ = level_set_read(model, n, k)
+    partition concentrates, once q passes ``_check_range`` on the level."""
+    finite, zero_mass, least, _ = level_set_read(model, n, k)
     if q < 0 and zero_mass:
         raise ValueError("partition derivative undefined: zero-mass word at q < 0")
-    with np.errstate(over="ignore"):
-        w = psi_log(q, finite)
+    _check_range(q, least, n + k)
+    w = psi_log(q, finite)
     top = float(w.max())
-    if not math.isfinite(top):
-        raise ConvergenceError(f"the gauge q log m overflows at q = {q}, length {n + k}")
     np.subtract(w, top, out=w)
     np.exp(w, out=w)
     return float(-(w @ finite) / (w.sum() * n))

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError
-from .measures import Chain, MeasureModel
+from .measures import Chain, MeasureModel, _at_least
 from .perron import perron_root
 from .potential import Potential
 from .spectrum import log_partition
@@ -94,4 +94,6 @@ def correlation_entropy(model: MeasureModel, q: float, n: int, k: int = 0) -> fl
     (1 / ((1-q) n)) log sum over admissible length-(n+k) words of mass^q."""
     if q == 1:
         raise ValueError("correlation entropy is undefined at q = 1")
+    _at_least(n, 1, "word length n")
+    _at_least(k, 0, "depth offset k")
     return log_partition(model, q, n + k) / ((1 - q) * n)

@@ -132,3 +132,33 @@ class TestSampleLevelSet:
     def test_markov_not_supported(self, parry):
         with pytest.raises(ValueError):
             mf.sample_level_set(parry, 0.4, 0.05, 10, 2, rng_seed=0)
+
+
+WORD8 = (0, 1, 1, 0, 1, 0, 0, 1)
+OUTSIDE_WINDOW = {
+    # an 8-symbol word at k = -1 gave 9 estimates, the first the empty word's
+    "local-k-1": (lambda b: mf.local_entropy(b, WORD8, k=-1), "depth offset k must be >= 0"),
+    "local-k-3": (lambda b: mf.local_entropy(b, WORD8, k=-3), "depth offset k must be >= 0"),
+    "filtration-M-1": (lambda b: mf.filtration_member(b, WORD8, 0.6, 0.5, M=-1, N=2),
+                       "radius index M must be >= 0"),
+    "sample-n0": (lambda b: mf.sample_level_set(b, 0.6, 0.5, 0, 3, 0), "word length n must be >= 1"),
+    "sample-n-3": (lambda b: mf.sample_level_set(b, 0.6, 0.5, -3, 3, 0),
+                   "word length n must be >= 1"),
+    "sample-count-2": (lambda b: mf.sample_level_set(b, 0.6, 0.5, 8, -2, 0), "count must be >= 0"),
+    "correlation-n0": (lambda b: mf.correlation_entropy(b, 2.0, 0), "word length n must be >= 1"),
+    "correlation-k-1": (lambda b: mf.correlation_entropy(b, 2.0, 4, k=-1),
+                        "depth offset k must be >= 0"),
+    "partition-length-1": (lambda b: mf.log_partition(b, 2.0, -1), "word length must be >= 0"),
+    "h-curve-k-1": (lambda b: mf.h_curve(b, [-1.0, 0.0, 1.0], k=-1, schedule=((4, 4), (6, 6))),
+                    "depth offset k must be >= 0"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", OUTSIDE_WINDOW)
+def test_orders_outside_their_window_are_refused(full2, case):
+    """Every library entry point refuses an order, length, offset or count
+    below its bound with the one bound rule's message, and returns nothing."""
+    call, message = OUTSIDE_WINDOW[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(mf.Bernoulli(full2, [0.3, 0.7]))

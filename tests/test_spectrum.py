@@ -343,6 +343,13 @@ class TestHCurve:
         np.testing.assert_allclose(curve.h_values, expect, atol=2e-2)
         assert curve.convexity_certificate
 
+    def test_slope_near_the_float_maximum(self, full2):
+        # log Z_4 and log Z_6 are 1.16e308 and 1.73e308 at q = -2.4e307, and h
+        # is q log 0.3 = 2.89e307; the fit wrote inf when its scaled slope overflowed
+        model = mf.Bernoulli(full2, [0.3, 0.7])
+        curve = mf.h_curve(model, [-2.4e307, 0.0, 1.0], schedule=((4, 4), (6, 6)))
+        assert curve.h_values[0] == pytest.approx(-2.4e307 * math.log(0.3), rel=1e-12)
+
     def test_biased_exact_points(self, biased):
         curve = mf.h_curve(biased, QG, schedule=FAST)
         h = dict(zip(curve.q_grid.tolist(), curve.h_values.tolist()))
@@ -618,7 +625,7 @@ class TestLevelSetBits:
                 got = level_outcome(new, *args)
                 assert not isinstance(got[0], type), (new.__name__, n, k, q, got)
                 assert got == level_outcome(old, *args), (new.__name__, n, k, q)
-            finite, _, betas = spectrum.level_set_read(model, n, k)
+            finite, _, _, betas = spectrum.level_set_read(model, n, k)
             assert not (finite.flags.writeable or betas.flags.writeable)
 
     def test_every_error_matches_the_old_formulas(self, models):
