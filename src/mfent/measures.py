@@ -6,15 +6,16 @@ quickly, so every model works in log masses alone.
 
 Bernoulli, Markov and Gibbs share one chain core, the transfer-operator
 form: the states are blocks (the admissible words of one length d), with
-an initial law on blocks and a block-to-block transition matrix.
-Bernoulli and Markov are chains on single symbols (d = 1; every row of a
-Bernoulli matrix is p), and Gibbs is the (r-1)-block chain built from the
-Perron data of its potential.  A word shorter than d has the summed
-initial mass of the blocks it starts; every symbol past d adds one log
-transition.  Mass consumers go through one of two steps: ``extend`` takes
-a whole level of the word tree to the next (children in lexicographic
-order, each child's log mass from its parent's), and
-``log_mass_prefixes`` walks one word.  ``Mixture`` extends both of its
+an initial law on blocks and each block's transition weights to its at
+most m successors, one per symbol; a dense block-to-block matrix is a
+constructor input only.  Bernoulli and Markov are chains on single
+symbols (d = 1; every weight row of Bernoulli is p), and Gibbs is the
+(r-1)-block chain built from the Perron data of its potential.  A word
+shorter than d has the summed initial mass of the blocks it starts;
+every symbol past d adds one log transition.  Mass consumers go through
+one of two steps: ``extend`` takes a whole level of the word tree to the
+next (children in lexicographic order, each child's log mass from its
+parent's), and ``log_mass_prefixes`` walks one word.  ``Mixture`` extends both of its
 components and joins their masses.
 """
 
@@ -101,10 +102,11 @@ class MeasureModel:
 class Chain(MeasureModel):
     """Block chain: ``states`` are the admissible words of one length d,
     ``init`` their initial law and ``T`` the block-to-block transition
-    matrix.  These two arrays are the chain's whole law, held once: a
-    Bernoulli model's p is ``init`` (and every row of ``T``), a Markov
-    model's pi and P are ``init`` and ``T``, and a Gibbs model's mu and Q
-    are too.
+    matrix, a constructor input only.  The chain keeps ``init`` and T's
+    entries at each block's at most m successors, a B x m table of
+    weights (B blocks, m symbols): a Bernoulli model's p is ``init`` (and
+    every weight row), a Markov model's pi and P are ``init`` and the
+    weights, and a Gibbs model's mu and Q are too.
 
     Internally every admissible word shorter than d, and every block, is a
     node (node 0 is the empty word).  ``_next[node, a]`` is the node reached
@@ -118,9 +120,6 @@ class Chain(MeasureModel):
         self.space = space
         self.states = states
         self.init = init
-        self.T = T
-        with np.errstate(divide="ignore"):
-            log_init, log_T = np.log(init), np.log(T)
         d = len(states[0])
         index = {u: i for i, u in enumerate(states)}
         starts: dict[Word, list] = {}  # the init of the blocks each prefix starts, in block order
@@ -132,23 +131,23 @@ class Chain(MeasureModel):
         node.update((u, len(prefixes) + i) for i, u in enumerate(states))
         nxt = np.full((len(node), space.alphabet_size), -1, dtype=np.int32)
         step = np.full(nxt.shape, -math.inf)
-        # 0/1 block-to-block transitions the space allows: T's support when no
-        # admissible transition has probability zero
-        self.adjacency = np.zeros((len(states), len(states)), dtype=bool)
+        with np.errstate(divide="ignore"):
+            log_init = np.log(init)
         for u, s in node.items():
             for c in space.children(u):
                 a = c[-1]
+                nxt[s, a] = node[c[1:] if len(c) > d else c]
                 if len(c) < d:
                     total = float(np.sum(starts[c]))
-                    nxt[s, a] = node[c]
                     step[s, a] = math.log(total) if total > 0 else -math.inf
                 elif len(c) == d:
-                    nxt[s, a] = node[c]
                     step[s, a] = log_init[index[c]]
-                else:
-                    nxt[s, a] = node[c[1:]]
-                    step[s, a] = log_T[index[u], index[c[1:]]]
-                    self.adjacency[index[u], index[c[1:]]] = True
+        # T at each block's successors, by symbol (0 if inadmissible); their logs: the block steps
+        succ = nxt[len(prefixes):] - len(prefixes)
+        self._weights = w = np.where(succ >= 0, np.take_along_axis(T, np.maximum(succ, 0), 1), 0.0)
+        with np.errstate(divide="ignore"):
+            step[len(prefixes):] = np.log(w)
+        self._zero_step = bool((w[succ >= 0] == 0).any())  # an admissible step of probability 0
         self._index = index
         self._n_prefix = len(prefixes)
         self._next = nxt
@@ -158,10 +157,8 @@ class Chain(MeasureModel):
         # plain lists: per-symbol lookups in Python are faster than numpy scalars
         self._next_rows = nxt.tolist()
         self._step_rows = step.tolist()
-        # the CDFs of init and of each block's row of T over its successors, per symbol
-        succ = nxt[len(prefixes):] - len(prefixes)
-        rows = np.where(succ >= 0, T[np.arange(len(states))[:, None], np.maximum(succ, 0)], 0.0)
-        cdf = np.cumsum(init)[None], np.cumsum(rows, axis=1)
+        # the CDFs of init and of each block's weights over its successors, per symbol
+        cdf = np.cumsum(init)[None], np.cumsum(w, axis=1)
         (self._init_cdf,), self._succ_cdf = ((c / c[:, -1:]).tolist() for c in cdf)
 
     def root(self) -> tuple[np.ndarray, np.ndarray]:
@@ -208,7 +205,9 @@ class Chain(MeasureModel):
         return tuple(word[:n])
 
     def q_power(self, q: float) -> tuple[np.ndarray, np.ndarray]:
-        """Entrywise q-powers of ``init`` and ``T``; exact zeros stay 0 at every q.
+        """Entrywise q-powers of ``init`` and T; exact zeros stay 0 at every q.
+        The powered weights are scattered into the one dense B x B matrix a
+        Perron solve needs, built per call and held by the caller alone.
         Raises ConvergenceError when the power of T underflows to the zero
         matrix or overflows to inf: it then has no Perron root."""
 
@@ -219,29 +218,27 @@ class Chain(MeasureModel):
                 out[pos] = a[pos] ** q
             return out
 
-        T_q = power(self.T)
-        if not (T_q.any() and np.isfinite(T_q).all()):
+        w_q = power(self._weights)
+        if not (w_q.any() and np.isfinite(w_q).all()):
             raise ConvergenceError(f"the entrywise {q}-power of the transition matrix "
                                    "under- or overflows")
+        n, steps = self._n_prefix, self._ok[self._n_prefix:]
+        T_q = np.zeros((len(self.states), len(self.states)))
+        T_q[np.nonzero(steps)[0], self._next[n:][steps] - n] = w_q[steps]
         return power(self.init), T_q
 
     def one_step_log_bound(self) -> float:
         """Conditionals are marginal ratios of init below the block length, then T's entries."""
-        worst = max(0.0, _worst_step(self, 1, len(self.states[0]) - 1))
-        mask = self.T > 0
-        if (self.adjacency & ~mask).any():
+        if self._zero_step:
             return math.inf
-        return max(worst, float(-np.log(self.T[mask].min())))
+        w, d = self._weights, len(self.states[0])
+        return max(0.0, _worst_step(self, 1, d - 1), float(-np.log(w[w > 0].min())))
 
     def log_potential(self) -> Potential:
         """The locally constant potential log T on words of length d + 1."""
-        d = len(self.states[0])
-        with np.errstate(divide="ignore"):
-            log_T = np.log(self.T)
-        table = {
-            w: float(log_T[self._index[w[:-1]], self._index[w[1:]]])
-            for w in self.space.words_of_length(d + 1)
-        }
+        d, n = len(self.states[0]), self._n_prefix
+        table = {w: self._step_rows[n + self._index[w[:-1]]][w[-1]]
+                 for w in self.space.words_of_length(d + 1)}
         return Potential(self.space, d + 1, table)
 
 

@@ -35,6 +35,8 @@ def _chain(model: MeasureModel) -> Chain:
         raise ValueError(
             f"needs a Bernoulli/Markov/Gibbs chain model, got measure kind {model.kind!r}"
         )
+    if not model.space.irreducible:
+        raise ValueError("the chain oracles need an irreducible shift space")
     return model
 
 
@@ -42,12 +44,13 @@ def closed_form_h(model: MeasureModel, q: float) -> float:
     """Exact partition growth rate (1/n) log sum_w mass(w)^q of a chain
     model: the log Perron root of the entrywise q-power of its transition
     matrix.  Zero-mass admissible cylinders blow up for q < 0 and count as
-    1 for q = 0."""
+    1 for q = 0, where the block graph's root is read from the space's
+    transition matrix, of which it is a higher-block presentation."""
     chain = _chain(model)
-    if q < 0 and ((chain.T == 0) & chain.adjacency).any():
+    if q < 0 and chain._zero_step:
         return math.inf
     if q == 0:
-        return math.log(perron_root(chain.adjacency.astype(float)))
+        return math.log(perron_root(chain.space.transitions))
     return math.log(perron_root(chain.q_power(q)[1]))
 
 

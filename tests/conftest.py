@@ -111,6 +111,14 @@ def count_words(space, n):
     return int(v.sum())
 
 
+def block_adjacency(chain):
+    """A chain's 0/1 block-to-block matrix: block u steps to block v when v
+    continues u's overlap u[1:] by a symbol the space allows after u[-1]."""
+    allowed = chain.space.transitions
+    return np.array([[u[1:] == v[:-1] and bool(allowed[u[-1], v[-1]]) for v in chain.states]
+                     for u in chain.states])
+
+
 def restrict(K, w):
     """The intersection of a cylinder set with the cylinder of w."""
     kept = [a if is_prefix(w, a) else w for a in K.members if is_prefix(a, w) or is_prefix(w, a)]

@@ -213,7 +213,7 @@ def test_criterion_9_doubling_diagnostics(fair, biased, parry, full2, capsys):
     degenerate = mf.Bernoulli(full2, [1.0, 0.0])
     assert mf.doubling_check(degenerate, 1, 6).unbounded
     rep = mf.doubling_check(parry, 1, 8)
-    vals = parry.T[parry.space.transitions.astype(bool)]
+    vals = parry.q_power(1.0)[1][parry.space.transitions.astype(bool)]
     p_min = float(vals[vals > 0].min())
     assert abs(rep.analytic_bound - 1 / p_min) <= 1e-12 * (1 / p_min)
     assert rep.empirical_sup <= rep.analytic_bound * (1 + 1e-12)

@@ -741,6 +741,16 @@ class TestNumericEdges:
         residuals = [float(r["residual"]) for r in read_csv(tmp_path / "level_residuals.csv")]
         assert residuals == pytest.approx([0.0, 0.0], abs=1e-6), residuals
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="known: q_power and Potential.transfer_matrix raise weights to "
+                              "the q-th power in linear domain, so 0.7^2100 underflows and "
+                              "0.3^-700 overflows")
+    @pytest.mark.parametrize("q", [2100.0, -700.0])
+    def test_verify_gibbs_at_far_q(self, tmp_path, q):
+        # the Gibbs identity is computable here: q log m is far inside the range
+        cfg = {"space": FULL2, "measure": BERNOULLI_37, "q_grid": [q]}
+        assert run("verify-gibbs", cfg, tmp_path) == 0
+
     @pytest.mark.parametrize("command", RANGE_CONFIGS)
     def test_range_rule_over_log_uniform_q_and_t(self, tmp_path, capsys, command):
         """q and t drawn log-uniform over +-[1e-300, 1e308]: a run exits 0

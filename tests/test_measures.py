@@ -5,9 +5,11 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
-from conftest import count_words, mass, random_irreducible_markov, whole_level
+from conftest import (PHI, block_adjacency, count_words, mass, random_irreducible_markov,
+                      whole_level)
 
 import mfent as mf
+from mfent.perron import perron_triple
 
 
 def total_mass(model, n):
@@ -125,7 +127,7 @@ class TestGibbs:
         # summed left to right; shorter words sum mu over the blocks they start
         index = {u: i for i, u in enumerate(gibbs3.states)}
         with np.errstate(divide="ignore"):  # Q is zero between non-overlapping blocks
-            logmu, logQ = np.log(gibbs3.init), np.log(gibbs3.T)
+            logmu, logQ = np.log(gibbs3.init), np.log(gibbs3.q_power(1.0)[1])
         for n in range(1, 7):
             for w in gibbs3.space.words_of_length(n):
                 if n < 2:
@@ -415,8 +417,9 @@ class TestDoubling:
             return
         # below the block length d the worst word ratio, beyond it T's worst entry
         d = len(model.states[0])
-        zero_step = (model.adjacency & (model.T == 0)).any()
-        t_part = math.inf if zero_step else float(-np.log(model.T[model.T > 0].min()))
+        T = model.q_power(1.0)[1]  # x ** 1.0 is x: T bit for bit
+        zero_step = (block_adjacency(model) & (T == 0)).any()
+        t_part = math.inf if zero_step else float(-np.log(T[T > 0].min()))
         assert model.one_step_log_bound() == max(0.0, *worst[1:d], t_part)
 
     def test_level_streams_in_blocks(self, fair):
@@ -457,42 +460,72 @@ class TestRefuseLongWords:
             mf.log_mass_array(fair, 10**308)
 
 
+def gibbs_law(potential):
+    """mu and Q as ``Gibbs.__init__`` writes them from the Perron data of
+    the potential's transfer matrix."""
+    M, _ = potential.transfer_matrix(1.0)
+    lam, h, l = perron_triple(M)
+    mu = l * h
+    return mu / mu.sum(), M * h[None, :] / (lam * h[:, None])
+
+
+def defining_T(name, chain):
+    """The dense transition matrix a fixture's chain was built from."""
+    p = 1 / PHI
+    return {"parry": lambda: np.array([[p, 1 - p], [1.0, 0.0]]),
+            "biased": lambda: np.tile([0.25, 0.75], (2, 1)),
+            "gibbs3": lambda: gibbs_law(chain.potential)[1]}[name]()
+
+
+def dense_power(a, q):
+    """The entrywise q-power of a dense array, exact zeros kept at 0."""
+    out = np.zeros_like(a)
+    pos = a > 0
+    with np.errstate(over="ignore"):
+        out[pos] = a[pos] ** q
+    return out
+
+
 class TestQPower:
     @pytest.mark.parametrize("fixture", ["parry", "biased", "gibbs3"])
     def test_matches_entrywise_power_with_zeros_kept(self, fixture, request):
         chain = request.getfixturevalue(fixture)
+        T = defining_T(fixture, chain)
         for q in (-2.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.7):
             init_q, T_q = chain.q_power(q)
-            for a, got in ((chain.init, init_q), (chain.T, T_q)):
-                expected = np.zeros_like(a)
-                expected[a > 0] = a[a > 0] ** q
-                np.testing.assert_array_equal(got, expected)
+            for a, got in ((chain.init, init_q), (T, T_q)):
+                np.testing.assert_array_equal(got, dense_power(a, q))
                 assert (got[a == 0] == 0).all()
 
     def test_inputs_untouched(self, parry):
-        T = parry.T.copy()
-        parry.q_power(-2.0)[1][:] = 7.0
-        np.testing.assert_array_equal(parry.T, T)
+        init, T = parry.init.copy(), parry.q_power(1.0)[1]
+        for out in parry.q_power(-2.0):
+            out[:] = 7.0
+        np.testing.assert_array_equal(parry.init, init)
+        np.testing.assert_array_equal(parry.q_power(1.0)[1], T)
 
 
 def choice_walk(chain, n, rng):
     """The reference sampler: one ``Generator.choice`` per drawn block."""
     if n == 0:
         return ()
+    T = chain.q_power(1.0)[1]
     i = int(rng.choice(len(chain.states), p=chain.init))
     word = list(chain.states[i])
     while len(word) < n:
-        i = int(rng.choice(len(chain.states), p=chain.T[i]))
+        i = int(rng.choice(len(chain.states), p=T[i]))
         word.append(chain.states[i][-1])
     return tuple(word[:n])
 
 
-def dense_cdf_walk(chain, n, rng):
+def dense_cdf_walk(chain, n, rng, T=None):
     """The sampler as it was with dense row CDFs: every draw bisects the
-    CDF of init or of a whole row of T, over all B blocks."""
+    CDF of init or of a whole row of T (by default ``q_power(1.0)``'s),
+    over all B blocks."""
     if n == 0:
         return ()
-    cdf = np.cumsum(np.vstack((chain.init, chain.T)), axis=1)
+    T = chain.q_power(1.0)[1] if T is None else T
+    cdf = np.cumsum(np.vstack((chain.init, T)), axis=1)
     cdf = (cdf / cdf[:, -1:]).tolist()
     u = rng.random(1 + max(0, n - len(chain.states[0]))).tolist()
     i = bisect_right(cdf[0], u[0])
@@ -547,3 +580,128 @@ class TestSampling:
         rng = np.random.default_rng(0)
         w = biased.sample_word(20000, rng)
         assert sum(w) / len(w) == pytest.approx(0.75, abs=0.02)
+
+
+def dense_law(chain, T):
+    """A chain's tables as they were built from the dense B x B ``T``,
+    written out: np.log of T gathered at the block steps (math.log of the
+    prefix marginals, np.log of init at length d), the CDF rows of T's
+    entries at each block's successors, the doubling bound from T's least
+    positive entry, the log T potential table and the 0/1 block adjacency."""
+    from mfent.measures import _worst_step
+
+    space, states, init = chain.space, chain.states, chain.init
+    with np.errstate(divide="ignore"):
+        log_init, log_T = np.log(init), np.log(T)
+    d = len(states[0])
+    index = {u: i for i, u in enumerate(states)}
+    starts = {}
+    for u, i in index.items():
+        for j in range(d):
+            starts.setdefault(u[:j], []).append(init[i])
+    prefixes = sorted(starts)
+    node = {u: i for i, u in enumerate(prefixes)}
+    node.update((u, len(prefixes) + i) for i, u in enumerate(states))
+    nxt = np.full((len(node), space.alphabet_size), -1, dtype=np.int32)
+    step = np.full(nxt.shape, -math.inf)
+    adjacency = np.zeros((len(states), len(states)), dtype=bool)
+    for u, s in node.items():
+        for c in space.children(u):
+            a = c[-1]
+            if len(c) < d:
+                total = float(np.sum(starts[c]))
+                nxt[s, a] = node[c]
+                step[s, a] = math.log(total) if total > 0 else -math.inf
+            elif len(c) == d:
+                nxt[s, a] = node[c]
+                step[s, a] = log_init[index[c]]
+            else:
+                nxt[s, a] = node[c[1:]]
+                step[s, a] = log_T[index[u], index[c[1:]]]
+                adjacency[index[u], index[c[1:]]] = True
+    succ = nxt[len(prefixes):] - len(prefixes)
+    rows = np.where(succ >= 0, T[np.arange(len(states))[:, None], np.maximum(succ, 0)], 0.0)
+    cdf = np.cumsum(init)[None], np.cumsum(rows, axis=1)
+    (init_cdf,), succ_cdf = ((c / c[:, -1:]).tolist() for c in cdf)
+    worst = max(0.0, _worst_step(chain, 1, d - 1))
+    mask = T > 0
+    bound = (math.inf if (adjacency & ~mask).any()
+             else max(worst, float(-np.log(T[mask].min()))))
+    table = {w: float(log_T[index[w[:-1]], index[w[1:]]]) for w in space.words_of_length(d + 1)}
+    return {"step": step, "next": nxt, "init_cdf": init_cdf, "succ_cdf": succ_cdf,
+            "bound": bound, "table": table, "adjacency": adjacency}
+
+
+def same_bytes(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+class TestDenseLawPin:
+    """The per-block weight tables give the dense law's bits: every log as it
+    was taken (math.log of a prefix marginal, np.log of init and of T's
+    entries), the sampler's CDFs, the doubling bound, the log potential and
+    the q-powers.  On the default_rng(18) Gibbs chain math.log and np.log of
+    the marginal of (1,) differ in the last bit, so one np.log over all
+    steps fails here."""
+
+    @pytest.fixture(params=["bernoulli", "bernoulli-one-zero", "parry", "markov-zero-step",
+                            "gibbs3", "gibbs3-seed18"])
+    def case(self, request, full2):
+        name = request.param
+        if name.startswith("bernoulli"):
+            p = np.array([0.3, 0.7] if name == "bernoulli" else [1.0, 0.0])
+            return mf.Bernoulli(full2, p), np.tile(p, (2, 1))
+        if name == "markov-zero-step":
+            return mf.Markov(mf.make_shift(3, FULL3), ZERO_STEP_P), np.array(ZERO_STEP_P)
+        if name == "gibbs3-seed18":
+            chain = random_gibbs(full2, 3, 18)
+            return chain, gibbs_law(chain.potential)[1]
+        chain = request.getfixturevalue(name)
+        return chain, defining_T(name, chain)
+
+    def test_tables_match_the_dense_construction(self, case):
+        chain, T = case
+        ref = dense_law(chain, T)
+        assert same_bytes(chain._step, ref["step"])
+        assert chain._next.tobytes() == ref["next"].tobytes()
+        assert same_bytes(chain._init_cdf, ref["init_cdf"])
+        assert same_bytes(chain._succ_cdf, ref["succ_cdf"])
+        assert same_bytes(chain.one_step_log_bound(), ref["bound"])
+        table = mf.measures.Chain.log_potential(chain).table
+        assert table.keys() == ref["table"].keys()
+        assert same_bytes(list(table.values()), list(ref["table"].values()))
+        for q in (-3.0, -0.5, 0.0, 0.5, 1.0, 3.7):
+            init_q, T_q = chain.q_power(q)
+            assert same_bytes(init_q, dense_power(chain.init, q)), q
+            assert same_bytes(T_q, dense_power(T, q)), q
+        for seed in range(5):
+            rng, want = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert chain.sample_word(40, rng) == dense_cdf_walk(chain, 40, want, T)
+            assert rng.bit_generator.state == want.bit_generator.state
+
+    def test_counting_rate_is_the_block_graph_root(self, case):
+        chain, T = case
+        adjacency = dense_law(chain, T)["adjacency"]
+        np.testing.assert_array_equal(block_adjacency(chain), adjacency)
+        root = math.log(perron_triple(adjacency.astype(float))[0])
+        assert mf.closed_form_h(chain, 0.0) == pytest.approx(root, rel=1e-14, abs=0)
+
+
+def test_chain_holds_no_block_by_block_array(full2):
+    # a Gibbs chain of 1,024 blocks kept 10 MiB with a dense T and adjacency
+    words = list(full2.words_of_length(11))
+    weights = np.random.default_rng(0).normal(0.0, 0.5, len(words))
+    potential = mf.Potential(full2, 11, dict(zip(words, weights)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        chain = mf.Gibbs(potential)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(chain.states) == 1024
+    assert kept < 3 << 20, kept
+    cells = chain._next.size  # nodes x alphabet
+    for name, value in vars(chain).items():
+        if isinstance(value, np.ndarray):
+            assert value.size <= cells, name

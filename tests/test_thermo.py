@@ -252,6 +252,17 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             mf.closed_form_h(mf.Mixture(fair, biased, 0.5), 1.0)
 
+    def test_chain_oracles_refuse_a_reducible_space(self):
+        # words starting with 0 have mass 0, so log Z is +inf at q = -1, where
+        # the Perron root gave log 2; at q = 0 the solve ran into the step cap
+        space = mf.make_shift(2, [[1, 1], [0, 1]])
+        chain = mf.Markov(space, [[0.5, 0.5], [0.0, 1.0]], pi=[0.0, 1.0])
+        for oracle in (mf.closed_form_h, mf.gibbs_identity_residual,
+                       mf.partition_growth_by_squaring):
+            for q in (-1.0, 0.0, 2.0):
+                with pytest.raises(ValueError, match="irreducible"):
+                    oracle(chain, q)
+
 
 class TestSquaringOracle:
     """partition_growth_by_squaring is the independent cross-check: it never
