@@ -23,9 +23,9 @@ K, k) at the largest D + k; each sweep folds from its own D <= that, and
 a depth-D evaluator holds every shallower one level for level, so the
 values are those of a fresh evaluator of depth D bit for bit.  Its
 constructor refuses k < 0, D < 1 and tables or trees past the size cap
-before building anything; its sweeps refuse N outside [1, D] (as the
-brute-force ``antichain_oracle`` does), a D above their evaluator's, and
-weights outside ``_check_range``.
+before building anything, then computes ``least`` once; its sweeps refuse
+N outside [1, D] (as ``antichain_oracle`` does), a D above their
+evaluator's, and weights outside ``_check_range`` at ``least``.
 
 Everything runs in log domain; -inf encodes value 0 and +inf the blowup
 of the power gauge at zero mass with negative exponent.
@@ -74,16 +74,15 @@ def _check_window(N: int, D: int, k: int) -> None:
     _at_least(k, 0, "depth offset k")
 
 
-def _refuse_big(model: MeasureModel, K: CylinderSet, D: int, k: int) -> None:
+def _refuse_big(model: MeasureModel, table: np.ndarray, root: int, D: int, k: int) -> None:
     """Refuse an evaluator of depth D + k past the cap before any work.  A
     chain's sweeps step tables of at most (D + k + 1) levels x chain nodes x
-    trie states x alphabet entries.  Any other model's sweeps fold over its
-    cylinder tree, whose level l holds the admissible length-l words meeting
-    K, whatever the measure; the count steps integer word counts per (last
-    symbol, trie state) from level to level.  The messages state the cap and
-    never the depth, which may have hundreds of digits."""
+    K's trie states x alphabet entries.  Any other model's sweeps fold over
+    its cylinder tree, whose level l holds the admissible length-l words
+    meeting K, whatever the measure; the count steps integer word counts per
+    (last symbol, trie state) from level to level.  The messages state the
+    cap and never the depth, which may have hundreds of digits."""
     depth = D + k
-    table, root = K.trie()
     if isinstance(model, Chain):
         nodes, m = model._next.shape
         if (depth + 1) * nodes * len(table) * m > _MAX_TREE_NODES:
@@ -95,7 +94,7 @@ def _refuse_big(model: MeasureModel, K: CylinderSet, D: int, k: int) -> None:
     if depth + 1 > _MAX_TREE_NODES:  # every level keeps at least one node
         raise TooLargeError(f"a cylinder tree of D + k + 1 levels exceeds {_MAX_TREE_NODES} nodes")
     trie, symbol = np.nonzero(table >= 0)
-    allowed = K.space.transitions.astype(np.int64)
+    allowed = model.space.transitions.astype(np.int64)
     into = np.zeros(table.shape, dtype=np.int64)  # words per (trie state, next symbol)
     into[root] = 1
     total = 1
@@ -140,7 +139,8 @@ class TreeEvaluator:
     does not depend on t).  A unit's forward weight is the log-sum of its
     nodes' offsets (0 on a word level); it and psi_log of every distinct
     mass table are cached for the last q swept, and serve every t, N and D
-    at that q.
+    at that q.  ``least``, the least finite log mass at depth D + k, is
+    computed once at build from the edge tables.
     """
 
     def __init__(self, model: MeasureModel, K: CylinderSet, k: int, D: int):
@@ -154,11 +154,11 @@ class TreeEvaluator:
         self.model = model
         self._table, root = K.trie()
         self._q = None  # the q whose forward weights and gauge tables are cached
-        self._census = None
-        _refuse_big(model, K, D, k)
+        _refuse_big(model, self._table, root, D, k)
         symbol = np.min_scalar_type(model.space.alphabet_size - 1)
         self.level_words = [np.zeros((1, 0), dtype=symbol)]
         self._levels(model, root)
+        self.least = self._least()
 
     def _levels(self, model: MeasureModel, root: int) -> None:
         """Every level down to depth D + k.  Each level steps the measure's
@@ -236,26 +236,18 @@ class TreeEvaluator:
             weights.append(out)
         return weights[level]
 
-    def census(self) -> tuple[int, float]:
-        """(words, least) at the deepest level D + k: its node count and
-        smallest finite log mass (at most 0.0), pushed per unit along the
-        edge tables, zero-mass steps left out; rounding is monotone, so
-        ``least`` is exact.  Computed once per evaluator."""
-        if self._census is None:
-            count, least = np.ones(1), np.zeros(1)
-            top = self.D + self.k
-            for l in range(top):
-                n, par, child = len(self._lm[l + 1]), self._par[l], self._child[l]
-                if par is None:
-                    count, least = np.ones(n), np.zeros(n)
-                    continue
-                count, steps = np.bincount(child, count[par], n), self._steps[l]
-                edges = least[par] + np.where(steps == -np.inf, np.inf, steps)
-                least = np.full(n, np.inf)
-                np.minimum.at(least, child, edges)
-            masses = least + self._lm[top]
-            self._census = int(count.sum()), float(masses[np.isfinite(masses)].min(initial=0.0))
-        return self._census
+    def _least(self) -> float:
+        """The least finite log mass at depth D + k (at most 0.0), pushed per
+        unit along the edge tables; rounding is monotone, so it is exact."""
+        merged = sum(par is None for par in self._par)  # the word levels come first
+        least = np.zeros(len(self._lm[merged]))  # a word level's units hold their whole mass
+        for l in range(merged, len(self._par)):
+            steps = self._steps[l]  # a zero-mass step leads to no finite mass
+            edges = least[self._par[l]] + np.where(steps == -np.inf, np.inf, steps)
+            least = np.full(len(self._lm[l + 1]), np.inf)
+            np.minimum.at(least, self._child[l], edges)
+        masses = least + self._lm[-1]
+        return float(masses[np.isfinite(masses)].min(initial=0.0))
 
     def _weights(self, q: float, t: float, level: int) -> np.ndarray:
         """Each unit's own ball weight, relative to its offset."""
@@ -271,7 +263,7 @@ class TreeEvaluator:
         _check_window(N, D, self.k)
         if D > self.D:
             raise ValueError(f"order cap D={D} above the evaluator's depth D={self.D}")
-        _check_range(q, (self._census or self.census())[1], self.D + self.k, t, D)
+        _check_range(q, self.least, self.D + self.k, t, D)
         if q != self._q:  # the cached forward weights and gauges are another q's
             self._q, self._gauged, self._forward_weights = q, {}, [np.zeros(1)]
         top = D + self.k

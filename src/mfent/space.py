@@ -145,12 +145,13 @@ class CylinderSet:
 
     @staticmethod
     def _canonicalize(space: ShiftSpace, ws: set[Word]) -> set[Word]:
-        changed = True
+        # drop extensions: in sorted order a word follows the member it extends
+        kept: list[Word] = []
+        for w in sorted(ws):
+            if not (kept and is_prefix(kept[-1], w)):
+                kept.append(w)
+        ws, changed = set(kept), True
         while changed:
-            # drop words extending another member
-            ws = {
-                w for w in ws if not any(w[:j] in ws for j in range(len(w)))
-            }
             changed = False
             by_parent: dict[Word, set[Word]] = defaultdict(set)
             for w in ws:
@@ -178,16 +179,21 @@ class CylinderSet:
     def trie(self) -> tuple[np.ndarray, int]:
         """Membership as a prefix trie: (table, root state).  States are the
         prefixes of members, and a member's row maps every symbol to itself;
-        ``table[s, a]`` is the state of s + (a,), or -1 if it misses the set."""
-        nodes = sorted({a[:j] for a in self._members for j in range(len(a) + 1)})
-        row = {u: i for i, u in enumerate(nodes)}
-        table = np.full((len(nodes), self.space.alphabet_size), -1, dtype=np.int32)
-        for u, i in row.items():
-            if u in self._members:
-                table[i] = i
-            if u:
-                table[row[u[:-1]], u[-1]] = i
-        return table, row.get((), -1)
+        ``table[s, a]`` is the state of s + (a,), or -1 if it misses the set.
+        A walk over the sorted members numbers the prefixes in sorted order."""
+        members, path = sorted(self._members), [0]  # path: the last member's prefixes' states
+        parent, symbol, leaf = [], [], []  # per non-root state; per member
+        for a, b in zip(members, [()] + members):
+            del path[1 + next((j for j, (x, y) in enumerate(zip(a, b)) if x != y), 0):]
+            for s in a[len(path) - 1:]:  # past the prefix shared with the member before
+                parent.append(path[-1])
+                symbol.append(s)
+                path.append(len(parent))
+            leaf.append(path[-1])
+        table = np.full((len(parent) + bool(members), self.space.alphabet_size), -1, dtype=np.int32)
+        table[parent, symbol] = np.arange(1, len(parent) + 1)
+        table[leaf] = np.array(leaf, dtype=np.int32)[:, None]
+        return table, 0 if members else -1
 
     def __eq__(self, other) -> bool:
         return (

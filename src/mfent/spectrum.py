@@ -39,20 +39,21 @@ def log_partition(model: MeasureModel, q, length: int):
     A ``Chain`` level of more than one block (alphabet_size^length past
     ``_BLOCK_WORDS``) is the tree engine's fold over the whole space at
     N = D = length and t = 0; any other level streams through ``_walked``.
-    q = 0 gives the log of the word count, zero masses included; q = 1 gives
-    0; q < 0 gives +inf once any mass is zero, and q > 0 gives -inf only if
-    every mass is zero.  Refuses a negative length and a level past 2^24 words
-    before any work, and every q failing ``_check_range`` before summing.
+    q = 0 gives the log of the word count, zero masses included (on the tree
+    route the summed int64 (length - 1)-th power of ``space.transitions``);
+    q = 1 gives 0; q < 0 gives +inf once any mass is zero, and q > 0 gives
+    -inf only if every mass is zero.  Refuses a negative length and a level
+    past 2^24 words before any work, and any q failing ``_check_range`` first.
     """
     qs = np.asarray(q, dtype=float)
     _at_least(length, 0, "word length")
     _refuse_long_words(model.space, length)
     if isinstance(model, Chain) and model.space.alphabet_size**length > _BLOCK_WORDS:
         tree = TreeEvaluator(model, CylinderSet(model.space, [()]), 0, length)
-        words, least = tree.census()
         for qi in qs.flat:
-            _check_range(float(qi), least, length)
-        out = _ends(qs, words, lambda i, qi: tree.packing_log(qi, 0.0, length))
+            _check_range(float(qi), tree.least, length)
+        paths = np.linalg.matrix_power(model.space.transitions.astype(np.int64), length - 1)
+        out = _ends(qs, int(paths.sum()), lambda i, qi: tree.packing_log(qi, 0.0, length))
     else:
         out = _walked(model, qs, length)
     return float(out) if out.ndim == 0 else out

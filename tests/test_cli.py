@@ -34,6 +34,7 @@ CYCLE2 = {"alphabet": 2, "transitions": [[0, 1], [1, 0]]}
 FLIP = {"kind": "markov", "P": [[0, 1], [1, 0]], "pi": [0.5, 0.5]}
 MIXTURE = {"kind": "mixture", "lam": 0.5, "a": FAIR, "b": BIASED}
 GOLDEN_DIR = Path(__file__).parent / "data" / "cli"
+DATA_DIR = GOLDEN_DIR.parent  # configs outside the golden set
 
 
 def nested(depth, leaf=0.5):
@@ -994,3 +995,30 @@ def test_empty_tangency_window_is_a_numeric_failure(tmp_path):
     # at q = 1 the tangency level 0.562 lies 0.27 from both neighbouring levels
     cfg = {"space": FULL2, "measure": BIASED, "n": 2, "q_grid": [1]}
     assert run("level-spectrum", cfg, tmp_path) == 1
+
+
+class TestDeepAndLong:
+    """Runs past a float word count (depth), with the suite's RuntimeWarnings
+    raised as errors, and past a quadratic trie (a long K word)."""
+
+    def test_deep_premeasure(self, tmp_path):
+        # 2^1101 words at depth 1,100 overflow a float count
+        assert main(["premeasure", "--config", str(DATA_DIR / "premeasure-deep.json"),
+                     "--out", str(tmp_path)]) == 0
+        assert math.isfinite(float(read_csv(tmp_path / "premeasure.csv")[0]["log_value"]))
+
+    def test_deep_entropy_schedule(self, tmp_path):
+        cfg = {"space": FULL2, "measure": {"kind": "bernoulli", "p": [0.3, 0.7]}, "K": [[]],
+               "q": 0.5, "k": 3, "schedule": [[1000, 1000], [1100, 1100]]}
+        assert run("entropy", cfg, tmp_path) == 0
+        for row in read_csv(tmp_path / "entropy.csv"):
+            assert math.isfinite(float(row["value"])) and math.isfinite(float(row["error_bar"]))
+
+    def test_long_k_word_within_ten_seconds(self, tmp_path):
+        # one 20,000-symbol word in K: the CSV the quadratic build wrote
+        assert main_within(["premeasure", "--config", str(DATA_DIR / "premeasure-long-k.json"),
+                            "--out", str(tmp_path)], seconds=10) == 0
+        assert (tmp_path / "premeasure.csv").read_text() == (
+            "mode,q,t,N,D,k,log_value,value\n"
+            "covering,0.5,0.4,1,2,0,-1.15667494394,0.314530274882\n"
+        )

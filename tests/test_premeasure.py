@@ -314,6 +314,43 @@ class TestEvaluatorGuards:
             mf.TreeEvaluator(flip, mf.CylinderSet(cycle, [()]), 0, 10**12)
 
 
+class TestLeast:
+    """``least``, the smallest finite log mass at depth D + k, computed once
+    when the evaluator is built from the edge tables it holds."""
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("K_words", [[()], [(0, 1), (1, 0, 0)]], ids=["whole", "two"])
+    @pytest.mark.parametrize("fixture", ["biased", "sticky", "gibbs3", "bernoulli_gibbs"])
+    def test_is_the_least_enumerated_finite_log_mass(self, request, fixture, K_words, k):
+        model = request.getfixturevalue(fixture)
+        K = mf.CylinderSet(model.space, K_words)
+        for D in range(1, 7):
+            ev = mf.TreeEvaluator(model, K, k, D)
+            masses = [model.log_mass(w) for w in model.space.words_of_length(D + k)
+                      if K.intersects(w)]
+            assert ev.least == min((m for m in masses if math.isfinite(m)), default=0.0), D
+
+    def test_evaluator_builds_one_trie_and_has_no_census(self, monkeypatch, parry, golden):
+        calls = []
+        trie = mf.CylinderSet.trie
+        monkeypatch.setattr(mf.CylinderSet, "trie", lambda K: calls.append(K) or trie(K))
+        ev = mf.TreeEvaluator(parry, mf.CylinderSet(golden, [(0,), (1, 0, 1)]), 1, 5)
+        assert len(calls) == 1
+        assert not hasattr(ev, "census") and not hasattr(ev, "_census")
+
+    def test_three_shift_sweeps_past_a_float_word_count(self):
+        # 3^647 words at depth 647 overflow a float count; the sweep reads
+        # only the least log mass, 647 log 0.2
+        full3 = mf.make_shift(3, np.ones((3, 3), dtype=int))
+        p = [0.2, 0.3, 0.5]
+        ev = mf.TreeEvaluator(mf.Bernoulli(full3, p), mf.CylinderSet(full3, [()]), 0, 647)
+        assert ev.least == pytest.approx(647 * math.log(0.2), rel=1e-12)
+        # at N = D and t = 0 the packing is the whole level's sum of m^q
+        expected = 647 * math.log(sum(x**0.5 for x in p))
+        assert ev.packing_log(0.5, 0.0, 647) == pytest.approx(expected, rel=1e-10)
+        assert math.isfinite(ev.covering_log(0.5, 0.4, 2))
+
+
 # K for the tree build: "" is two members at depths 2 and 3; on the golden
 # mean each "forced" member ends in 1, so only 0 may follow it
 TREE_KS = {

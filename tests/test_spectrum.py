@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import block_adjacency, whole_level
+from conftest import block_adjacency, count_words, whole_level
 
 import mfent as mf
 from mfent import spectrum
@@ -305,6 +305,8 @@ class TestPartitionFold:
         words = whole_level(chain, length).size
         assert mf.log_partition(chain, 0.0, length) == math.log(words)
         assert mf.log_partition(chain, 1.0, length) == 0.0
+        for length in self.lengths(chain):  # the log of the exact integer count
+            assert mf.log_partition(chain, 0.0, length) == math.log(count_words(chain.space, length))
 
     def test_overflow_refused_before_any_sweep(self, chain, monkeypatch):
         length, swept = self.lengths(chain)[-1], []
